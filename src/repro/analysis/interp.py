@@ -16,11 +16,13 @@ the pass framework / :mod:`repro.analysis.synth` derive from it):
   ``cross-ntt`` — with merged names (``a+b`` from the merge pass) split
   and applied in order, then charged once per :class:`LocalOp`;
 * flat exchanges by relayout (``unintt-exchange``,
-  ``unintt-materialize``), executed with the same destination-slot walk
-  as :func:`~repro.multigpu.base.redistribute`;
+  ``unintt-materialize``), executed by
+  :func:`~repro.multigpu.base.redistribute`;
 * hierarchical ``*-stage`` / ``*-rail`` pairs, executed as two chained
   ``all_to_all`` collectives with the data genuinely forwarded through
   the per-node scratch GPUs (:func:`~repro.analysis.synth.route_via`).
+  Both kinds run the same memoized
+  :func:`~repro.multigpu.base.relayout_plan` of the layout pair.
 
 Anything else — or a schedule that fails :func:`verify_schedule` —
 raises :class:`~repro.errors.SchedulePassError` before touching data.
@@ -32,6 +34,7 @@ from repro.analysis.plancheck import verify_schedule
 from repro.analysis.synth import route_via
 from repro.errors import SchedulePassError
 from repro.field.vector import vec_mul
+from repro.multigpu.base import redistribute, relayout_plan
 from repro.multigpu.layout import (
     BlockLayout, CyclicLayout, Layout, SpectralLayout, UniNTTExchangeLayout,
     collect, distribute,
@@ -77,15 +80,10 @@ def _staged_redistribute(cluster: SimCluster, source: Layout,
             f"node_size set")
     g = cluster.gpu_count
 
-    # Per-(src, dst) messages in destination-slot order — the same walk
-    # redistribute() uses, so reassembly below is deterministic.
-    msgs: list[list[list[int]]] = [[[] for _ in range(g)]
-                                   for _ in range(g)]
-    for dst in range(g):
-        for local in range(target.shard_size):
-            j = target.global_index(dst, local)
-            src, src_local = source.owner(j)
-            msgs[src][dst].append(cluster.gpus[src].shard[src_local])
+    # Per-(src, dst) messages in destination-slot order — the same plan
+    # redistribute() executes, so reassembly below is deterministic.
+    plan = relayout_plan(source, target)
+    msgs = plan.outboxes([gpu.shard for gpu in cluster.gpus])
 
     # Stage: deliver same-node data directly, forward cross-node data
     # to the scratch GPU on the destination's rail.  Final-dst-major
@@ -138,14 +136,7 @@ def _staged_redistribute(cluster: SimCluster, source: Layout,
                 count = len(msgs[src][dst])
                 fifo[src] = buf[pos:pos + count]
                 cursors[holder] = pos + count
-        shard = [0] * target.shard_size
-        taken = [0] * g
-        for local in range(target.shard_size):
-            j = target.global_index(dst, local)
-            src, _ = source.owner(j)
-            shard[local] = fifo[src][taken[src]]
-            taken[src] += 1
-        cluster.gpus[dst].load(shard)
+        cluster.gpus[dst].load(plan.assemble(dst, fifo))
 
 
 def interpret_schedule(schedule: CommSchedule, cluster: SimCluster,
@@ -246,8 +237,6 @@ def interpret_schedule(schedule: CommSchedule, cluster: SimCluster,
                 _staged_redistribute(cluster, source, target, base)
                 i += 1
             else:
-                from repro.multigpu.base import redistribute
-
                 redistribute(cluster, source, target, detail=base)
         else:
             raise SchedulePassError(

@@ -59,8 +59,8 @@ those rules as AST visitors over ``src/repro/``:
   ``ShardTransfer(...)`` outside the schedule builders
   (``multigpu/schedule.py``) and the pass framework
   (``analysis/passes.py``/``analysis/synth.py``).  Transfer tuples
-  written by hand drift from the layout walk that
-  ``make_transfers`` mirrors, and the byte totals the verifier,
+  written by hand drift from the layout relayout that
+  ``make_transfers`` derives, and the byte totals the verifier,
   cost model, and simulator all cross-check silently diverge.
 
 The module itself depends only on the standard library (plus the
@@ -392,7 +392,7 @@ class _FileLinter(ast.NodeVisitor):
                 "hand-constructed ShardTransfer; transfer tuples come "
                 "from make_transfers/the schedule builders (or the "
                 "gated pass framework), so their byte totals match the "
-                "layout walk the verifier and simulator check against",
+                "layout relayout the verifier and simulator check against",
                 node)
         if name == "TraceEvent":
             kind_args = [kw.value for kw in node.keywords

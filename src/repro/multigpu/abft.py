@@ -58,7 +58,9 @@ from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.field.prime_field import PrimeField
-from repro.field.vector import vec_inv, vec_pow_series, vec_scale, vec_sub
+from repro.field.vector import (
+    vec_dot, vec_inv, vec_mul, vec_pow_series, vec_scale, vec_sub,
+)
 from repro.hw.cost import Phase, Step
 from repro.multigpu.layout import Layout
 from repro.sim.trace import TraceEvent
@@ -228,29 +230,26 @@ class AbftChecker:
         else:
             x, y = inputs, outputs
         shift = 1 if coset_shift is None else coset_shift % p
-        g = self.cluster.gpu_count
         r = probe.r_powers
         a = probe.weights
 
         partials: list[int] | None = None
-        if not inverse and out_layout is not None:
-            partials = [0] * g
-            for k in range(n):
-                dev, _ = out_layout.owner(k)
-                partials[dev] = (partials[dev] + r[k] * y[k]) % p
+        owned = None if out_layout is None else out_layout.shard_indices()
+        if not inverse and owned is not None:
+            partials = [vec_dot(field, [r[k] for k in indices],
+                                [y[k] for k in indices])
+                        for indices in owned]
             lhs = sum(partials) % p
         else:
             lhs = 0
             for k in range(n):
                 lhs = (lhs + r[k] * y[k]) % p
 
-        if inverse and out_layout is not None:
-            partials = [0] * g
-            sp = 1
-            for j in range(n):
-                dev, _ = out_layout.owner(j)
-                partials[dev] = (partials[dev] + a[j] * sp % p * x[j]) % p
-                sp = sp * shift % p
+        if inverse and owned is not None:
+            weights = vec_mul(field, a, vec_pow_series(field, shift, n))
+            partials = [vec_dot(field, [weights[j] for j in indices],
+                                [x[j] for j in indices])
+                        for indices in owned]
             rhs = sum(partials) % p
         else:
             rhs = 0

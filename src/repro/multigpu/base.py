@@ -6,12 +6,21 @@ builds the personalized all-to-all that moves every element to its new
 slot.  All of the baseline's transposes and UniNTT's single exchange are
 instances of it, which keeps the engines short and makes the byte
 accounting uniform.
+
+Because every layout is a bit permutation of its slots (see
+:mod:`repro.multigpu.layout`), so is every relayout between two of
+them.  Both views of a relayout come from that one permutation: the
+memoized :func:`relayout_plan` that :func:`redistribute` (and the
+schedule interpreter's staged exchange) executes, and the closed-form
+O(G^2) :func:`exchange_counts` that prices it without touching the
+elements.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from repro.errors import PartitionError, SimulationError
@@ -22,8 +31,9 @@ from repro.multigpu.layout import Layout, collect, distribute
 from repro.sim.cluster import SimCluster
 from repro.sim.trace import TraceEvent
 
-__all__ = ["DistributedVector", "VectorCheckpoint", "redistribute",
-           "exchange_counts", "DistributedNTTEngine"]
+__all__ = ["DistributedVector", "VectorCheckpoint", "RelayoutPlan",
+           "relayout_plan", "redistribute", "exchange_counts",
+           "DistributedNTTEngine"]
 
 
 @dataclass(frozen=True)
@@ -125,78 +135,143 @@ class DistributedVector:
         return cls.from_values(cluster, list(checkpoint.values), layout)
 
 
-def redistribute(cluster: SimCluster, source: Layout, target: Layout,
-                 detail: str = "") -> None:
-    """One all-to-all moving every element from ``source`` to ``target``.
-
-    Both layouts must cover the same global index space.  Messages are
-    ordered by destination local index so receivers reassemble by
-    walking their slots in order — the deterministic schedule a real
-    implementation would use.
-    """
+def _check_pair(source: Layout, target: Layout) -> None:
     if source.n != target.n or source.gpu_count != target.gpu_count:
         raise PartitionError(
             f"layout mismatch: {source.n}/{source.gpu_count} vs "
             f"{target.n}/{target.gpu_count}")
+
+
+def _relayout_bits(source: Layout, target: Layout) -> tuple[
+        list[tuple[int, int]], list[tuple[int, int]],
+        list[tuple[int, int]]]:
+    """Sort the target's slot bits by where ``source`` holds them.
+
+    Returns ``stay``, the (target-local, source-local) bit pairs both
+    hold locally; ``pick``, every (destination-local offset, source GPU
+    offset) the other target-local bits spell; and ``bases``, per
+    destination GPU, the (source GPU, source-local) bits it fixes.
+    """
+    _check_pair(source, target)
+    c = source.shard_size.bit_length() - 1
+    slot_of = {image: bit for bit, image in enumerate(source.slot_bits)}
+    sigma = [slot_of[image] for image in target.slot_bits]
+    stay = [(bit, image) for bit, image in enumerate(sigma[:c]) if image < c]
+    pick = [(0, 0)]
+    for bit, image in enumerate(sigma[:c]):
+        if image >= c:
+            pick += [(x | 1 << bit, y | 1 << (image - c)) for x, y in pick]
+    bases = []
+    for dst in range(source.gpu_count):
+        src_base = local_base = 0
+        for bit, image in enumerate(sigma[c:]):
+            if dst >> bit & 1:
+                if image < c:
+                    local_base |= 1 << image
+                else:
+                    src_base |= 1 << (image - c)
+        bases.append((src_base, local_base))
+    return stay, pick, bases
+
+
+@dataclass(frozen=True)
+class RelayoutPlan:
+    """The messages of one relayout, each in destination-slot order.
+
+    ``sends[src][dst]`` are the source-local indices GPU ``src`` ships
+    to GPU ``dst``; ``lands[src][dst]`` the destination-local indices
+    they land in.
+    """
+
+    sends: tuple[tuple[tuple[int, ...], ...], ...]
+    lands: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def outboxes(self, shards: Sequence[Sequence[int]]
+                 ) -> list[list[list[int]]]:
+        """Per-(src, dst) messages gathered from the source shards."""
+        return [[[shard[i] for i in indices] for indices in row]
+                for shard, row in zip(shards, self.sends)]
+
+    def assemble(self, dst: int,
+                 messages: Sequence[Sequence[int]]) -> list[int]:
+        """GPU ``dst``'s new shard from its messages, indexed by src."""
+        shard = [0] * sum(map(len, messages))
+        for row, message in zip(self.lands, messages):
+            for local, value in zip(row[dst], message):
+                shard[local] = value
+        return shard
+
+
+@lru_cache(maxsize=32)
+def relayout_plan(source: Layout, target: Layout) -> RelayoutPlan:
+    """The :class:`RelayoutPlan` moving ``source`` to ``target``, in O(n).
+
+    Each message enumerates the target-local bits that stay local,
+    offset by the bits its (src, dst) pair fixes.
+    """
+    g = source.gpu_count
+    stay, pick, bases = _relayout_bits(source, target)
+    # Doubling enumerates the staying bits in ascending target order.
+    stay_dst, stay_src = [0], [0]
+    for bit, image in stay:
+        stay_dst += [x | 1 << bit for x in stay_dst]
+        stay_src += [y | 1 << image for y in stay_src]
+    landing = [tuple([offset | x for x in stay_dst]) for offset, _ in pick]
+    empty: tuple[int, ...] = ()
+    sends = [[empty] * g for _ in range(g)]
+    lands = [[empty] * g for _ in range(g)]
+    for dst, (src_base, local_base) in enumerate(bases):
+        sent = tuple([local_base | y for y in stay_src])
+        for (_, src_offset), landed in zip(pick, landing):
+            sends[src_base | src_offset][dst] = sent
+            lands[src_base | src_offset][dst] = landed
+    return RelayoutPlan(sends=tuple(map(tuple, sends)),
+                        lands=tuple(map(tuple, lands)))
+
+
+def redistribute(cluster: SimCluster, source: Layout, target: Layout,
+                 detail: str = "") -> None:
+    """One all-to-all moving every element from ``source`` to ``target``.
+
+    Both layouts must cover the same global index space.  Executes the
+    memoized :func:`relayout_plan` of the pair, so each (src, dst)
+    message is ordered by destination local index.
+    """
+    _check_pair(source, target)
     g = cluster.gpu_count
     if source.gpu_count != g:
         raise PartitionError(
             f"layouts are for {source.gpu_count} GPUs, cluster has {g}")
-
-    outboxes: list[list[list[int]]] = [[[] for _ in range(g)]
-                                       for _ in range(g)]
-    # Walk destination slots in order, so each (src, dst) message is
-    # naturally sorted by destination local index.
+    plan = relayout_plan(source, target)
+    inboxes = cluster.all_to_all(
+        plan.outboxes([gpu.shard for gpu in cluster.gpus]),
+        detail=detail or f"{type(source).__name__}->"
+                         f"{type(target).__name__}")
     for dst in range(g):
-        for local in range(target.shard_size):
-            j = target.global_index(dst, local)
-            src, src_local = source.owner(j)
-            outboxes[src][dst].append(cluster.gpus[src].shard[src_local])
-    inboxes = cluster.all_to_all(outboxes, detail=detail or
-                                 f"{type(source).__name__}->"
-                                 f"{type(target).__name__}")
-    for dst in range(g):
-        cursors = [0] * g
-        shard = [0] * target.shard_size
-        for local in range(target.shard_size):
-            j = target.global_index(dst, local)
-            src, _ = source.owner(j)
-            shard[local] = inboxes[dst][src][cursors[src]]
-            cursors[src] += 1
-        cluster.gpus[dst].load(shard)
-
-
-_EXCHANGE_COUNT_CACHE: dict[tuple, list[list[int]]] = {}
+        cluster.gpus[dst].load(plan.assemble(dst, inboxes[dst]))
 
 
 def exchange_counts(source: Layout, target: Layout) -> list[list[int]]:
     """Element counts of the all-to-all :func:`redistribute` would run.
 
     ``counts[src][dst]`` is how many elements GPU ``src`` sends to GPU
-    ``dst`` when moving from ``source`` to ``target`` — the same
-    destination-order walk ``redistribute`` takes, minus the data.  The
+    ``dst`` when moving from ``source`` to ``target``.  Closed form in
+    O(G^2): the target's GPU bits fix some of the source's GPU bits, and
+    every source GPU consistent with them sends ``2^k`` elements, ``k``
+    the number of target-local bits that land in source-local bits.  The
     packed execution path prices its (host-resident) layout changes
     through :meth:`repro.sim.cluster.SimCluster.charge_all_to_all` with
     exactly these counts, so the two paths are byte-identical in the
-    trace.  Pure in the layout shapes, hence memoized per shape.
+    trace.
     """
-    if source.n != target.n or source.gpu_count != target.gpu_count:
-        raise PartitionError(
-            f"layout mismatch: {source.n}/{source.gpu_count} vs "
-            f"{target.n}/{target.gpu_count}")
-    key = (type(source).__name__, type(target).__name__,
-           source.n, source.gpu_count)
-    cached = _EXCHANGE_COUNT_CACHE.get(key)
-    if cached is None:
-        g = source.gpu_count
-        cached = [[0] * g for _ in range(g)]
-        for dst in range(g):
-            for local in range(target.shard_size):
-                j = target.global_index(dst, local)
-                src, _ = source.owner(j)
-                cached[src][dst] += 1
-        _EXCHANGE_COUNT_CACHE[key] = cached
-    return cached
+    g = source.gpu_count
+    stay, pick, bases = _relayout_bits(source, target)
+    per_pair = 1 << len(stay)
+    counts = [[0] * g for _ in range(g)]
+    for dst, (src_base, _) in enumerate(bases):
+        for _, src_offset in pick:
+            counts[src_base | src_offset][dst] = per_pair
+    return counts
 
 
 class DistributedNTTEngine(ABC):

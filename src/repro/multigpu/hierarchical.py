@@ -79,13 +79,6 @@ class NestedCyclicLayout(_NodeStructured):
     both recursion levels' local transforms touch only local data.
     """
 
-    def owner(self, global_index: int) -> tuple[int, int]:
-        self._check_global(global_index)
-        n_nodes, p = self.nodes, self.gpus_per_node
-        j1, s_node = divmod(global_index, n_nodes)
-        q, s_gpu = divmod(j1, p)
-        return s_node * p + s_gpu, q
-
     def global_index(self, gpu: int, local: int) -> int:
         self._check_slot(gpu, local)
         n_nodes, p = self.nodes, self.gpus_per_node
@@ -93,55 +86,13 @@ class NestedCyclicLayout(_NodeStructured):
         return (local * p + s_gpu) * n_nodes + s_node
 
 
-class IntraNodeExchangeLayout(_NodeStructured):
-    """Target of the intra-node all-to-all, in unit-major index space.
-
-    Index space: ``u = (s_node*P + s_gpu) * m + k1'`` (the physical
-    order after the local transforms).  Within node ``s_node``, GPU
-    column ``t_gpu`` receives the k1'-chunk ``[t_gpu*m/P, ...)`` from
-    its node's P GPUs, storing the P-vector over ``s_gpu`` contiguously:
-    ``local = (k1' % (m/P)) * P + s_gpu``.  The in-place P-point cross
-    transform then turns this storage into :class:`NodeSpectralLayout`.
-    Traffic never crosses a node boundary.
-    """
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        p = self.gpus_per_node
-        if self.shard_size % p:
-            raise PartitionError(
-                f"shard of {self.shard_size} does not split into {p} "
-                f"column chunks (need n >= N * P^2)")
-
-    @property
-    def chunk(self) -> int:
-        """k1' values per GPU column: m / P."""
-        return self.shard_size // self.gpus_per_node
-
-    def owner(self, global_index: int) -> tuple[int, int]:
-        self._check_global(global_index)
-        p = self.gpus_per_node
-        unit, k1p = divmod(global_index, self.shard_size)
-        s_node, s_gpu = divmod(unit, p)
-        t_gpu, offset = divmod(k1p, self.chunk)
-        return s_node * p + t_gpu, offset * p + s_gpu
-
-    def global_index(self, gpu: int, local: int) -> int:
-        self._check_slot(gpu, local)
-        p = self.gpus_per_node
-        s_node, t_gpu = divmod(gpu, p)
-        offset, s_gpu = divmod(local, p)
-        k1p = t_gpu * self.chunk + offset
-        return (s_node * p + s_gpu) * self.shard_size + k1p
-
-
 class NodeSpectralLayout(_NodeStructured):
     """Per-node spectra after step 2.
 
     Index space: ``v = s_node * M + k1`` with ``k1 = k1' + L*k2_gpu``
-    (``L = M/P``).  Within node ``s_node``, GPU column ``t_gpu`` owns the
-    k1'-chunk ``[t_gpu*L/P, ...)``, storing ``local = (k1' % (L/P))*P +
-    k2_gpu`` — the per-node instance of
+    (``L = M/P = m``).  Within node ``s_node``, GPU column ``t_gpu`` owns
+    the k1'-chunk ``[t_gpu*L/P, ...)``, storing ``local = (k1' % (L/P))*P
+    + k2_gpu`` — the per-node instance of
     :class:`~repro.multigpu.layout.SpectralLayout`.
     """
 
@@ -150,23 +101,13 @@ class NodeSpectralLayout(_NodeStructured):
         p = self.gpus_per_node
         if self.node_size < p * p:
             raise PartitionError(
-                f"node spectral layout needs M >= P^2 "
+                f"{type(self).__name__} needs M >= P^2 "
                 f"({self.node_size} < {p}^2)")
 
     @property
     def chunk(self) -> int:
         """k1' values per GPU column: L / P."""
         return self.node_size // (self.gpus_per_node ** 2)
-
-    def owner(self, global_index: int) -> tuple[int, int]:
-        self._check_global(global_index)
-        p = self.gpus_per_node
-        m_node = self.node_size
-        l_local = m_node // p
-        s_node, k1 = divmod(global_index, m_node)
-        k2_gpu, k1p = divmod(k1, l_local)
-        t_gpu, offset = divmod(k1p, self.chunk)
-        return s_node * p + t_gpu, offset * p + k2_gpu
 
     def global_index(self, gpu: int, local: int) -> int:
         self._check_slot(gpu, local)
@@ -179,11 +120,25 @@ class NodeSpectralLayout(_NodeStructured):
         return s_node * m_node + k1
 
 
-class _ColumnChunked(_NodeStructured):
-    """Shared math of the two post-inter-node-exchange layouts.
+class IntraNodeExchangeLayout(NodeSpectralLayout):
+    """Target of the intra-node all-to-all, in unit-major index space.
+
+    Index space: ``u = (s_node*P + s_gpu) * m + k1'`` (the physical
+    order after the local transforms).  Within node ``s_node``, GPU
+    column ``t_gpu`` receives the k1'-chunk ``[t_gpu*m/P, ...)`` from
+    its node's P GPUs, storing the P-vector over ``s_gpu`` contiguously:
+    ``local = (k1' % (m/P)) * P + s_gpu``.  That is the slot map of
+    :class:`NodeSpectralLayout` with ``k2_gpu`` read as ``s_gpu``: the
+    in-place P-point cross transform turns one into the other.  Traffic
+    never crosses a node boundary.
+    """
+
+
+class NestedSpectralLayout(_NodeStructured):
+    """Final spectrum order: ``k = k1 + M * k2_node``.
 
     Splits each GPU column's m spectrum slots into N sub-chunks of
-    ``m/N``, storing the N-vector over the second index contiguously.
+    ``m/N``, storing the N-vector over ``k2_node`` contiguously.
     """
 
     def __post_init__(self) -> None:
@@ -202,65 +157,24 @@ class _ColumnChunked(_NodeStructured):
         """Spectrum slots per (GPU, node sub-chunk): m / N."""
         return self.shard_size // self.nodes
 
-    def _decode_k1(self, k1: int) -> tuple[int, int]:
-        """k1 -> (column t_gpu, within-column enumeration idx)."""
+    def global_index(self, gpu: int, local: int) -> int:
+        self._check_slot(gpu, local)
         p = self.gpus_per_node
         l_local = self.node_size // p
-        chunk = l_local // p
-        k2_gpu, k1p = divmod(k1, l_local)
-        t_gpu, offset = divmod(k1p, chunk)
-        return t_gpu, offset * p + k2_gpu
-
-    def _encode_k1(self, t_gpu: int, idx: int) -> int:
-        p = self.gpus_per_node
-        l_local = self.node_size // p
-        chunk = l_local // p
-        offset, k2_gpu = divmod(idx, p)
-        return t_gpu * chunk + offset + l_local * k2_gpu
-
-    def _owner(self, second: int, k1: int) -> tuple[int, int]:
-        t_gpu, idx = self._decode_k1(k1)
-        t_node, pos = divmod(idx, self.sub)
-        return (t_node * self.gpus_per_node + t_gpu,
-                pos * self.nodes + second)
-
-    def _global(self, gpu: int, local: int) -> tuple[int, int]:
-        """-> (second index, k1)."""
-        t_node, t_gpu = divmod(gpu, self.gpus_per_node)
-        pos, second = divmod(local, self.nodes)
-        idx = t_node * self.sub + pos
-        return second, self._encode_k1(t_gpu, idx)
+        t_node, t_gpu = divmod(gpu, p)
+        pos, k2_node = divmod(local, self.nodes)
+        offset, k2_gpu = divmod(t_node * self.sub + pos, p)
+        k1 = t_gpu * (l_local // p) + offset + l_local * k2_gpu
+        return k2_node * self.node_size + k1
 
 
-class InterNodeExchangeLayout(_ColumnChunked):
+class InterNodeExchangeLayout(NestedSpectralLayout):
     """Index space ``v = s_node * M + k1`` after the inter-node
     all-to-all: GPU ``(t_node, t_gpu)`` holds, for each k1 in its
-    sub-chunk, the N values over ``s_node`` contiguously."""
-
-    def owner(self, global_index: int) -> tuple[int, int]:
-        self._check_global(global_index)
-        s_node, k1 = divmod(global_index, self.node_size)
-        return self._owner(s_node, k1)
-
-    def global_index(self, gpu: int, local: int) -> int:
-        self._check_slot(gpu, local)
-        s_node, k1 = self._global(gpu, local)
-        return s_node * self.node_size + k1
-
-
-class NestedSpectralLayout(_ColumnChunked):
-    """Final spectrum order: ``k = k1 + M * k2_node`` — the in-place
-    N-point cross transform of :class:`InterNodeExchangeLayout`."""
-
-    def owner(self, global_index: int) -> tuple[int, int]:
-        self._check_global(global_index)
-        k2_node, k1 = divmod(global_index, self.node_size)
-        return self._owner(k2_node, k1)
-
-    def global_index(self, gpu: int, local: int) -> int:
-        self._check_slot(gpu, local)
-        k2_node, k1 = self._global(gpu, local)
-        return k2_node * self.node_size + k1
+    sub-chunk, the N values over ``s_node`` contiguously — the slot map
+    of :class:`NestedSpectralLayout` with ``k2_node`` read as
+    ``s_node``, which the in-place N-point cross transform turns into
+    the final spectrum order."""
 
 
 class HierarchicalUniNTTEngine(DistributedNTTEngine):
@@ -338,16 +252,14 @@ class HierarchicalUniNTTEngine(DistributedNTTEngine):
 
         # 3. inter-node twiddle w^(s_node * k1), fused: each GPU decodes
         # the k1 its slots hold from the node-spectral layout.
+        node_indices = node_spectral.shard_indices()
         for gpu in cluster.gpus:
             s_node = gpu.gpu_id // per_node
             if not s_node:
                 continue
             w_base = pow(root, s_node, p)
-            factors = [
-                pow(w_base,
-                    node_spectral.global_index(gpu.gpu_id, local) % m_node,
-                    p)
-                for local in range(len(gpu.shard))]
+            factors = [pow(w_base, j % m_node, p)
+                       for j in node_indices[gpu.gpu_id]]
             gpu.shard = vec_mul(field, gpu.shard, factors)
         self._charge_twiddle(m, detail="hier-inter-twiddle")
 
@@ -388,16 +300,14 @@ class HierarchicalUniNTTEngine(DistributedNTTEngine):
         node_spectral = NodeSpectralLayout(n=n, gpu_count=g, nodes=n_nodes)
         redistribute(cluster, exchange, node_spectral,
                      detail="hier-inv-inter-exchange")
+        node_indices = node_spectral.shard_indices()
         for gpu in cluster.gpus:
             s_node = gpu.gpu_id // per_node
             if not s_node:
                 continue
             w_base = pow(inv_root, s_node, p)
-            factors = [
-                pow(w_base,
-                    node_spectral.global_index(gpu.gpu_id, local) % m_node,
-                    p)
-                for local in range(len(gpu.shard))]
+            factors = [pow(w_base, j % m_node, p)
+                       for j in node_indices[gpu.gpu_id]]
             gpu.shard = vec_mul(field, gpu.shard, factors)
         self._charge_twiddle(m, detail="hier-inv-inter-twiddle")
 

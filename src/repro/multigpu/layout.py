@@ -14,11 +14,23 @@ slots.  Layout choice is *the* lever of multi-GPU NTT design:
   spectral operations are layout-agnostic, so ZKP pipelines never pay
   for the permutation.  This is the distributed face of the paper's
   "overhead-free decomposition".
+
+Each layout states its map exactly once, as :meth:`Layout.global_index`.
+Every layout here is a **bit permutation**: with ``m = n / G``, the slot
+``s = gpu * m + local`` maps to the global index whose bits are the
+log2 n bits of ``s``, permuted.  :attr:`Layout.slot_bits` recovers that
+permutation by probing ``global_index`` at the single-bit slots (and
+rejects a map that is not one), and everything else is derived from it:
+:meth:`Layout.owner` is the inverse permutation, and
+:meth:`Layout.shard_indices` tabulates every slot in O(n) by doubling.
+The derivations are memoized on the frozen layout *value*, so two equal
+layouts share them and two different ones never do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from repro.errors import PartitionError
@@ -50,13 +62,50 @@ class Layout:
     def shard_size(self) -> int:
         return self.n // self.gpu_count
 
-    def owner(self, global_index: int) -> tuple[int, int]:
-        """Map a global index to its (gpu, local index) slot."""
+    def global_index(self, gpu: int, local: int) -> int:
+        """Global index stored at slot (gpu, local): the layout's map."""
         raise NotImplementedError
 
-    def global_index(self, gpu: int, local: int) -> int:
-        """Inverse of :meth:`owner`."""
-        raise NotImplementedError
+    @property
+    @lru_cache(maxsize=256)
+    def slot_bits(self) -> tuple[int, ...]:
+        """Global bit position of each bit of slot ``gpu * m + local``.
+
+        Found by probing :meth:`global_index` at the single-bit slots;
+        a map that is not a bit permutation is rejected.
+        """
+        m, g = self.shard_size, self.gpu_count
+        slots = ([(0, 1 << bit) for bit in range(m.bit_length() - 1)]
+                 + [(1 << bit, 0) for bit in range(g.bit_length() - 1)])
+        images = [self.global_index(gpu, local) for gpu, local in slots]
+        bits = tuple(j.bit_length() - 1 for j in images)
+        if (self.global_index(0, 0) != 0
+                or any(j < 1 or j & (j - 1) for j in images)
+                or len(set(bits)) != len(bits)):
+            raise PartitionError(
+                f"{self!r} is not a bit permutation of its slots")
+        return bits
+
+    def owner(self, global_index: int) -> tuple[int, int]:
+        """Map a global index to its (gpu, local index) slot."""
+        self._check_global(global_index)
+        slot = 0
+        for bit, image in enumerate(self.slot_bits):
+            slot |= (global_index >> image & 1) << bit
+        return divmod(slot, self.shard_size)
+
+    @lru_cache(maxsize=32)
+    def shard_indices(self) -> tuple[tuple[int, ...], ...]:
+        """Per GPU, the global index of every local slot, in local order.
+
+        Built in O(n) by doubling over the slot bits.
+        """
+        table = [0]
+        for image in self.slot_bits:
+            table += [j | 1 << image for j in table]
+        m = self.shard_size
+        return tuple(tuple(table[gpu * m:(gpu + 1) * m])
+                     for gpu in range(self.gpu_count))
 
     def _check_global(self, global_index: int) -> None:
         if not 0 <= global_index < self.n:
@@ -73,11 +122,6 @@ class Layout:
 class BlockLayout(Layout):
     """GPU g holds the contiguous block [g*m, (g+1)*m)."""
 
-    def owner(self, global_index: int) -> tuple[int, int]:
-        self._check_global(global_index)
-        m = self.shard_size
-        return global_index // m, global_index % m
-
     def global_index(self, gpu: int, local: int) -> int:
         self._check_slot(gpu, local)
         return gpu * self.shard_size + local
@@ -85,11 +129,6 @@ class BlockLayout(Layout):
 
 class CyclicLayout(Layout):
     """GPU g holds every G-th element: global j = local * G + g."""
-
-    def owner(self, global_index: int) -> tuple[int, int]:
-        self._check_global(global_index)
-        g = self.gpu_count
-        return global_index % g, global_index // g
 
     def global_index(self, gpu: int, local: int) -> int:
         self._check_slot(gpu, local)
@@ -114,20 +153,13 @@ class SpectralLayout(Layout):
         super().__post_init__()
         if self.n < self.gpu_count * self.gpu_count:
             raise PartitionError(
-                f"spectral layout needs n >= G^2 "
+                f"{type(self).__name__} needs n >= G^2 "
                 f"({self.n} < {self.gpu_count}^2)")
 
     @property
     def chunk(self) -> int:
         """k1 values per GPU: M / G."""
         return self.n // (self.gpu_count * self.gpu_count)
-
-    def owner(self, global_index: int) -> tuple[int, int]:
-        self._check_global(global_index)
-        m = self.shard_size  # = M
-        k1 = global_index % m
-        k2 = global_index // m
-        return k1 // self.chunk, (k1 % self.chunk) * self.gpu_count + k2
 
     def global_index(self, gpu: int, local: int) -> int:
         self._check_slot(gpu, local)
@@ -165,12 +197,6 @@ class ColumnBlockLayout(Layout):
     def cols_per_gpu(self) -> int:
         return self.cols // self.gpu_count
 
-    def owner(self, global_index: int) -> tuple[int, int]:
-        self._check_global(global_index)
-        r, c = divmod(global_index, self.cols)
-        gpu, c_local = divmod(c, self.cols_per_gpu)
-        return gpu, c_local * self.rows + r
-
     def global_index(self, gpu: int, local: int) -> int:
         self._check_slot(gpu, local)
         c_local, r = divmod(local, self.rows)
@@ -198,12 +224,6 @@ class TransposedBlockLayout(Layout):
             raise PartitionError(
                 f"{self.rows}x{self.cols} does not factor n={self.n}")
 
-    def owner(self, global_index: int) -> tuple[int, int]:
-        self._check_global(global_index)
-        k1, k2 = divmod(global_index, self.cols)
-        k = k1 + self.rows * k2
-        return divmod(k, self.shard_size)
-
     def global_index(self, gpu: int, local: int) -> int:
         self._check_slot(gpu, local)
         k = gpu * self.shard_size + local
@@ -212,40 +232,17 @@ class TransposedBlockLayout(Layout):
 
 
 @dataclass(frozen=True)
-class UniNTTExchangeLayout(Layout):
+class UniNTTExchangeLayout(SpectralLayout):
     """Post-exchange layout of UniNTT's single all-to-all.
 
     The global index space is the "unit-major" position ``j = s * M + k1``
     of the locally-transformed data (unit ``s`` produced spectrum slot
     ``k1``).  After the exchange, GPU ``t`` owns the k1-chunk
     ``[t * M/G, (t+1) * M/G)`` with the G values over ``s`` for each k1
-    stored contiguously: ``local = (k1 % chunk) * G + s``.  The in-place
-    cross NTT over each G-group then turns this storage into
-    :class:`SpectralLayout` (with ``s`` replaced by ``k2``).
+    stored contiguously: ``local = (k1 % chunk) * G + s``.  That is the
+    slot map of :class:`SpectralLayout` with ``k2`` read as ``s``: the
+    in-place cross NTT over each G-group turns one into the other.
     """
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.n < self.gpu_count * self.gpu_count:
-            raise PartitionError(
-                f"exchange layout needs n >= G^2 "
-                f"({self.n} < {self.gpu_count}^2)")
-
-    @property
-    def chunk(self) -> int:
-        return self.n // (self.gpu_count * self.gpu_count)
-
-    def owner(self, global_index: int) -> tuple[int, int]:
-        self._check_global(global_index)
-        m = self.shard_size
-        s, k1 = divmod(global_index, m)
-        return k1 // self.chunk, (k1 % self.chunk) * self.gpu_count + s
-
-    def global_index(self, gpu: int, local: int) -> int:
-        self._check_slot(gpu, local)
-        group, s = divmod(local, self.gpu_count)
-        k1 = gpu * self.chunk + group
-        return s * self.shard_size + k1
 
 
 def distribute(values: Sequence[int], layout: Layout) -> list[list[int]]:
@@ -253,11 +250,8 @@ def distribute(values: Sequence[int], layout: Layout) -> list[list[int]]:
     if len(values) != layout.n:
         raise PartitionError(
             f"layout is for {layout.n} elements, got {len(values)}")
-    shards = [[0] * layout.shard_size for _ in range(layout.gpu_count)]
-    for gpu in range(layout.gpu_count):
-        for local in range(layout.shard_size):
-            shards[gpu][local] = values[layout.global_index(gpu, local)]
-    return shards
+    return [[values[j] for j in indices]
+            for indices in layout.shard_indices()]
 
 
 def collect(shards: Sequence[Sequence[int]], layout: Layout) -> list[int]:
@@ -266,11 +260,12 @@ def collect(shards: Sequence[Sequence[int]], layout: Layout) -> list[int]:
         raise PartitionError(
             f"layout is for {layout.gpu_count} GPUs, got {len(shards)}")
     out = [0] * layout.n
-    for gpu, shard in enumerate(shards):
+    for gpu, (shard, indices) in enumerate(
+            zip(shards, layout.shard_indices())):
         if len(shard) != layout.shard_size:
             raise PartitionError(
                 f"GPU {gpu} shard has {len(shard)} elements, layout "
                 f"expects {layout.shard_size}")
-        for local, value in enumerate(shard):
-            out[layout.global_index(gpu, local)] = value
+        for j, value in zip(indices, shard):
+            out[j] = value
     return out

@@ -47,13 +47,6 @@ class BitrevSpectralLayout(Layout):
     dimension.
     """
 
-    def owner(self, global_index: int) -> tuple[int, int]:
-        self._check_global(global_index)
-        m = self.shard_size
-        k1, k2 = global_index % m, global_index // m
-        bits = self.gpu_count.bit_length() - 1
-        return bit_reverse(k2, bits), k1
-
     def global_index(self, gpu: int, local: int) -> int:
         self._check_slot(gpu, local)
         bits = self.gpu_count.bit_length() - 1

@@ -22,7 +22,10 @@ the full-size transform, just distributed), pointwise legs combine
 shard pairs with the backend lane kernels, and every phase charges the
 cluster **exactly** what the materialized path would (the exchanges are
 priced through :func:`repro.multigpu.base.exchange_counts` +
-:meth:`repro.sim.cluster.SimCluster.charge_all_to_all`).  The packed
+:meth:`repro.sim.cluster.SimCluster.charge_all_to_all`).  Packed shards
+are split and joined with the layout's own
+:meth:`~repro.multigpu.layout.Layout.shard_indices`, the same derived
+map the list currency distributes and collects with.  The packed
 path declines — falling back to lists transparently — when fault
 injection or exchange checksums are active, since those need real
 per-message data on the wire.
@@ -30,6 +33,7 @@ per-message data on the wire.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from repro.errors import PartitionError, ResilienceError
@@ -55,30 +59,19 @@ __all__ = ["DistributedPolynomial"]
 _COEFF = "coefficient"
 _EVAL = "evaluation"
 
-#: Memoized per-GPU gather indices for packed shard split/join.  Keyed
-#: by layout shape; the index walk is pure in the shape, so it is paid
-#: once per (layout type, n, G) for the whole process.
-_LAYOUT_INDEX_CACHE: dict[tuple, list] = {}
-
 
 def _is_packed(values) -> bool:
     """Packed arrays are recognized by duck type, not by importing numpy."""
     return getattr(values, "ndim", None) is not None
 
 
-def _layout_indices(layout: Layout) -> list:
-    key = (type(layout).__name__, layout.n, layout.gpu_count)
-    cached = _LAYOUT_INDEX_CACHE.get(key)
-    if cached is None:
-        import numpy as np
+@lru_cache(maxsize=32)
+def _layout_indices(layout: Layout) -> tuple:
+    """Per-GPU gather indices for packed shard split/join, as arrays."""
+    import numpy as np
 
-        cached = [
-            np.asarray([layout.global_index(g, i)
-                        for i in range(layout.shard_size)], dtype=np.intp)
-            for g in range(layout.gpu_count)
-        ]
-        _LAYOUT_INDEX_CACHE[key] = cached
-    return cached
+    return tuple(np.asarray(indices, dtype=np.intp)
+                 for indices in layout.shard_indices())
 
 
 def _packed_split(arr, layout: Layout) -> list:

@@ -26,10 +26,13 @@ formulas the engines use, but containing no data.  It is the object the
 plan verifier (:mod:`repro.analysis.plancheck`) walks: every op declares
 which dataflow *tag* it consumes and produces, so read-before-write,
 lost/duplicated transfers and deadlocks are decidable without running
-the simulator.  Because transfers are enumerated from the real
-:class:`~repro.multigpu.layout.Layout` pair exactly the way
-:func:`~repro.multigpu.base.redistribute` builds its outboxes, the
-schedule's byte totals equal the simulator's traced totals bit-for-bit.
+the simulator.  Transfers are the closed-form
+:func:`~repro.multigpu.base.exchange_counts` of the real
+:class:`~repro.multigpu.layout.Layout` pair — derived from the same
+bit permutations as the relayout plan
+:func:`~repro.multigpu.base.redistribute` executes — so the schedule's
+byte totals equal the simulator's traced totals bit-for-bit, in O(G^2)
+per exchange at any transform size.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Union
 
 from repro.multigpu import accounting as acct
+from repro.multigpu.base import exchange_counts
 from repro.multigpu.layout import (
     BlockLayout, Layout, SpectralLayout, UniNTTExchangeLayout,
 )
@@ -246,19 +250,15 @@ def make_transfers(source: Layout, target: Layout,
                    element_bytes: int) -> tuple[ShardTransfer, ...]:
     """Enumerate the messages that relayout ``source`` -> ``target``.
 
-    Mirrors :func:`repro.multigpu.base.redistribute` exactly — walk the
-    destination slots, find each element's current owner — but records
-    only counts, so the symbolic schedule's byte totals match the
-    simulator's for *any* layout pair, including permutations that move
-    uneven chunks between GPU pairs.
+    Scales the closed-form :func:`repro.multigpu.base.exchange_counts`
+    of the pair — the counts of the very plan
+    :func:`repro.multigpu.base.redistribute` executes — by the element
+    size, so the symbolic schedule's byte totals match the simulator's
+    for *any* layout pair, including permutations that move uneven
+    chunks between GPU pairs.
     """
+    counts = exchange_counts(source, target)
     g = source.gpu_count
-    counts = [[0] * g for _ in range(g)]
-    for dst in range(g):
-        for local in range(target.shard_size):
-            j = target.global_index(dst, local)
-            src, _ = source.owner(j)
-            counts[src][dst] += 1
     return tuple(
         ShardTransfer(src=src, dst=dst, nbytes=counts[src][dst]
                       * element_bytes)

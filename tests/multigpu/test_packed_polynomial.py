@@ -18,8 +18,12 @@ from repro.field import BN254_FR, GOLDILOCKS, numpy_available, use_backend
 from repro.field.packed import (
     pack_stats, pack_values, packed_disabled, packed_ops,
 )
-from repro.multigpu import DistributedPolynomial, UniNTTEngine
+from repro.multigpu import (
+    ColumnBlockLayout, DistributedPolynomial, TransposedBlockLayout,
+    UniNTTEngine,
+)
 from repro.multigpu.base import VectorCheckpoint
+from repro.multigpu.polynomial import _layout_indices
 from repro.ntt import coset_ntt, naive_cyclic_convolution, ntt
 from repro.sim import SimCluster
 
@@ -252,3 +256,16 @@ class TestCheckpointRestore:
         snap = pack_stats.snapshot()
         assert snap["unpacks"] >= 1
         assert snap["hot_unpacks"] == 0
+
+
+class TestLayoutIndices:
+    @pytest.mark.parametrize("layout_cls",
+                             [ColumnBlockLayout, TransposedBlockLayout])
+    def test_indices_follow_the_layout_value(self, layout_cls):
+        """Layouts differing only in rows/cols get their own indices."""
+        for rows, cols in ((4, 16), (16, 4)):
+            layout = layout_cls(n=64, gpu_count=4, rows=rows, cols=cols)
+            assert [list(idx) for idx in _layout_indices(layout)] == [
+                [layout.global_index(gpu, local)
+                 for local in range(layout.shard_size)]
+                for gpu in range(layout.gpu_count)]

@@ -7,9 +7,11 @@ import pytest
 from repro.errors import PartitionError
 from repro.field import TEST_FIELD_97
 from repro.multigpu import (
-    BlockLayout, ColumnBlockLayout, CyclicLayout, SpectralLayout,
-    UniNTTExchangeLayout, collect, distribute, redistribute,
+    BlockLayout, ColumnBlockLayout, CyclicLayout, NestedCyclicLayout,
+    SpectralLayout, UniNTTExchangeLayout, collect, distribute,
+    redistribute,
 )
+from repro.multigpu.base import exchange_counts
 from repro.sim import SimCluster
 
 F = TEST_FIELD_97
@@ -80,3 +82,37 @@ class TestRedistribute:
         cluster.load_shards(distribute(list(range(n)), src))
         redistribute(cluster, src, dst, detail="my-transpose")
         assert cluster.trace.events[-1].detail == "my-transpose"
+
+
+def identity_counts(g, per_gpu):
+    return [[per_gpu if src == dst else 0 for dst in range(g)]
+            for src in range(g)]
+
+
+class TestExchangeCountsPerLayoutValue:
+    """Counts belong to the full layout value, not just (type, n, G)."""
+
+    def test_nodes_is_part_of_the_layout(self):
+        target = CyclicLayout(n=64, gpu_count=4)
+        two_nodes = NestedCyclicLayout(n=64, gpu_count=4, nodes=2)
+        four_nodes = NestedCyclicLayout(n=64, gpu_count=4, nodes=4)
+        assert exchange_counts(two_nodes, target) == [
+            [16, 0, 0, 0], [0, 0, 16, 0], [0, 16, 0, 0], [0, 0, 0, 16]]
+        assert exchange_counts(four_nodes, target) == identity_counts(4, 16)
+
+    def test_rows_and_cols_are_part_of_the_layout(self):
+        target = CyclicLayout(n=64, gpu_count=4)
+        wide = ColumnBlockLayout(n=64, gpu_count=4, rows=4, cols=16)
+        tall = ColumnBlockLayout(n=64, gpu_count=4, rows=16, cols=4)
+        assert exchange_counts(wide, target) == [[4] * 4] * 4
+        assert exchange_counts(tall, target) == identity_counts(4, 16)
+
+    def test_redistribute_follows_the_layout_value(self):
+        values = list(range(64))
+        target = CyclicLayout(n=64, gpu_count=4)
+        for nodes in (2, 4, 1):
+            source = NestedCyclicLayout(n=64, gpu_count=4, nodes=nodes)
+            cluster = SimCluster(F, 4)
+            cluster.load_shards(distribute(values, source))
+            redistribute(cluster, source, target)
+            assert collect(cluster.peek_shards(), target) == values
