@@ -977,11 +977,13 @@ def packed_prover_pipeline(log_sizes: Sequence[int] = (8, 10, 12, 14),
     backend:
 
     * **unpacked** — packed execution disabled
-      (:func:`repro.field.packed.packed_disabled`): every transform is
-      a list-in/list-out call, paying the limb pack/unpack conversion
-      seven times per proof;
-    * **packed** — the pipeline's own resident path: three packs at
-      entry, four unpacks at the ``Polynomial`` boundary, all seven
+      (:func:`repro.field.packed.packed_disabled`): the rows come from
+      the list evaluator and every transform is a list-in/list-out
+      call, paying the limb pack/unpack conversion seven times per
+      proof;
+    * **packed** — the pipeline's own resident path: one witness pack
+      at entry (the compiled R1CS evaluates the rows on limb planes),
+      four unpacks at the ``Polynomial`` boundary, all seven
       transforms and the fused ``(A*B - C) * Z^-1`` pointwise leg on
       limb planes in between.
 

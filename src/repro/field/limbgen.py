@@ -87,6 +87,16 @@ class LimbSchedule:
         """Lane-format tag, e.g. ``limb29x9`` (keys twiddle caches)."""
         return f"limb{self.limb_bits}x{self.limbs}"
 
+    @property
+    def lazy_sum_terms(self) -> int:
+        """Values below ``2p`` a lazy slot sum may add before reducing.
+
+        Their sum stays below ``R``, which the one carry pass and the
+        Barrett exit that follow require: ``R // (2p)``, 84 on BN254-Fr
+        and 35 on BLS12-381-Fr.
+        """
+        return self.r // (2 * self.modulus)
+
 
 def generate_schedule(p: int) -> LimbSchedule:
     """Derive the full limb schedule for an odd modulus ``p``.
@@ -147,6 +157,7 @@ def describe_schedule(p: int, name: str | None = None) -> str:
         f"butterfly chain safe to {s.max_lazy_stages} stages "
         f"(2^{s.max_lazy_stages} points); "
         f"exit: Barrett + 2 conditional subtracts",
+        f"  slot sums reduce once per {s.lazy_sum_terms} products",
     ]
     return "\n".join(lines)
 

@@ -366,6 +366,43 @@ class _MultiLimbKernel:
         self.norm_seq(out)
         return self._cond_sub(out)
 
+    def gather_dot(self, x, slots):
+        """``sum_j x[:, idx_j] * t_j mod p`` with lazy accumulation.
+
+        The compiled R1CS row kernel (see
+        :func:`repro.field.packed.gather_dot` for the slot format):
+        each slot gathers ``x`` on the element axis and, unless its
+        table is ``None`` (all coefficients 1), multiplies by the
+        Montgomery-form table with one montmul.  Every term is below
+        ``2p`` with canonical limbs once normalized, so up to
+        ``schedule.lazy_sum_terms`` of them add without a reduction
+        (the sum stays below R, limbs far below 2^64); then one carry
+        pass and the Barrett exit land canonical.  Longer sums reduce
+        once per that many terms, the reduced partial counting as one.
+        """
+        np, L = self.np, self.L
+        lanes = len(slots[0][0])
+        sc = self.scratch(lanes)
+        cap = self.schedule.lazy_sum_terms
+        acc = np.zeros((L, lanes), dtype=np.uint64)
+        gathered = np.empty((L, lanes), dtype=np.uint64)
+        terms = 0
+        for idx, table in slots:
+            if terms == cap:
+                self.norm_seq(acc)
+                acc = self.reduce_canonical(acc)
+                terms = 1
+            np.take(x, idx, axis=1, out=gathered)
+            if table is None:
+                acc += gathered
+            else:
+                product = self.montmul_lazy(gathered, table, sc)
+                self.norm_seq(product)
+                acc += product
+            terms += 1
+        self.norm_seq(acc)
+        return self.reduce_canonical(acc)
+
     # -- NTT core ------------------------------------------------------------
 
     def pack_table(self, values: Sequence[int]):
@@ -526,7 +563,8 @@ class MultiLimbBackend(NumPyBackend):
             pack=pack, unpack=kernel.unpack, pack_table=kernel.pack_table,
             ntt_core=kernel.ntt_core, fmt=kernel.schedule.fmt,
             mul_mont=kernel.mul_mont,
-            fused_quotient=kernel.fused_quotient)
+            fused_quotient=kernel.fused_quotient,
+            gather_dot=kernel.gather_dot)
 
     def describe(self) -> str:
         return ("multilimb (numpy semantics below 64 bits; lazy-carry "

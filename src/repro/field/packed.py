@@ -44,7 +44,7 @@ __all__ = [
     "pack_values", "unpack_values", "host_list", "packed_ntt",
     "packed_intt",
     "packed_coset_ntt", "packed_coset_intt", "packed_pad",
-    "fused_mul_sub_scale",
+    "fused_mul_sub_scale", "pack_coefficients", "gather_dot",
 ]
 
 _ENABLED = True
@@ -169,6 +169,11 @@ def packed_intt(ops, arr, cache: TwiddleCache | None = None,
     return vectorized_intt(ops, arr, cache or default_cache, root)
 
 
+def _mont_tables(ops) -> bool:
+    """Whether ``ops`` multiplies by Montgomery-form tables (``mul_mont``)."""
+    return ops.mul_mont is not None and ops.pack_table is not None
+
+
 def _scale_by_powers(ops, arr, base: int, cache: TwiddleCache):
     """Pointwise-multiply ``arr`` by ``[base^0 .. base^(n-1)]``, packed.
 
@@ -180,7 +185,7 @@ def _scale_by_powers(ops, arr, base: int, cache: TwiddleCache):
     """
     field = ops.field
     n = arr.shape[-1]
-    if ops.mul_mont is not None and ops.pack_table is not None:
+    if _mont_tables(ops):
         table = cache.packed_powers(field, base % field.modulus, n,
                                     ops.pack_table, fmt=ops.fmt)
         return ops.mul_mont(arr, table)
@@ -246,3 +251,38 @@ def fused_mul_sub_scale(ops, a, b, c, s: int):
         pack_stats.fused += 1
         return ops.fused_quotient(a, b, c, s)
     return ops.scale(ops.sub(ops.mul(a, b), c), s % ops.field.modulus)
+
+
+def pack_coefficients(ops, values: Sequence[int]):
+    """Pack a constant coefficient table for :func:`gather_dot`.
+
+    Montgomery form (``pack_table``) where the backend multiplies
+    tables with ``mul_mont``, the ordinary packed format otherwise.
+    Values must already be reduced mod p.
+    """
+    return (ops.pack_table if _mont_tables(ops) else ops.pack)(list(values))
+
+
+def gather_dot(ops, x, slots):
+    """``sum_j x[..., idx_j] * t_j`` over slot-major sparse terms, packed.
+
+    Each slot is ``(idx, table)``: ``idx`` is an int array with one
+    entry per output lane, indexing the element axis of ``x``, and
+    ``table`` a :func:`pack_coefficients` array of the same lane count,
+    or ``None`` for a slot whose coefficients are all 1 (a gather
+    only).  ``slots`` must not be empty.  Dispatches to the backend's
+    lazy slot sum when it has one (one reduction per run of
+    ``LimbSchedule.lazy_sum_terms`` products); otherwise multiplies
+    and adds with the canonical lane ops.  Either way the result is
+    canonical and bit-exact against the per-lane integer sum mod p.
+    """
+    if ops.gather_dot is not None:
+        return ops.gather_dot(x, slots)
+    mul = ops.mul_mont if _mont_tables(ops) else ops.mul
+    acc = None
+    for idx, table in slots:
+        term = x[..., idx]
+        if table is not None:
+            term = mul(term, table)
+        acc = term if acc is None else ops.add(acc, term)
+    return acc

@@ -63,6 +63,10 @@ class LaneOps:
     #: reduction, riding the lazy-carry headroom (the QAP quotient leg).
     fused_quotient: Callable[
         [np.ndarray, np.ndarray, np.ndarray, int], np.ndarray] | None = None
+    #: Lazy slot sum for :func:`repro.field.packed.gather_dot`: gathers,
+    #: Montgomery-table products and additions summed un-reduced within
+    #: the limb schedule's headroom (the compiled R1CS row kernel).
+    gather_dot: Callable[[np.ndarray, list], np.ndarray] | None = None
 
 
 def _check_size(n: int) -> None:

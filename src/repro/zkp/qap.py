@@ -27,16 +27,19 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import CircuitError
+from repro.field.backend import get_backend
 from repro.field.packed import (
-    fused_mul_sub_scale, pack_stats, pack_values, packed_coset_intt,
-    packed_coset_ntt, packed_intt, packed_ops, unpack_values,
+    fused_mul_sub_scale, pack_stats, packed_coset_intt, packed_coset_ntt,
+    packed_intt, packed_ops, unpack_values,
 )
 from repro.ntt.polymul import next_power_of_two
 from repro.zkp.domain import EvaluationDomain
 from repro.zkp.polynomial import Polynomial
-from repro.zkp.r1cs import R1CS
+from repro.zkp.r1cs import R1CS, CompiledR1CS
 
 __all__ = ["QAP", "QapWitnessPolynomials"]
+
+_UNSATISFIED = "witness does not satisfy the R1CS"
 
 
 @dataclass(frozen=True)
@@ -58,20 +61,26 @@ class QAP:
     def __init__(self, r1cs: R1CS, domain: EvaluationDomain | None = None):
         if not r1cs.constraints:
             raise CircuitError("cannot build a QAP from an empty R1CS")
-        size = next_power_of_two(len(r1cs.constraints))
         if domain is None:
-            domain = EvaluationDomain(r1cs.field, size)
-        elif domain.size < len(r1cs.constraints):
-            raise CircuitError(
-                f"domain of size {domain.size} cannot host "
-                f"{len(r1cs.constraints)} constraints")
+            domain = EvaluationDomain(
+                r1cs.field, next_power_of_two(len(r1cs.constraints)))
         self.r1cs = r1cs
         self.domain = domain
         self.field = r1cs.field
+        self._check_domain()
+        # (key, CompiledR1CS) for the packed path, built on first use.
+        self._compiled: tuple[tuple, CompiledR1CS] | None = None
 
     def __repr__(self) -> str:
         return (f"QAP({len(self.r1cs.constraints)} constraints over "
                 f"domain size {self.domain.size})")
+
+    def _check_domain(self) -> None:
+        """The domain must host every constraint (R1CS may have grown)."""
+        if self.domain.size < len(self.r1cs.constraints):
+            raise CircuitError(
+                f"domain of size {self.domain.size} cannot host "
+                f"{len(self.r1cs.constraints)} constraints")
 
     # -- witness evaluation rows ------------------------------------------------
 
@@ -83,36 +92,44 @@ class QAP:
         witness; rows beyond the constraint count are the zero padding
         of the 0 * 0 = 0 dummy constraints.
         """
-        self.r1cs.check_witness_shape(witness)
-        n = self.domain.size
-        a_rows = [0] * n
-        b_rows = [0] * n
-        c_rows = [0] * n
-        for i, constraint in enumerate(self.r1cs.constraints):
-            a_rows[i] = self.r1cs.eval_lc(constraint.a, witness)
-            b_rows[i] = self.r1cs.eval_lc(constraint.b, witness)
-            c_rows[i] = self.r1cs.eval_lc(constraint.c, witness)
-        return a_rows, b_rows, c_rows
+        self._check_domain()
+        padding = [0] * (self.domain.size - len(self.r1cs.constraints))
+        return tuple(row + padding
+                     for row in self.r1cs.evaluate_rows(witness))
+
+    def compiled(self, ops) -> CompiledR1CS:
+        """The R1CS compiled for ``ops``, rebuilt when its key changes.
+
+        The key is what the compiled tables depend on: the active
+        backend and lane format, the constraint count and the wire
+        count (``R1CS`` only ever appends constraints and wires).
+        """
+        key = (get_backend().name, ops.fmt, len(self.r1cs.constraints),
+               self.r1cs.num_wires)
+        if self._compiled is None or self._compiled[0] != key:
+            self._check_domain()
+            self._compiled = (key, CompiledR1CS(self.r1cs, ops,
+                                                self.domain.size))
+        return self._compiled[1]
 
     # -- the quotient computation --------------------------------------------------
 
     def witness_polynomials(self, witness: Sequence[int]) -> QapWitnessPolynomials:
         """Run the seven-transform prover pipeline for one witness.
 
-        Raises :class:`CircuitError` if the witness does not satisfy the
-        R1CS (the quotient would not be a polynomial).
+        The rows are evaluated once, and satisfaction is checked from
+        them.  Raises :class:`CircuitError` if the witness does not
+        satisfy the R1CS (the quotient would not be a polynomial).
         """
-        if not self.r1cs.is_satisfied(witness):
-            raise CircuitError("witness does not satisfy the R1CS")
+        ops = packed_ops(self.field, self.domain.size)
+        if ops is not None:
+            return self._packed_quotient(ops, witness)
         field = self.field
         p = field.modulus
         domain = self.domain
         a_rows, b_rows, c_rows = self.witness_rows(witness)
-
-        ops = packed_ops(field, domain.size)
-        if ops is not None:
-            return self._witness_polynomials_packed(
-                ops, a_rows, b_rows, c_rows)
+        if not self.r1cs.rows_satisfy(a_rows, b_rows, c_rows):
+            raise CircuitError(_UNSATISFIED)
 
         # (1) three INTTs: evaluations -> coefficients.
         a_poly = Polynomial(field, domain.intt(a_rows))
@@ -134,28 +151,30 @@ class QAP:
         h_poly = Polynomial(field, domain.coset_intt(h_coset, shift))
         return QapWitnessPolynomials(a=a_poly, b=b_poly, c=c_poly, h=h_poly)
 
-    def _witness_polynomials_packed(
-            self, ops, a_rows: list[int], b_rows: list[int],
-            c_rows: list[int]) -> QapWitnessPolynomials:
+    def _packed_quotient(
+            self, ops, witness: Sequence[int]) -> QapWitnessPolynomials:
         """The seven-transform pipeline on packed arrays, resident.
 
-        Same algebra as the list path — three INTTs, three coset NTTs,
-        the fused pointwise quotient, one coset INTT — but the vectors
-        stay in the backend's packed format between every leg: three
-        packs at entry, four unpacks at the Polynomial boundary, and
-        *zero* format conversions on the hot legs (asserted by the
+        Same algebra as the list path, but the rows are born packed:
+        the compiled R1CS (:meth:`compiled`) evaluates A·w, B·w and C·w
+        on limb planes from one witness pack, satisfaction is checked
+        there (``A·B == C`` on every lane, padding included), and the
+        vectors stay in the backend's packed format through the three
+        INTTs, three coset NTTs, the fused pointwise quotient and the
+        coset INTT.  Four unpacks at the Polynomial boundary, *zero*
+        format conversions on the hot legs (asserted by the
         :data:`repro.field.packed.pack_stats` hot counter).  Bit-exact
-        against the list path: the packed transforms are the same
-        vectorized cores the list wrappers call.
+        against the list path.
         """
+        self.r1cs.check_witness_shape(witness)
+        a_arr, b_arr, c_arr = self.compiled(ops).rows(ops, witness)
+        if not (ops.mul(a_arr, b_arr) == c_arr).all():
+            raise CircuitError(_UNSATISFIED)
         field = self.field
         domain = self.domain
         cache = domain.cache
         shift = domain.default_coset_shift()
         z_inv = field.inv(domain.vanishing_on_coset(shift))
-        a_arr = pack_values(ops, a_rows)
-        b_arr = pack_values(ops, b_rows)
-        c_arr = pack_values(ops, c_rows)
         with pack_stats.hot():
             a_coeff = packed_intt(ops, a_arr, cache)
             b_coeff = packed_intt(ops, b_arr, cache)

@@ -10,12 +10,14 @@ sizes its workloads in (one constraint = one domain point).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from math import isqrt
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from repro.errors import CircuitError
+from repro.field.packed import gather_dot, pack_coefficients, pack_values
 from repro.field.prime_field import PrimeField
 
-__all__ = ["LinearCombination", "Constraint", "R1CS"]
+__all__ = ["LinearCombination", "Constraint", "R1CS", "CompiledR1CS"]
 
 #: Sparse linear combination: wire index -> coefficient.
 LinearCombination = Mapping[int, int]
@@ -96,17 +98,32 @@ class R1CS:
         p = self.field.modulus
         return sum(coeff * witness[wire] for wire, coeff in lc) % p
 
+    def evaluate_rows(self, witness: Sequence[int]) -> tuple[
+            list[int], list[int], list[int]]:
+        """``<a_i,w>``, ``<b_i,w>``, ``<c_i,w>`` for every constraint i.
+
+        The one list row evaluator: :meth:`is_satisfied` checks its
+        rows and :meth:`repro.zkp.qap.QAP.witness_rows` pads them to the
+        domain.  Rows are canonical (reduced mod p).
+        """
+        self.check_witness_shape(witness)
+        eval_lc = self.eval_lc
+        a_rows, b_rows, c_rows = [], [], []
+        for constraint in self.constraints:
+            a_rows.append(eval_lc(constraint.a, witness))
+            b_rows.append(eval_lc(constraint.b, witness))
+            c_rows.append(eval_lc(constraint.c, witness))
+        return a_rows, b_rows, c_rows
+
+    def rows_satisfy(self, a_rows: Sequence[int], b_rows: Sequence[int],
+                     c_rows: Sequence[int]) -> bool:
+        """Whether canonical rows meet ``a_i * b_i = c_i`` at every i."""
+        p = self.field.modulus
+        return all(a * b % p == c for a, b, c in zip(a_rows, b_rows, c_rows))
+
     def is_satisfied(self, witness: Sequence[int]) -> bool:
         """Check every constraint against a full witness vector."""
-        self.check_witness_shape(witness)
-        p = self.field.modulus
-        for constraint in self.constraints:
-            a = self.eval_lc(constraint.a, witness)
-            b = self.eval_lc(constraint.b, witness)
-            c = self.eval_lc(constraint.c, witness)
-            if a * b % p != c:
-                return False
-        return True
+        return self.rows_satisfy(*self.evaluate_rows(witness))
 
     def check_witness_shape(self, witness: Sequence[int]) -> None:
         if len(witness) != self.num_wires:
@@ -120,3 +137,129 @@ class R1CS:
         """The public slice of a witness (excluding the constant 1)."""
         self.check_witness_shape(witness)
         return list(witness[1:1 + self.num_public])
+
+
+# -- compiled rows ------------------------------------------------------------
+
+class _Matrix(NamedTuple):
+    """One compiled matrix: ``(idx, table)`` slots (see ``gather_dot``)."""
+
+    slots: list[tuple]
+    tail: list[tuple]     #: one spilled piece per lane (plus an empty one)
+    fold: list[tuple]     #: gathers each long row's pieces
+    long_rows: Any        #: the lane of each long row, in fold order
+
+
+def _slots(ops, rows: Sequence[Sequence[tuple[int, int]]], lanes: int,
+           zero: int) -> list[tuple]:
+    """Slot-major ("ELL") form of ``rows`` over ``lanes`` output lanes.
+
+    Slot j holds the j-th term of every row; a row with fewer terms (and
+    every lane past ``len(rows)``) is padded with ``(zero, 1)``, a term
+    on index ``zero``, whose value is 0.  Coefficients are reduced mod
+    p; a slot whose coefficients are all 1 keeps no table.
+    """
+    import numpy as np
+
+    p = ops.field.modulus
+    width = max([len(row) for row in rows] + [1])
+    pad = (zero, 1)
+    padded = [tuple(row) + (pad,) * (width - len(row)) for row in rows]
+    padded += [(pad,) * width] * (lanes - len(rows))
+    slots = []
+    for column in zip(*padded):
+        wires, coeffs = zip(*column)
+        coeffs = [coeff % p for coeff in coeffs]
+        unit = coeffs.count(1) == lanes
+        slots.append((np.array(wires, dtype=np.intp),
+                      None if unit else pack_coefficients(ops, coeffs)))
+    return slots
+
+
+def _slot_width(lengths: Sequence[int], lanes: int) -> int:
+    """Slots per matrix: enough that at most half the lanes spill.
+
+    One more slot costs a pass over every lane; a spilled term costs a
+    lane of the tail.  So widen while more than ``lanes // 2`` rows are
+    longer than the width.
+    """
+    ranked = sorted(lengths, reverse=True) + [0] * (lanes - len(lengths))
+    return max(1, ranked[lanes // 2])
+
+
+def _compile(ops, rows: Sequence[Sequence[tuple[int, int]]], lanes: int,
+             zero: int) -> _Matrix:
+    """Compile one matrix; rows longer than the slot width spill.
+
+    A long row keeps its first ``width`` terms in the slots.  The rest
+    is cut into pieces of ``depth ~ sqrt(longest spill)`` terms; the
+    tail evaluates one piece per lane (plus one empty piece, the fold's
+    zero), and the fold sums each long row's pieces, so a row of e
+    spilled terms costs about ``2 sqrt(e)`` slot passes over few lanes.
+    """
+    import numpy as np
+
+    width = _slot_width([len(row) for row in rows], lanes)
+    slots = _slots(ops, [row[:width] for row in rows], lanes, zero)
+    long_rows = [i for i, row in enumerate(rows) if len(row) > width]
+    if not long_rows:
+        return _Matrix(slots, [], [], None)
+    spills = [rows[i][width:] for i in long_rows]
+    depth = isqrt(max(len(spill) for spill in spills) - 1) + 1
+    pieces: list[Sequence[tuple[int, int]]] = []
+    owned: list[list[tuple[int, int]]] = []
+    for spill in spills:
+        start = len(pieces)
+        pieces += [spill[k:k + depth] for k in range(0, len(spill), depth)]
+        owned.append([(piece, 1) for piece in range(start, len(pieces))])
+    empty = len(pieces)
+    return _Matrix(
+        slots,
+        _slots(ops, pieces, empty + 1, zero),
+        _slots(ops, owned, len(long_rows), empty),
+        np.array(long_rows, dtype=np.intp))
+
+
+def _evaluate(ops, x, matrix: _Matrix):
+    """The matrix times the packed witness ``x``: canonical packed rows."""
+    rows = gather_dot(ops, x, matrix.slots)
+    if matrix.tail:
+        pieces = gather_dot(ops, x, matrix.tail)
+        folded = gather_dot(ops, pieces, matrix.fold)
+        lanes = matrix.long_rows
+        rows[..., lanes] = ops.add(rows[..., lanes], folded)
+    return rows
+
+
+class CompiledR1CS:
+    """The A, B and C matrices of an :class:`R1CS`, compiled for lane ops.
+
+    Built once for one lane format and domain size n (``docs/FIELDS.md``,
+    "compiled R1CS rows").  Each matrix is slot-major: slot j holds the
+    j-th term of every row as an index array over the n lanes and a
+    coefficient table packed by :func:`pack_coefficients`; a missing
+    term points at a zero wire appended to the packed witness, and an
+    all-ones slot keeps no table.  :meth:`rows` then evaluates A·w, B·w
+    and C·w from one witness pack, with no per-term Python loop.
+
+    The compiled form is a snapshot: it is valid for the constraint
+    count and wire count it was built from (callers key their memo on
+    those and the lane format), and ``lanes`` must cover the
+    constraint count.
+    """
+
+    def __init__(self, r1cs: R1CS, ops, lanes: int):
+        self.matrices = tuple(
+            _compile(ops, [getattr(c, part) for c in r1cs.constraints],
+                     lanes, zero=r1cs.num_wires)
+            for part in ("a", "b", "c"))
+
+    def rows(self, ops, witness: Sequence[int]) -> tuple:
+        """Packed, canonical ``(A·w, B·w, C·w)`` over the n lanes.
+
+        The witness is packed once (:func:`pack_values`, counted), with
+        the zero wire appended; ``witness`` must already have the
+        system's shape.
+        """
+        x = pack_values(ops, [*witness, 0])
+        return tuple(_evaluate(ops, x, matrix) for matrix in self.matrices)
