@@ -10,6 +10,7 @@ sizes its workloads in (one constraint = one domain point).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt
 from typing import Any, Mapping, NamedTuple, Sequence
 
@@ -155,24 +156,31 @@ def _slots(ops, rows: Sequence[Sequence[tuple[int, int]]], lanes: int,
     """Slot-major ("ELL") form of ``rows`` over ``lanes`` output lanes.
 
     Slot j holds the j-th term of every row; a row with fewer terms (and
-    every lane past ``len(rows)``) is padded with ``(zero, 1)``, a term
-    on index ``zero``, whose value is 0.  Coefficients are reduced mod
-    p; a slot whose coefficients are all 1 keeps no table.
+    every lane past ``len(rows)``) points at index ``zero``, whose value
+    is 0, with coefficient 1.  Coefficients are reduced mod p; a slot
+    whose coefficients are all 1 keeps no table.
     """
     import numpy as np
 
     p = ops.field.modulus
-    width = max([len(row) for row in rows] + [1])
-    pad = (zero, 1)
-    padded = [tuple(row) + (pad,) * (width - len(row)) for row in rows]
-    padded += [(pad,) * width] * (lanes - len(rows))
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    terms = list(chain.from_iterable(rows))
+    wires = np.fromiter((wire for wire, _ in terms), dtype=np.intp,
+                        count=len(terms))
+    coeffs = np.array([coeff % p for _, coeff in terms], dtype=object)
+    lane = np.repeat(np.arange(len(rows)), lengths)
+    slot = np.arange(len(terms)) - np.repeat(np.cumsum(lengths) - lengths,
+                                             lengths)
     slots = []
-    for column in zip(*padded):
-        wires, coeffs = zip(*column)
-        coeffs = [coeff % p for coeff in coeffs]
-        unit = coeffs.count(1) == lanes
-        slots.append((np.array(wires, dtype=np.intp),
-                      None if unit else pack_coefficients(ops, coeffs)))
+    for j in range(max(1, lengths.max(initial=0))):
+        here = slot == j
+        idx = np.full(lanes, zero, dtype=np.intp)
+        idx[lane[here]] = wires[here]
+        table = np.ones(lanes, dtype=object)
+        table[lane[here]] = coeffs[here]
+        unit = bool((table == 1).all())
+        slots.append((idx, None if unit
+                      else pack_coefficients(ops, table.tolist())))
     return slots
 
 

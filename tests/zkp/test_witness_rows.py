@@ -169,6 +169,18 @@ def test_stray_system_pipeline(field, backend):
 
 
 @pytest.mark.parametrize("field,backend", CASES, ids=CASE_IDS)
+def test_empty_matrices(field, backend):
+    """B and C empty in every row: one all-padding unit slot each."""
+    r1cs = R1CS(field)
+    wires = [r1cs.new_wire() for _ in range(3)]
+    for k in range(40):
+        r1cs.add_constraint({wires[k % 3]: k - 20}, {}, {})
+    witness = [1, 5, -6, field.modulus + 7]
+    assert_rows_match(r1cs, witness, backend)
+    assert_pipeline_matches(r1cs, witness, backend)
+
+
+@pytest.mark.parametrize("field,backend", CASES, ids=CASE_IDS)
 def test_unsatisfied_witness_raises_on_every_path(field, backend):
     r1cs, witness = random_circuit(field, 63, seed=4)
     witness = list(witness)
