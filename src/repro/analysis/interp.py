@@ -43,6 +43,7 @@ from repro.multigpu.schedule import (
     CommSchedule, ExchangeOp, LocalOp, ScheduleOp,
 )
 from repro.ntt import radix2
+from repro.ntt.batch import ntt_groups
 from repro.ntt.twiddle import default_cache
 from repro.sim.cluster import SimCluster
 
@@ -201,12 +202,8 @@ def interpret_schedule(schedule: CommSchedule, cluster: SimCluster,
                     gpu.shard = vec_mul(field, gpu.shard, tw)
         else:  # cross-ntt
             for gpu in cluster.gpus:
-                shard = gpu.shard
-                for group in range(m // g):
-                    base = group * g
-                    shard[base:base + g] = radix2.ntt(
-                        field, shard[base:base + g], default_cache,
-                        root=root_g)
+                gpu.shard = ntt_groups(field, gpu.shard, g, root_g,
+                                       cache=default_cache)
 
     cluster.load_shards(distribute(values, CyclicLayout(n=n, gpu_count=g)))
 

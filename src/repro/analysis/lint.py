@@ -9,9 +9,10 @@ those rules as AST visitors over ``src/repro/``:
 * ``lint.raw-mod`` — inside ``multigpu/`` (the hot paths), no
   element-wise modular sweep may bypass the backend: comprehensions
   whose element is a ``%`` expression, lambdas returning one, and
-  single-statement loops storing one into a subscript are all bulk
-  operations that belong in ``repro.field.vector``.  Scalar ``%`` (an
-  index computation, a single twiddle) is fine and not flagged.
+  loops with any body statement storing one into a subscript are all
+  bulk operations that belong in ``repro.field.vector``.  Scalar
+  ``%`` (an index computation, a single twiddle) is fine and not
+  flagged.
 * ``lint.nondeterminism`` — inside ``sim/``, ``multigpu/``, and
   ``serve/``, no ``random.*`` (except constructing a seeded
   ``random.Random``) and no ``time.*``: simulated results must be a
@@ -169,6 +170,15 @@ def _is_mod(node: ast.AST) -> bool:
     return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
 
 
+def _stores_mod(stmt: ast.stmt) -> bool:
+    """True for ``x[i] = v % p``, ``x[i] %= p`` or ``x[i] += v % p``."""
+    if isinstance(stmt, ast.AugAssign):
+        return (isinstance(stmt.target, ast.Subscript)
+                and (isinstance(stmt.op, ast.Mod) or _is_mod(stmt.value)))
+    return (isinstance(stmt, ast.Assign) and _is_mod(stmt.value)
+            and any(isinstance(t, ast.Subscript) for t in stmt.targets))
+
+
 class _FileLinter(ast.NodeVisitor):
     def __init__(self, rel_path: str, hot: bool, deterministic: bool,
                  bigfield: bool = False, transfer_builder: bool = False,
@@ -219,16 +229,11 @@ class _FileLinter(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_For(self, node: ast.For) -> None:
-        if self.hot and len(node.body) == 1:
-            stmt = node.body[0]
-            if (isinstance(stmt, ast.Assign)
-                    and len(stmt.targets) == 1
-                    and isinstance(stmt.targets[0], ast.Subscript)
-                    and _is_mod(stmt.value)):
-                self._flag(
-                    "lint.raw-mod",
-                    "loop stores a % expression per element; this is a "
-                    "vector sweep — use repro.field.vector", node)
+        if self.hot and any(_stores_mod(stmt) for stmt in node.body):
+            self._flag(
+                "lint.raw-mod",
+                "loop stores a % expression per element; this is a "
+                "vector sweep — use repro.field.vector", node)
         self._check_dict_order(node.iter)
         self.generic_visit(node)
 

@@ -419,13 +419,15 @@ class _MultiLimbKernel:
         self.norm_seq(out)
         return self._cond_sub(out)
 
-    def _stage_tables_for(self, table, n: int) -> list:
-        """Per-stage sliced+repeated twiddle views for an n-point DIT run.
+    def _stage_tables_for(self, table, n: int, batch: int) -> list:
+        """Per-stage sliced+repeated twiddle views for an n-point DIT run
+        over ``batch`` size-major vectors.
 
         Keyed by the table's identity (a strong reference is kept, so
-        ``id`` stays valid); bounded to a few transform shapes.
+        ``id`` stays valid) and the run's shape; bounded to a few
+        transform shapes.
         """
-        key = (id(table), n)
+        key = (id(table), n, batch)
         tabs = self._stage_tables.get(key)
         if tabs is None:
             np = self.np
@@ -439,8 +441,8 @@ class _MultiLimbKernel:
                     tabs.append(None)  # first stage: tw == 1
                 else:
                     tw = table[:, ::step][:, :half]
-                    if stride > 1:
-                        tw = np.repeat(tw, stride, axis=-1)
+                    if stride * batch > 1:
+                        tw = np.repeat(tw, stride * batch, axis=-1)
                     tabs.append(np.ascontiguousarray(tw))
                 m *= 2
                 stride //= 2
@@ -449,20 +451,26 @@ class _MultiLimbKernel:
             self._stage_tables[key] = tabs
         return tabs[1:]
 
-    def ntt_core(self, values, table):
+    def ntt_core(self, values, table, batch: int = 1):
         """Forward DIT Stockham NTT on packed planes; canonical result.
 
-        ``values``: canonical packed ``(L, n)``; ``table``: the first
-        ``n/2`` twiddle powers in Montgomery form (``pack_table``).
+        ``values``: canonical packed ``(L, batch * n)``, ``batch``
+        transforms stored size-major (element ``i`` of vector ``g`` at
+        lane ``i * batch + g``); ``table``: the first ``n/2`` twiddle
+        powers in Montgomery form (``pack_table``).  The batch lane is
+        the innermost axis of every stage view, so one pass runs every
+        vector's butterflies and the output keeps the size-major order.
         Input is never mutated.  Butterflies run semi-lazily — each
         stage writes ``a + u`` and ``a - u + 2p`` with the carry chain
         fused into the same limb-row pass (``butterfly_stage``), so
         limbs leave every stage canonical and the CIOS accumulator
         stays clear of uint64 overflow, while the *value* bound grows
-        to (2s+1)p over s stages, reduced once by the Barrett exit.
+        to (2s+1)p over s = log2(n) stages, reduced once by the Barrett
+        exit.
         """
         np, L = self.np, self.L
-        n = values.shape[-1]
+        lanes = values.shape[-1]
+        n = lanes // batch
         stages = n.bit_length() - 1
         if stages > self.schedule.max_lazy_stages:
             raise FieldError(
@@ -471,19 +479,20 @@ class _MultiLimbKernel:
                 f"limb schedule")
         if n == 1:
             return values.copy()
-        half_n = n // 2
-        tabs = self._stage_tables_for(table, n)
-        sc = self.scratch(half_n)
+        half_lanes = lanes // 2
+        tabs = self._stage_tables_for(table, n, batch)
+        sc = self.scratch(half_lanes)
         x = values
         y = np.empty_like(values)
         spare = None  # second ping-pong buffer, allocated lazily
         c0, c1 = sc["c0"], sc["c1"]
-        stride, m, si = half_n, 1, 0
-        while stride >= 1:
-            y0 = y[:, :half_n]
-            y1 = y[:, half_n:]
+        # ``stride`` counts lanes: the size-axis stride times the batch.
+        stride, m, si = half_lanes, 1, 0
+        while stride >= batch:
+            y0 = y[:, :half_lanes]
+            y1 = y[:, half_lanes:]
             if m == 1:
-                self.butterfly_stage(x[:, :half_n], x[:, half_n:],
+                self.butterfly_stage(x[:, :half_lanes], x[:, half_lanes:],
                                      y0, y1, c0, c1)
             else:
                 # Gather the even half as a strided *view* (it only

@@ -13,6 +13,13 @@ every lane operation runs on contiguous memory — the same reasons GPU
 libraries favour Stockham make it the fastest numpy formulation too
 (the strided-view DIF + final gather variant measures ~2x slower).
 The output is bit-identical to the scalar radix-2 engines.
+
+The same loop runs a *batch* of transforms: with ``batch`` independent
+``n``-point vectors stored size-major (element ``i`` of vector ``g`` at
+lane ``i * batch + g``), starting the stride at ``batch`` instead of 1
+makes every butterfly operand a contiguous row ``batch`` lanes wide, so
+one stage pass transforms every vector at once.  The output comes back
+in the same size-major order.
 """
 
 from __future__ import annotations
@@ -39,9 +46,10 @@ class LaneOps:
     ``pack_table`` packs twiddle tables (possibly in a different
     domain, e.g. Montgomery form), ``ntt_core`` runs the whole
     transform in backend-native form instead of the generic Stockham
-    loop below, ``fmt`` keys the packed-twiddle cache, and
-    ``min_size`` lets a backend demand a larger minimum before the
-    lane path beats scalar code.
+    loop below (called as ``ntt_core(values, table, batch)``, with the
+    size-major batch layout of :func:`vectorized_ntt`), ``fmt`` keys
+    the packed-twiddle cache, and ``min_size`` lets a backend demand a
+    larger minimum before the lane path beats scalar code.
     """
 
     field: PrimeField
@@ -52,7 +60,7 @@ class LaneOps:
     pack: Callable[[list[int]], np.ndarray]
     unpack: Callable[[np.ndarray], list[int]] | None = None
     pack_table: Callable[[list[int]], np.ndarray] | None = None
-    ntt_core: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    ntt_core: Callable[..., np.ndarray] | None = None
     fmt: str = "u64"
     min_size: int = 32
     #: Pointwise multiply against a Montgomery-form (``pack_table``)
@@ -76,9 +84,18 @@ def _check_size(n: int) -> None:
 
 def vectorized_ntt(ops: LaneOps, values: np.ndarray,
                    cache: TwiddleCache | None = None,
-                   root: int | None = None) -> np.ndarray:
-    """Forward NTT with whole-stage numpy butterflies (Stockham autosort)."""
-    n = values.shape[-1] if values.ndim > 1 else len(values)
+                   root: int | None = None, batch: int = 1) -> np.ndarray:
+    """Forward NTT with whole-stage numpy butterflies (Stockham autosort).
+
+    ``batch`` > 1 transforms ``batch`` vectors of ``lanes / batch``
+    points each, stored size-major (see the module docstring); ``root``
+    is then the primitive root of one vector's size.
+    """
+    lanes = values.shape[-1] if values.ndim > 1 else len(values)
+    if batch < 1 or lanes % batch:
+        raise NTTError(
+            f"{lanes} lanes do not split into {batch} equal transforms")
+    n = lanes // batch
     _check_size(n)
     cache = cache or default_cache
     if n == 1:
@@ -88,13 +105,13 @@ def vectorized_ntt(ops: LaneOps, values: np.ndarray,
     table = cache.packed_powers(
         field, w, n // 2, ops.pack_table or ops.pack, fmt=ops.fmt)
     if ops.ntt_core is not None:
-        return ops.ntt_core(values, table)
+        return ops.ntt_core(values, table, batch)
 
     x = values.copy()
     y = np.empty_like(x)
-    mid = n // 2
+    mid = lanes // 2
     m = n
-    stride = 1
+    stride = batch
     while m > 1:
         half = m // 2
         step = (n // 2) // half

@@ -22,6 +22,7 @@ implementations look like this.
 from __future__ import annotations
 
 from repro.errors import PartitionError
+from repro.field.vector import vec_mul, vec_scale
 from repro.hw.cost import Phase, Step
 from repro.multigpu import accounting as acct
 from repro.multigpu.base import (
@@ -30,7 +31,7 @@ from repro.multigpu.base import (
 from repro.multigpu.layout import (
     BlockLayout, ColumnBlockLayout, Layout, TransposedBlockLayout,
 )
-from repro.ntt import radix2
+from repro.ntt.batch import ntt_groups
 from repro.ntt.fourstep import split_size
 from repro.ntt.twiddle import default_cache
 from repro.sim.cluster import SimCluster
@@ -92,29 +93,23 @@ class BaselineFourStepEngine(DistributedNTTEngine):
         root_r = pow(root, cols, p)
         cols_per_gpu = cols // g
         for gpu in cluster.gpus:
-            shard = gpu.shard
-            for c_local in range(cols_per_gpu):
-                base = c_local * rows
-                shard[base:base + rows] = radix2.ntt(
-                    field, shard[base:base + rows], default_cache,
-                    root=root_r)
+            gpu.shard = ntt_groups(field, gpu.shard, rows, root_r,
+                                   cache=default_cache)
         self._charge_local(acct.small_batch_ntt_muls(cols_per_gpu, rows),
                            2 * m * eb * acct.tile_passes(rows, self.tile),
                            detail="baseline-colntt")
 
         # 3. standalone twiddle sweep: Y[k1][c] *= root^(c*k1); the
-        #    inverse run folds the 1/n scaling into the same factors.
-        n_inv = field.inv(n % p) if inverse else 1
+        #    inverse run also applies the 1/n scaling in this sweep.
+        n_inv = field.inv(n % p) if inverse else None
         for gpu in cluster.gpus:
-            shard = gpu.shard
-            for c_local in range(cols_per_gpu):
-                c = gpu.gpu_id * cols_per_gpu + c_local
-                w_c = pow(root, c, p)
-                factor = n_inv
-                base = c_local * rows
-                for k1 in range(rows):
-                    shard[base + k1] = shard[base + k1] * factor % p
-                    factor = factor * w_c % p
+            first = gpu.gpu_id * cols_per_gpu
+            factors = [w for c in range(first, first + cols_per_gpu)
+                       for w in default_cache.powers(
+                           field, pow(root, c, p), rows)]
+            gpu.shard = vec_mul(field, gpu.shard, factors)
+            if n_inv is not None:
+                gpu.shard = vec_scale(field, gpu.shard, n_inv)
         self._charge_local(acct.twiddle_muls(m),
                            acct.pointwise_mem_bytes(m, eb),
                            detail="baseline-twiddle")
@@ -126,12 +121,8 @@ class BaselineFourStepEngine(DistributedNTTEngine):
         root_c = pow(root, rows, p)
         rows_per_gpu = rows // g
         for gpu in cluster.gpus:
-            shard = gpu.shard
-            for r_local in range(rows_per_gpu):
-                base = r_local * cols
-                shard[base:base + cols] = radix2.ntt(
-                    field, shard[base:base + cols], default_cache,
-                    root=root_c)
+            gpu.shard = ntt_groups(field, gpu.shard, cols, root_c,
+                                   cache=default_cache)
         self._charge_local(acct.small_batch_ntt_muls(rows_per_gpu, cols),
                            2 * m * eb * acct.tile_passes(cols, self.tile),
                            detail="baseline-rowntt")

@@ -36,6 +36,7 @@ from repro.multigpu.base import (
 )
 from repro.multigpu.layout import BlockLayout, Layout
 from repro.ntt import radix2
+from repro.ntt.batch import ntt_groups
 from repro.ntt.twiddle import default_cache
 from repro.sim.cluster import SimCluster
 from repro.sim.trace import TraceEvent
@@ -343,17 +344,11 @@ class HierarchicalUniNTTEngine(DistributedNTTEngine):
 
     def _cross_inplace(self, size: int, root: int, scale: int | None,
                        detail: str) -> None:
-        """In-place small transforms over contiguous groups of ``size``."""
-        field = self.field
-        p = field.modulus
+        """In-place small transforms over contiguous groups of ``size``,
+        one batched kernel per GPU."""
         for gpu in self.cluster.gpus:
-            shard = gpu.shard
-            for base in range(0, len(shard), size):
-                piece = radix2.ntt(field, shard[base:base + size],
-                                   default_cache, root=root)
-                if scale is not None:
-                    piece = vec_scale(field, piece, scale)
-                shard[base:base + size] = piece
+            gpu.shard = ntt_groups(self.field, gpu.shard, size, root,
+                                   scale=scale, cache=default_cache)
         m = len(self.cluster.gpus[0].shard)
         self._charge_cross(m, size, scaled=scale is not None, detail=detail)
 

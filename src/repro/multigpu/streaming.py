@@ -20,10 +20,12 @@ from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.field.prime_field import PrimeField
+from repro.field.vector import vec_mul, vec_scale
 from repro.hw.cost import CostModel
 from repro.hw.model import MachineModel
 from repro.multigpu import accounting as acct
 from repro.ntt import radix2
+from repro.ntt.batch import ntt_groups
 from repro.ntt.fourstep import split_size
 from repro.ntt.twiddle import default_cache
 from repro.sim.cluster import SimCluster
@@ -96,7 +98,7 @@ class StreamingHostEngine:
         root = field.root_of_unity(n)
         if inverse:
             root = field.inv(root)
-        n_inv = field.inv(n % p) if inverse else 1
+        n_inv = field.inv(n % p) if inverse else None
         g = self.cluster.gpu_count
         eb = self.cluster.element_bytes
         data = list(host_values)
@@ -107,25 +109,19 @@ class StreamingHostEngine:
         for c in range(cols):
             column = data[c::cols]                       # H2D
             column = radix2.ntt(field, column, default_cache, root=root_r)
-            w_c = pow(root, c, p)
-            factor = n_inv
-            for k1 in range(rows):                       # fused twiddle
-                column[k1] = column[k1] * factor % p
-                factor = factor * w_c % p
+            column = vec_mul(field, column,              # fused twiddle
+                             default_cache.powers(field, pow(root, c, p),
+                                                  rows))
+            if n_inv is not None:
+                column = vec_scale(field, column, n_inv)
             data[c::cols] = column                       # D2H
             h2d += 2 * rows * eb
         self._charge_pass(n, rows, h2d, detail="stream-columns")
 
-        # Pass 2: row transforms, contiguous streams.
+        # Pass 2: row transforms, contiguous streams, one batched kernel.
         root_c = pow(root, rows, p)
-        h2d = 0
-        for r in range(rows):
-            base = r * cols
-            row = data[base:base + cols]                 # H2D
-            row = radix2.ntt(field, row, default_cache, root=root_c)
-            data[base:base + cols] = row                 # D2H
-            h2d += 2 * cols * eb
-        self._charge_pass(n, cols, h2d, detail="stream-rows")
+        data = ntt_groups(field, data, cols, root_c, cache=default_cache)
+        self._charge_pass(n, cols, 2 * n * eb, detail="stream-rows")
 
         # Final transpose read: performed host-side while writing out.
         out = [0] * n

@@ -11,7 +11,8 @@ the uniform optimizations of :mod:`repro.multigpu.schedule`:
   chunk of spectrum residues; with ``overlap`` on, the exchange is
   chunked and pipelined with the cross transforms that consume it;
 * **cross transforms stay local** (step 4) — after the exchange each
-  GPU runs M/G independent G-point NTTs; the output is left in
+  GPU runs its M/G independent G-point NTTs as one batched kernel
+  (:func:`~repro.ntt.batch.ntt_groups`); the output is left in
   :class:`~repro.multigpu.layout.SpectralLayout` (``keep_permuted_output``),
   which deletes the final transpose entirely.  The inverse transform
   consumes that layout directly and returns the cyclic layout, so an
@@ -39,6 +40,7 @@ from repro.multigpu.layout import (
 )
 from repro.multigpu.schedule import ALL_ON, UniNTTOptions
 from repro.ntt import radix2, radix4
+from repro.ntt.batch import ntt_groups
 from repro.ntt.twiddle import default_cache
 from repro.sim.cluster import SimCluster
 from repro.sim.trace import TraceEvent
@@ -162,16 +164,12 @@ class UniNTTEngine(DistributedNTTEngine):
         exchange = UniNTTExchangeLayout(n=n, gpu_count=g)
         redistribute(cluster, unit_major, exchange, detail="unintt-exchange")
 
-        # 4. cross transforms: M/G independent G-point NTTs per GPU,
-        # in place over each contiguous G-group.
+        # 4. cross transforms: M/G independent G-point NTTs per GPU, one
+        # batched kernel over the shard's contiguous G-groups.
         root_g = pow(root, m, p)
-        chunk = m // g
         for gpu in cluster.gpus:
-            shard = gpu.shard
-            for group in range(chunk):
-                base = group * g
-                shard[base:base + g] = radix2.ntt(
-                    field, shard[base:base + g], default_cache, root=root_g)
+            gpu.shard = ntt_groups(field, gpu.shard, g, root_g,
+                                   cache=default_cache)
         self._charge_cross(m, detail="unintt-cross")
 
         out = DistributedVector(
@@ -205,17 +203,13 @@ class UniNTTEngine(DistributedNTTEngine):
         else:
             self._check_input(vec, spectral)
 
-        # 1. inverse cross transforms (scale 1/G each).
+        # 1. inverse cross transforms, one batched kernel per GPU with
+        # the 1/G scaling fused in.
         inv_root_g = pow(inv_root, m, p)
-        chunk = m // g
         g_inv = field.inv(g % p)
         for gpu in cluster.gpus:
-            shard = gpu.shard
-            for group in range(chunk):
-                base = group * g
-                piece = radix2.ntt(field, shard[base:base + g],
-                                   default_cache, root=inv_root_g)
-                shard[base:base + g] = vec_scale(field, piece, g_inv)
+            gpu.shard = ntt_groups(field, gpu.shard, g, inv_root_g,
+                                   scale=g_inv, cache=default_cache)
         self._charge_cross(m, detail="unintt-inv-cross", scaled=True)
 
         # 2. the single all-to-all, back to unit-major order.

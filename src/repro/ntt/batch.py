@@ -1,10 +1,13 @@
 """Batched NTTs.
 
 Proof systems transform many same-size polynomials at once (one per
-witness column / quotient chunk); GPU implementations exploit this by
-amortizing twiddle loads and filling the machine.  The batch API is a
-first-class object so the multi-GPU engines and the cost model can treat
-"B transforms of size n" as a single workload with its own parallelism.
+witness column / quotient chunk), and the multi-GPU engines run many
+small transforms per GPU (UniNTT's M/G cross transforms of G points);
+GPU implementations exploit both by launching one batched kernel that
+amortizes twiddle loads and fills the machine.  :func:`ntt_groups` is
+that kernel: it transforms every contiguous ``size``-group of a flat
+vector in one call.  :class:`BatchTransform` treats "B transforms of
+size n" as a single workload on top of it.
 """
 
 from __future__ import annotations
@@ -12,11 +15,67 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.errors import NTTError
+from repro.field.backend import get_backend
 from repro.field.prime_field import PrimeField
+from repro.field.vector import vec_scale
 from repro.ntt import radix2
 from repro.ntt.twiddle import TwiddleCache, default_cache
 
-__all__ = ["batch_ntt", "batch_intt", "BatchTransform"]
+__all__ = ["batch_ntt", "batch_intt", "BatchTransform", "ntt_groups"]
+
+
+def ntt_groups(field: PrimeField, values: Sequence[int], size: int,
+               root: int, scale: int | None = None,
+               cache: TwiddleCache | None = None) -> list[int]:
+    """Forward NTT of every contiguous ``size``-group of ``values``.
+
+    ``root`` is a primitive ``size``-th root of unity (the forward root,
+    or its inverse for an inverse transform); ``scale``, if given,
+    multiplies every output by that scalar (the ``1/size`` of an
+    inverse).  The result is a new list, bit-identical to running
+    :func:`repro.ntt.radix2.ntt` (then ``vec_scale``) on each group.
+
+    On a lane backend the vector is packed once and transposed to
+    size-major order, so the shared Stockham driver
+    (:func:`repro.field.simd.vectorized_ntt` with ``batch`` = the group
+    count) runs every group's butterflies in one pass per stage; the
+    scaling is one lane op, and the result is transposed back and
+    unpacked once.  Without lane arithmetic for ``field``, or when the
+    whole vector is shorter than the backend's minimum lane size, the
+    groups are transformed one by one.
+    """
+    n = len(values)
+    if size < 1 or size & (size - 1):
+        raise NTTError(f"group size must be a power of two, got {size}")
+    if n % size:
+        raise NTTError(
+            f"group size {size} does not divide the vector length {n}")
+    cache = cache or default_cache
+    ops = get_backend().lane_ops(field) if n >= radix2.ACCEL_MIN_SIZE \
+        else None
+    if ops is None or n < ops.min_size:
+        out = list(values)
+        if size > 1:
+            for base in range(0, n, size):
+                out[base:base + size] = radix2.ntt(
+                    field, out[base:base + size], cache, root=root)
+        return out if scale is None else vec_scale(field, out, scale)
+
+    from repro.field.simd import vectorized_ntt
+
+    groups = n // size
+    packed = ops.pack(list(values))
+    lead = packed.shape[:-1]
+    if groups > 1:  # group-major -> size-major
+        packed = packed.reshape(lead + (groups, size)).swapaxes(-1, -2) \
+            .reshape(lead + (n,))
+    out = vectorized_ntt(ops, packed, cache, root, batch=groups)
+    if scale is not None:
+        out = ops.scale(out, scale % field.modulus)
+    if groups > 1:  # size-major -> group-major
+        out = out.reshape(lead + (size, groups)).swapaxes(-1, -2) \
+            .reshape(lead + (n,))
+    return ops.unpack(out) if ops.unpack is not None else out.tolist()
 
 
 def batch_ntt(field: PrimeField, batch: Sequence[Sequence[int]],
@@ -53,19 +112,26 @@ class BatchTransform:
                 raise NTTError(
                     f"batch vectors must share a size: vector 0 has {n}, "
                     f"vector {i} has {len(vec)}")
+        radix2.check_size(n, self.field)
         return n
 
+    def _run(self, batch: Sequence[Sequence[int]], n: int, root: int,
+             scale: int | None) -> list[list[int]]:
+        flat = [v for vec in batch for v in vec]
+        out = ntt_groups(self.field, flat, n, root, scale, self.cache)
+        return [out[base:base + n] for base in range(0, len(out), n)]
+
     def forward(self, batch: Sequence[Sequence[int]]) -> list[list[int]]:
-        """Transform every vector; twiddles computed once."""
+        """Transform every vector as one batched kernel."""
         n = self._check(batch)
-        self.cache.forward(self.field, n)  # warm the shared table
-        return [radix2.ntt(self.field, vec, self.cache) for vec in batch]
+        return self._run(batch, n, self.field.root_of_unity(n), None)
 
     def inverse(self, batch: Sequence[Sequence[int]]) -> list[list[int]]:
-        """Inverse-transform every vector; twiddles computed once."""
+        """Inverse-transform every vector as one batched kernel."""
         n = self._check(batch)
-        self.cache.inverse(self.field, n)
-        return [radix2.intt(self.field, vec, self.cache) for vec in batch]
+        field = self.field
+        return self._run(batch, n, field.inv_root_of_unity(n),
+                         field.inv(n % field.modulus))
 
     def map_pointwise(self, batch_a: Sequence[Sequence[int]],
                       batch_b: Sequence[Sequence[int]],

@@ -33,7 +33,7 @@ __all__ = [
 
 #: Below this size the pack/unpack overhead of a lane backend exceeds
 #: the butterfly savings; stay on the scalar path.
-_ACCEL_MIN_SIZE = 32
+ACCEL_MIN_SIZE = 32
 
 
 def _lane_ops(field: PrimeField):
@@ -41,7 +41,8 @@ def _lane_ops(field: PrimeField):
     return get_backend().lane_ops(field)
 
 
-def _check_size(n: int, field: PrimeField) -> None:
+def check_size(n: int, field: PrimeField) -> None:
+    """Raise :class:`NTTError` unless ``field`` has an n-point NTT."""
     if n == 0 or n & (n - 1):
         raise NTTError(f"NTT size must be a power of two, got {n}")
     log_n = n.bit_length() - 1
@@ -117,11 +118,11 @@ def ntt(field: PrimeField, values: Sequence[int],
     """
     n = len(values)
     if root is None:
-        _check_size(n, field)
+        check_size(n, field)
     elif n == 0 or n & (n - 1):
         raise NTTError(f"NTT size must be a power of two, got {n}")
     cache = cache or default_cache
-    if n >= _ACCEL_MIN_SIZE:
+    if n >= ACCEL_MIN_SIZE:
         ops = _lane_ops(field)
         if ops is not None and n >= ops.min_size:
             from repro.field.simd import vectorized_ntt
@@ -151,11 +152,11 @@ def intt(field: PrimeField, values: Sequence[int],
     """
     n = len(values)
     if root is None:
-        _check_size(n, field)
+        check_size(n, field)
     elif n == 0 or n & (n - 1):
         raise NTTError(f"NTT size must be a power of two, got {n}")
     cache = cache or default_cache
-    if n >= _ACCEL_MIN_SIZE:
+    if n >= ACCEL_MIN_SIZE:
         ops = _lane_ops(field)
         if ops is not None and n >= ops.min_size:
             from repro.field.simd import vectorized_intt

@@ -51,6 +51,52 @@ class TestRawMod:
         assert checks_of(lint_file(path, root=str(tmp_path))) == {
             "lint.raw-mod"}
 
+    def test_multi_statement_twiddle_sweep(self, tmp_path):
+        """The running-factor sweep: two statements per element."""
+        path = write_module(tmp_path, "multigpu", "bad.py", """\
+            def twiddle(column, w, factor, p):
+                for k in range(len(column)):
+                    column[k] = column[k] * factor % p
+                    factor = factor * w % p
+            """)
+        findings = lint_file(path, root=str(tmp_path))
+        assert checks_of(findings) == {"lint.raw-mod"}
+        assert [f.where for f in findings] == ["multigpu/bad.py:2"]
+
+    def test_augmented_stores(self, tmp_path):
+        path = write_module(tmp_path, "multigpu", "bad.py", """\
+            def sweep(shard, s, p):
+                for i in range(len(shard)):
+                    shard[i] %= p
+                for i in range(len(shard)):
+                    total = i
+                    shard[i] += total * s % p
+            """)
+        findings = lint_file(path, root=str(tmp_path))
+        assert [f.where for f in findings] == [
+            "multigpu/bad.py:2", "multigpu/bad.py:4"]
+
+    def test_nested_loop_flagged_once(self, tmp_path):
+        path = write_module(tmp_path, "multigpu", "bad.py", """\
+            def sweep(rows, s, p):
+                for row in rows:
+                    for i in range(len(row)):
+                        row[i] = row[i] * s % p
+            """)
+        findings = lint_file(path, root=str(tmp_path))
+        assert [f.where for f in findings] == ["multigpu/bad.py:3"]
+
+    def test_scalar_mod_in_loop_body_is_fine(self, tmp_path):
+        path = write_module(tmp_path, "multigpu", "ok.py", """\
+            def owners(indices, g):
+                out = []
+                for j in indices:
+                    owner = j % g
+                    out.append(owner)
+                return out
+            """)
+        assert lint_file(path, root=str(tmp_path)) == []
+
     def test_scalar_mod_is_fine(self, tmp_path):
         path = write_module(tmp_path, "multigpu", "ok.py", """\
             def index(i, g):
