@@ -1,7 +1,8 @@
 """Finite-field substrate: prime fields, Montgomery form, ZKP presets.
 
-The bulk helpers (``vec_*``) run on a pluggable compute backend — pure
-Python by default, NumPy ``uint64`` lanes when selected — see
+The bulk helpers (``vec_*``) run on a pluggable compute backend — NumPy
+``uint64`` lanes and limb planes when NumPy is installed, pure Python
+otherwise or when selected — see
 :mod:`repro.field.backend` and ``docs/BACKENDS.md``.  NumPy is an
 optional dependency (``pip install repro[fast]``); the per-field
 specialized kernels (``gl_*``, ``bb_*``) are only importable when it
@@ -22,7 +23,6 @@ from repro.field.packed import (
     packed_coset_intt, packed_coset_ntt, packed_disabled, packed_intt,
     packed_ntt, packed_ops, packed_pad, unpack_values,
 )
-from repro.field.multilimb import MultiLimbBackend
 from repro.field.presets import (
     ALL_FIELDS, BABYBEAR, BLS12_381_FR, BN254_FR, GOLDILOCKS, TEST_FIELD_97,
     TEST_FIELD_7681, ZKP_FIELDS, field_by_name,
@@ -41,8 +41,7 @@ __all__ = [
     "vec_add", "vec_sub", "vec_mul", "vec_scale", "vec_neg",
     "vec_pow_series", "vec_inv", "vec_dot", "vec_sum", "validate_vector",
     "host_values",
-    "FieldBackend", "PythonBackend", "NumPyBackend", "MultiLimbBackend",
-    "available_backends",
+    "FieldBackend", "PythonBackend", "NumPyBackend", "available_backends",
     "get_backend", "set_backend", "use_backend", "numpy_available",
     "BACKEND_ENV_VAR",
     "LimbSchedule", "generate_schedule", "describe_schedule",

@@ -11,18 +11,22 @@ substrate those helpers run on *pluggable*:
 * :class:`NumPyBackend` — vectorized ``uint64`` lane arithmetic using
   32-bit limb splitting with Montgomery-style multi-word reduction, so
   64-bit fields like Goldilocks never overflow a ``uint64`` product
-  (see ``docs/BACKENDS.md`` for the overflow analysis).
-* :class:`repro.field.multilimb.MultiLimbBackend` — NumPy semantics
-  plus limb-plane CIOS Montgomery kernels for moduli above 64 bits
-  (BN254-Fr, BLS12-381-Fr); opt-in, see ``docs/FIELDS.md``.
+  (see ``docs/BACKENDS.md`` for the overflow analysis), and limb-plane
+  CIOS Montgomery kernels (:mod:`repro.field.multilimb`) for odd
+  moduli above 64 bits such as BN254-Fr and BLS12-381-Fr (see
+  ``docs/FIELDS.md``).
 
 The active backend is process-global.  Select it with the
 ``REPRO_BACKEND`` environment variable (``python`` | ``numpy`` |
 ``multilimb`` | ``auto``), the ``repro --backend`` CLI flag, or
-programmatically:
+programmatically.  ``multilimb`` is another name for ``numpy``: both
+resolve to the same instance.
 
 >>> from repro.field.backend import get_backend, use_backend
 >>> get_backend().name in ("python", "numpy")
+True
+>>> with use_backend("multilimb") as a, use_backend("numpy") as b:
+...     a is b
 True
 >>> with use_backend("python") as b:
 ...     b.name
@@ -41,6 +45,7 @@ import warnings
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.errors import FieldError
+from repro.field.multilimb import _MultiLimbKernel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.field.prime_field import PrimeField
@@ -250,7 +255,9 @@ class PythonBackend(FieldBackend):
 #                              kernel (repro.field.goldilocks).
 #   p < 2^64        Montgomery: two 32-bit limbs, SOS product + REDC
 #                              with R = 2^64.  See docs/BACKENDS.md.
-#   p >= 2^64       none:      fall back to PythonBackend semantics.
+#   p >= 2^64, odd  limb planes: lazy-carry CIOS Montgomery over (L, n)
+#                              arrays (repro.field.multilimb).
+#   p >= 2^64, even none:      fall back to PythonBackend semantics.
 
 
 class _Kernel:
@@ -452,11 +459,12 @@ class _GoldilocksKernel(_Kernel):
 
 
 class NumPyBackend(FieldBackend):
-    """Vectorized uint64 backend (32-bit limb multi-word arithmetic).
+    """Vectorized backend: uint64 lanes below 2^64, limb planes above.
 
-    Fields with a modulus >= 2^64 (BN254-Fr, BLS12-381-Fr) exceed what
-    uint64 lanes can represent and transparently run with the Python
-    reference semantics; everything below 64 bits is vectorized.
+    Moduli below 2^64 run on 1-D ``uint64`` lanes (32-bit limb
+    multi-word arithmetic); odd moduli above it (BN254-Fr,
+    BLS12-381-Fr) run on ``(L, n)`` limb planes, whose lane ops also
+    carry the limb NTT core and the fused prover kernels.
     """
 
     name = "numpy"
@@ -467,12 +475,12 @@ class NumPyBackend(FieldBackend):
         self._kernels: dict[int, _Kernel | None] = {}
         self._python = PythonBackend()
 
-    def _kernel(self, field) -> _Kernel | None:
+    def _kernel(self, field) -> _Kernel | _MultiLimbKernel | None:
         p = field.modulus
         kernel = self._kernels.get(p, _MISSING)
         if kernel is _MISSING:
             if p >= 1 << 64:
-                kernel = None
+                kernel = _MultiLimbKernel(p) if p % 2 else None
             elif p == (1 << 64) - (1 << 32) + 1:
                 kernel = _GoldilocksKernel(p)
             elif p < 1 << 32:
@@ -628,6 +636,13 @@ class NumPyBackend(FieldBackend):
 
     def dot(self, field, a, b):
         self._check_lengths(a, b)
+        kernel = self._kernel(field)
+        if isinstance(kernel, _MultiLimbKernel) and not (
+                isinstance(a, kernel.np.ndarray)
+                or isinstance(b, kernel.np.ndarray)):
+            # Two plain lists of a wide field: one big-int sum of
+            # products beats packing both operands for a limb tree-sum.
+            return self._python.dot(field, a, b)
         kernel, a, b = self._pair(field, a, b)
         if kernel is None:
             return self._python.dot(field, a, b)
@@ -653,14 +668,22 @@ class NumPyBackend(FieldBackend):
                 arr = kernel.pack([v % kernel.p for v in vals])
             return arr
 
+        hooks = {}
+        if isinstance(kernel, _MultiLimbKernel):
+            hooks = dict(
+                unpack=kernel.unpack, pack_table=kernel.pack_table,
+                ntt_core=kernel.ntt_core, fmt=kernel.schedule.fmt,
+                mul_mont=kernel.mul_mont,
+                fused_quotient=kernel.fused_quotient,
+                gather_dot=kernel.gather_dot)
         return LaneOps(field=field, add=kernel.add, sub=kernel.sub,
-                       mul=kernel.mul,
-                       scale=lambda arr, s: kernel.mul_scalar(arr, s),
-                       pack=pack)
+                       mul=kernel.mul, scale=kernel.mul_scalar, pack=pack,
+                       **hooks)
 
     def describe(self) -> str:
         return ("numpy (uint64 lanes; 32-bit limb Montgomery reduction "
-                "for 33..64-bit moduli, Python fallback above 64 bits)")
+                "for 33..64-bit moduli; lazy-carry CIOS limb planes for "
+                "BN254-Fr/BLS12-381-Fr-class moduli)")
 
 
 _MISSING = object()
@@ -671,6 +694,8 @@ _MISSING = object()
 # ---------------------------------------------------------------------------
 
 _BACKEND_NAMES = ("python", "numpy", "multilimb")
+#: Names that select another backend's instance.
+_ALIASES = {"multilimb": "numpy"}
 _active: FieldBackend | None = None
 _instances: dict[str, FieldBackend] = {}
 _warned_fallback = False
@@ -687,16 +712,10 @@ def available_backends() -> dict[str, bool]:
 
 
 def _instantiate(name: str) -> FieldBackend:
+    name = _ALIASES.get(name, name)
     backend = _instances.get(name)
     if backend is None:
-        if name == "python":
-            backend = PythonBackend()
-        elif name == "multilimb":
-            from repro.field.multilimb import MultiLimbBackend
-
-            backend = MultiLimbBackend()
-        else:
-            backend = NumPyBackend()
+        backend = PythonBackend() if name == "python" else NumPyBackend()
         _instances[name] = backend
     return backend
 
@@ -732,8 +751,10 @@ def get_backend() -> FieldBackend:
 def set_backend(name: str) -> FieldBackend:
     """Activate a backend by name; returns the instance now active.
 
-    ``name`` is ``python``, ``numpy``, or ``auto``.  Requesting
-    ``numpy`` without NumPy installed warns once and selects the
+    ``name`` is ``python``, ``numpy``, ``multilimb`` (another name
+    for ``numpy``: the same instance) or ``auto`` (``numpy`` when
+    NumPy is importable, else ``python``).  Requesting ``numpy`` or
+    ``multilimb`` without NumPy installed warns once and selects the
     Python backend instead of failing.
     """
     global _active

@@ -1,11 +1,12 @@
-"""Multi-limb vectorized backend for fields wider than 64 bits.
+"""Multi-limb vectorized kernels for fields wider than 64 bits.
 
-``NumPyBackend`` vectorizes every modulus below 2^64 but runs BN254-Fr
-and BLS12-381-Fr (254/255 bits) with the pure-Python fallback — exactly
-the fields the source paper's ZKP workloads care about.  This module
-closes that gap: an element of a big field is split into sub-32-bit
-limbs spread across ``uint64`` *limb planes* (shape ``(L, n)``, element
-axis last), and all arithmetic runs as whole-plane numpy ufuncs:
+``uint64`` lanes cannot hold BN254-Fr and BLS12-381-Fr (254/255 bits)
+— exactly the fields the source paper's ZKP workloads care about.  The
+``numpy`` backend (:class:`repro.field.backend.NumPyBackend`) runs them
+on the kernel in this module instead: an element of a big field is
+split into sub-32-bit limbs spread across ``uint64`` *limb planes*
+(shape ``(L, n)``, element axis last), and all arithmetic runs as
+whole-plane numpy ufuncs:
 
 * multiplication is lazy-carry CIOS Montgomery multiplication over the
   limb planes (the per-field schedule — limb width, limb count, ``n'``,
@@ -19,10 +20,10 @@ axis last), and all arithmetic runs as whole-plane numpy ufuncs:
   premultiplied by ``R`` (``montmul(x, tw*R) = x*tw``), so transforms
   pay no Montgomery domain entry/exit.
 
-The backend is opt-in (``set_backend("multilimb")`` or
-``REPRO_BACKEND=multilimb``); ``auto`` still resolves to ``numpy``.
-For moduli below 64 bits it behaves exactly like ``NumPyBackend``.
-See ``docs/FIELDS.md`` for the limb layout and a worked CIOS example.
+``NumPyBackend`` picks this kernel for every odd modulus at or above
+2^64; the backend name ``multilimb`` is kept as another name for
+``numpy``.  See ``docs/FIELDS.md`` for the limb layout and a worked
+CIOS example.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro.errors import FieldError
-from repro.field.backend import NumPyBackend
 from repro.field.limbgen import LimbSchedule, compile_montmul, generate_schedule
 
-__all__ = ["MultiLimbBackend"]
+__all__: list[str] = []
 
 
 class _MultiLimbKernel:
@@ -519,62 +519,3 @@ class _MultiLimbKernel:
             stride //= 2
             si += 1
         return self.reduce_canonical(x, work=y)
-
-
-class MultiLimbBackend(NumPyBackend):
-    """NumPyBackend plus limb-plane kernels for moduli >= 2^64.
-
-    Everything below 64 bits dispatches exactly as ``NumPyBackend``
-    (Goldilocks/BabyBear keep their specialized kernels); BN254-Fr,
-    BLS12-381-Fr, and any other odd wide modulus get a
-    :class:`_MultiLimbKernel` instead of the Python fallback.
-
-    >>> from repro.field.backend import numpy_available
-    >>> if numpy_available():
-    ...     from repro.field.presets import BN254_FR
-    ...     backend = MultiLimbBackend()
-    ...     vec = backend.pack(BN254_FR, [1, BN254_FR.modulus - 1])
-    ...     got = backend.unpack(BN254_FR, backend.mul(BN254_FR, vec, vec))
-    ... else:
-    ...     got = [1, 1]
-    >>> got
-    [1, 1]
-    """
-
-    name = "multilimb"
-
-    def _kernel(self, field):
-        p = field.modulus
-        kernel = self._kernels.get(p)
-        if isinstance(kernel, _MultiLimbKernel):
-            return kernel
-        if p >= 1 << 64 and p % 2:
-            kernel = _MultiLimbKernel(p)
-            self._kernels[p] = kernel
-            return kernel
-        return super()._kernel(field)
-
-    def lane_ops(self, field):
-        kernel = self._kernel(field)
-        if not isinstance(kernel, _MultiLimbKernel):
-            return super().lane_ops(field)
-        from repro.field.simd import LaneOps
-
-        def pack(vals):
-            arr = kernel.pack(vals)
-            if arr is None:
-                arr = kernel.pack([v % kernel.p for v in vals])
-            return arr
-
-        return LaneOps(
-            field=field, add=kernel.add, sub=kernel.sub, mul=kernel.mul,
-            scale=lambda arr, s: kernel.mul_scalar(arr, s),
-            pack=pack, unpack=kernel.unpack, pack_table=kernel.pack_table,
-            ntt_core=kernel.ntt_core, fmt=kernel.schedule.fmt,
-            mul_mont=kernel.mul_mont,
-            fused_quotient=kernel.fused_quotient,
-            gather_dot=kernel.gather_dot)
-
-    def describe(self) -> str:
-        return ("multilimb (numpy semantics below 64 bits; lazy-carry "
-                "CIOS limb planes for BN254-Fr/BLS12-381-Fr-class moduli)")

@@ -235,9 +235,23 @@ class PrimeField:
         return FieldElement(self, rng.randrange(self.modulus))
 
     def random_vector(self, n: int, rng) -> list[int]:
-        """Draw ``n`` uniform raw values (plain ints, the engine format)."""
+        """Draw ``n`` uniform raw values (plain ints, the engine format).
+
+        The values, and the state ``rng`` is left in, are those of ``n``
+        calls to ``rng.randrange(p)``: this inlines the same rejection
+        loop over ``getrandbits(p.bit_length())`` that ``randrange``
+        runs for a ``random.Random``.
+        """
         p = self.modulus
-        return [rng.randrange(p) for _ in range(n)]
+        k = p.bit_length()
+        getrandbits = rng.getrandbits
+        out = []
+        for _ in range(n):
+            r = getrandbits(k)
+            while r >= p:
+                r = getrandbits(k)
+            out.append(r)
+        return out
 
 
 @functools.lru_cache(maxsize=None)

@@ -20,13 +20,14 @@ transformed probe has the closed form
     ``(W^T r)[j] = sum_k (t * w^j)^k = (t^n - 1) / (t * w^j - 1)``
 
 so both the probe and its transform are built in O(n) (one batch
-inversion), cached per ``(field, n, direction)`` in a
-:class:`ProbeLedger` — the :class:`~repro.serve.cache.TwiddleLedger`
-pattern with the same hit/miss accounting — and each verification costs
-two length-n dot products, data-parallel across the cluster's devices
+inversion), once per process for each ``(field, n, direction, seed)``,
+and priced per ``(field, n, direction)`` in a :class:`ProbeLedger` —
+the :class:`~repro.serve.cache.TwiddleLedger` pattern with the same
+hit/miss accounting — and each verification costs two length-n dot
+products, data-parallel across the cluster's devices
 (``~3 n / G`` multiplies per GPU plus one tiny reduction).  A coset
-shift folds in at check time as a running ``shift^j`` factor on the
-``x`` side.
+shift folds in at check time: the weights are multiplied by the
+``shift^j`` series before the ``x``-side dot product.
 
 Both directions verify the same forward relation: a forward leg has
 ``x`` in the checkpoint and ``Y`` in the output; an inverse leg has
@@ -53,6 +54,7 @@ callers fold the overhead into a validating
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -87,9 +89,22 @@ class ProbeVector:
 
 def _build_probe(field: PrimeField, n: int, direction: str,
                  seed: int) -> ProbeVector:
+    """The probe for one shape, built once per process.
+
+    A probe is immutable and depends only on the memo key, so every
+    ledger shares it; each ledger still prices its own first use.
+    """
+    return _memo_probe(field, field.name, field.root_of_unity(n), n,
+                       direction, seed)
+
+
+@functools.lru_cache(maxsize=32)
+def _memo_probe(field: PrimeField, name: str, w: int, n: int,
+                direction: str, seed: int) -> ProbeVector:
+    # ``name`` and ``w`` key what field equality (by modulus) leaves
+    # out: the name seeds the draw, the generator fixes the root.
     p = field.modulus
-    w = field.root_of_unity(n)
-    rng = random.Random(repr((seed, "abft", field.name, n, direction)))
+    rng = random.Random(repr((seed, "abft", name, n, direction)))
     while True:
         t = rng.randrange(2, p)
         # t^n == 1 would make some denominator t*w^j - 1 vanish (t is
@@ -103,7 +118,7 @@ def _build_probe(field: PrimeField, n: int, direction: str,
     d = vec_sub(field, vec_pow_series(field, w, n, start=t), [1] * n)
     tn = (pow(t, n, p) - 1) % p
     weights = vec_scale(field, vec_inv(field, d), tn)
-    return ProbeVector(field_name=field.name, n=n, direction=direction,
+    return ProbeVector(field_name=name, n=n, direction=direction,
                        t=t, r_powers=tuple(r), weights=tuple(weights))
 
 
@@ -241,22 +256,17 @@ class AbftChecker:
                         for indices in owned]
             lhs = sum(partials) % p
         else:
-            lhs = 0
-            for k in range(n):
-                lhs = (lhs + r[k] * y[k]) % p
+            lhs = vec_dot(field, r, y)
 
+        weights = a if shift == 1 else \
+            vec_mul(field, a, vec_pow_series(field, shift, n))
         if inverse and owned is not None:
-            weights = vec_mul(field, a, vec_pow_series(field, shift, n))
             partials = [vec_dot(field, [weights[j] for j in indices],
                                 [x[j] for j in indices])
                         for indices in owned]
             rhs = sum(partials) % p
         else:
-            rhs = 0
-            sp = 1
-            for j in range(n):
-                rhs = (rhs + a[j] * sp % p * x[j]) % p
-                sp = sp * shift % p
+            rhs = vec_dot(field, weights, x)
 
         ok = lhs == rhs
         steps.append(self._charge_probe(n, shift != 1, ok, detail))

@@ -351,8 +351,8 @@ class ProofServer:
         for lane, (vec_in, vec_out) in enumerate(zip(batch_inputs,
                                                      outputs)):
             verdict = checker.verify_leg(
-                inputs=list(vec_in), outputs=list(vec_out),
-                n=len(vec_in), inverse=inverse, out_layout=None,
+                inputs=vec_in, outputs=vec_out, n=len(vec_in),
+                inverse=inverse, out_layout=None,
                 detail=f"serve batch={batch_id} lane={lane}")
             steps.extend(verdict.steps)
             report.abft_probes += 1

@@ -162,8 +162,10 @@ class TestSelection:
         try:
             set_backend("python")
             assert get_backend().name == "python"
-            set_backend("numpy")
+            numpy_backend = set_backend("numpy")
             assert get_backend().name == "numpy"
+            assert set_backend("multilimb") is numpy_backend
+            assert get_backend() is numpy_backend
         finally:
             set_backend(original)
 
@@ -207,8 +209,8 @@ class TestSelection:
 
 
 def test_big_fields_fall_back_to_python_semantics(rng):
-    # BN254/BLS12-381 exceed uint64; the numpy backend must still give
-    # correct answers (via its Python fallback), not crash.
+    # BN254/BLS12-381 exceed uint64; the numpy backend runs them on
+    # limb planes and must give the Python backend's answers.
     from repro.field import BLS12_381_FR
 
     np_ = NumPyBackend()
@@ -240,23 +242,26 @@ def test_random_cross_backend_fuzz(rng):
 
 
 class TestMultiLimbSelection:
+    """``multilimb`` is another name for the ``numpy`` backend."""
+
     def test_multilimb_is_listed(self):
         assert available_backends().get("multilimb") is True
 
     def test_set_and_restore(self):
         original = get_backend().name
         try:
-            set_backend("multilimb")
-            assert get_backend().name == "multilimb"
+            backend = set_backend("multilimb")
+            assert isinstance(backend, NumPyBackend)
+            assert backend.name == "numpy"
+            assert get_backend() is backend
         finally:
             set_backend(original)
+        assert get_backend().name == original
 
     def test_auto_still_resolves_to_numpy(self):
-        # multilimb is opt-in: "auto" must not silently switch the
-        # big-field representation out from under existing users.
         original = get_backend().name
         try:
-            set_backend("auto")
+            assert set_backend("auto") is set_backend("multilimb")
             assert get_backend().name == "numpy"
         finally:
             set_backend(original)
@@ -267,28 +272,27 @@ class TestMultiLimbSelection:
 
         out = subprocess.run(
             [sys.executable, "-c",
-             "from repro.field import get_backend; "
-             "print(get_backend().name)"],
+             "from repro.field import get_backend, set_backend; "
+             "b = get_backend(); "
+             "print(b.name, b is set_backend('numpy'))"],
             capture_output=True, text=True, check=True,
             env={"PYTHONPATH": "src", BACKEND_ENV_VAR: "multilimb"},
             cwd=".").stdout.strip()
-        assert out == "multilimb"
+        assert out == "numpy True"
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 class TestMultiLimbEquivalence:
-    """MultiLimbBackend agrees with PythonBackend on EVERY preset.
+    """NumPyBackend agrees with PythonBackend on EVERY preset.
 
-    Below 64 bits it inherits the uint64 lanes; at 254/255 bits it
-    switches to limb planes — either way the answers must be the
-    reference answers, on the same edge-heavy vectors the numpy
-    equivalence matrix uses.
+    Below 64 bits it runs uint64 lanes; at 254/255 bits it switches to
+    limb planes — either way the answers must be the reference
+    answers, on the same edge-heavy vectors as the equivalence matrix
+    above.
     """
 
     def test_elementwise(self, field, rng):
-        from repro.field import MultiLimbBackend
-
-        py, ml = PythonBackend(), MultiLimbBackend()
+        py, ml = PythonBackend(), NumPyBackend()
         a, b = _vectors(field, rng)
         for op in ("add", "sub", "mul"):
             ref = py.unpack(field, getattr(py, op)(
@@ -298,9 +302,7 @@ class TestMultiLimbEquivalence:
             assert got == ref, f"{op} mismatch over {field.name}"
 
     def test_scale_pow_series_inv(self, field, rng):
-        from repro.field import MultiLimbBackend
-
-        py, ml = PythonBackend(), MultiLimbBackend()
+        py, ml = PythonBackend(), NumPyBackend()
         a, _ = _vectors(field, rng)
         nonzero = [v or 1 for v in a]
         s = rng.randrange(1, field.modulus)
@@ -312,9 +314,7 @@ class TestMultiLimbEquivalence:
             py.unpack(field, py.inv(field, py.pack(field, nonzero)))
 
     def test_reductions(self, field, rng):
-        from repro.field import MultiLimbBackend
-
-        py, ml = PythonBackend(), MultiLimbBackend()
+        py, ml = PythonBackend(), NumPyBackend()
         a, b = _vectors(field, rng)
         assert ml.sum(field, ml.pack(field, a)) == \
             py.sum(field, py.pack(field, a))

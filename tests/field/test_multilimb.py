@@ -1,4 +1,4 @@
-"""Multi-limb backend: schedule codegen, CIOS kernel, and NTT core.
+"""Multi-limb kernel: schedule codegen, CIOS kernel, and NTT core.
 
 The limb *schedule* (width, count, Montgomery constants) is pure
 stdlib data from :mod:`repro.field.limbgen`; the kernel in
@@ -15,7 +15,7 @@ import pytest
 
 from repro.errors import FieldError
 from repro.field import (
-    BLS12_381_FR, BN254_FR, MultiLimbBackend, PythonBackend,
+    BLS12_381_FR, BN254_FR, NumPyBackend, PythonBackend,
     describe_schedule, generate_schedule, numpy_available, use_backend,
 )
 from repro.field.limbgen import emit_montmul_source, pick_limb_bits
@@ -97,7 +97,7 @@ needs_numpy = pytest.mark.skipif(not numpy_available(),
 
 
 def _kernel(field):
-    return MultiLimbBackend()._kernel(field)
+    return NumPyBackend()._kernel(field)
 
 
 def _int_of(kern, arr, i):
@@ -209,7 +209,7 @@ class TestBarrettExit:
 @pytest.mark.parametrize("field", BIG_FIELDS, ids=lambda f: f.name)
 class TestPackUnpack:
     def test_round_trip_edges(self, field, rng):
-        backend = MultiLimbBackend()
+        backend = NumPyBackend()
         p = field.modulus
         vals = [0, 1, p - 1, p // 2, (1 << 232) - 1,
                 rng.randrange(p), rng.randrange(p)]
@@ -217,7 +217,7 @@ class TestPackUnpack:
         assert backend.unpack(field, packed) == vals
 
     def test_values_in_p_to_r_are_reduced(self, field):
-        backend = MultiLimbBackend()
+        backend = NumPyBackend()
         kern = _kernel(field)
         p, R = field.modulus, kern.schedule.r
         vals = [p, 2 * p - 1, R - 1, p + 12345]
@@ -238,7 +238,7 @@ class TestPackUnpack:
         # negatives, which int.to_bytes refuses) through the
         # canonicalized path; op results must match PythonBackend,
         # whose semantics allow arbitrary integers.
-        backend, py = MultiLimbBackend(), PythonBackend()
+        backend, py = NumPyBackend(), PythonBackend()
         vals = [-1, -field.modulus, field.modulus + 7]
         ones = [1, 1, 1]
         got = backend.unpack(field, backend.mul(
@@ -254,7 +254,7 @@ class TestNTTCore:
     def _ops_and_table(self, field, n):
         from repro.ntt.twiddle import TwiddleCache
 
-        backend = MultiLimbBackend()
+        backend = NumPyBackend()
         ops = backend.lane_ops(field)
         cache = TwiddleCache()
         root = field.root_of_unity(n)
@@ -289,7 +289,7 @@ class TestNTTCore:
         assert (packed == before).all()
 
     def test_lane_ops_surface(self, field):
-        ops = MultiLimbBackend().lane_ops(field)
+        ops = NumPyBackend().lane_ops(field)
         assert ops.fmt == "limb29x9"
         assert ops.min_size == 32
         assert ops.unpack is not None and ops.pack_table is not None
@@ -344,13 +344,18 @@ def test_engine_transform_under_multilimb(rng):
 
 @needs_numpy
 def test_small_fields_behave_like_numpy_backend(rng):
-    """Below 64 bits the multilimb backend is plain NumPyBackend."""
-    from repro.field import GOLDILOCKS, NumPyBackend
+    """Below 64 bits the numpy backend keeps its 1-D uint64 lanes;
+    only moduli of 64 bits and more take the limb planes."""
+    from repro.field import GOLDILOCKS
 
-    ml, np_ = MultiLimbBackend(), NumPyBackend()
+    backend = NumPyBackend()
     a = GOLDILOCKS.random_vector(16, rng)
     b = GOLDILOCKS.random_vector(16, rng)
-    assert ml.unpack(GOLDILOCKS, ml.mul(
-        GOLDILOCKS, ml.pack(GOLDILOCKS, a), ml.pack(GOLDILOCKS, b))) == \
-        np_.unpack(GOLDILOCKS, np_.mul(
-            GOLDILOCKS, np_.pack(GOLDILOCKS, a), np_.pack(GOLDILOCKS, b)))
+    packed = backend.pack(GOLDILOCKS, a)
+    assert packed.ndim == 1 and str(packed.dtype) == "uint64"
+    assert backend.lane_ops(GOLDILOCKS).ntt_core is None
+    assert backend.pack(BN254_FR, a).ndim == 2
+    py = PythonBackend()
+    assert backend.unpack(GOLDILOCKS, backend.mul(
+        GOLDILOCKS, packed, backend.pack(GOLDILOCKS, b))) == \
+        py.mul(GOLDILOCKS, a, b)

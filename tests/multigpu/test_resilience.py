@@ -258,11 +258,11 @@ class TestPackedBigFieldBoundary:
 
     def test_packed_planes_round_trip_checkpoint_restore(self, rng):
         self._skip_without_numpy()
-        from repro.field import BN254_FR, MultiLimbBackend, use_backend
+        from repro.field import BN254_FR, NumPyBackend, use_backend
 
         n = 64
         values = BN254_FR.random_vector(n, rng)
-        backend = MultiLimbBackend()
+        backend = NumPyBackend()
         packed = backend.pack(BN254_FR, values)
         assert getattr(packed, "ndim", 0) == 2  # really limb planes
         with use_backend("multilimb"):
@@ -283,11 +283,11 @@ class TestPackedBigFieldBoundary:
 
     def test_resilient_transform_accepts_packed_input(self, rng):
         self._skip_without_numpy()
-        from repro.field import BN254_FR, MultiLimbBackend, use_backend
+        from repro.field import BN254_FR, NumPyBackend, use_backend
 
         n = 64
         values = BN254_FR.random_vector(n, rng)
-        packed = MultiLimbBackend().pack(BN254_FR, values)
+        packed = NumPyBackend().pack(BN254_FR, values)
         with use_backend("multilimb"):
             reference = ntt(BN254_FR, values)
             plan = FaultPlan.from_specs(["transient-comm@0"], seed=7)
@@ -302,9 +302,9 @@ class TestPackedBigFieldBoundary:
 
     def test_shard_loader_rejects_raw_planes(self, rng):
         self._skip_without_numpy()
-        from repro.field import BN254_FR, MultiLimbBackend
+        from repro.field import BN254_FR, NumPyBackend
 
-        packed = MultiLimbBackend().pack(BN254_FR, BN254_FR.random_vector(8, rng))
+        packed = NumPyBackend().pack(BN254_FR, BN254_FR.random_vector(8, rng))
         cluster = SimCluster(BN254_FR, 2)
         with pytest.raises(SimulationError, match="staging boundary"):
             cluster.gpus[0].load(packed)
@@ -312,9 +312,9 @@ class TestPackedBigFieldBoundary:
     def test_validate_vector_accepts_packed_planes(self, rng):
         self._skip_without_numpy()
         from repro.field import (
-            BN254_FR, MultiLimbBackend, use_backend, validate_vector,
+            BN254_FR, NumPyBackend, use_backend, validate_vector,
         )
 
-        packed = MultiLimbBackend().pack(BN254_FR, BN254_FR.random_vector(8, rng))
+        packed = NumPyBackend().pack(BN254_FR, BN254_FR.random_vector(8, rng))
         with use_backend("multilimb"):
             validate_vector(BN254_FR, packed)  # does not raise

@@ -58,7 +58,7 @@ def test_fields_guide_exists_and_covers_api():
     path = os.path.join(DOCS, "FIELDS.md")
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
-    for needle in ("MultiLimbBackend", "LimbSchedule", "generate_schedule",
+    for needle in ("_MultiLimbKernel", "LimbSchedule", "generate_schedule",
                    "emit_montmul_source", "CIOS", "Barrett",
                    "REPRO_BACKEND=multilimb", "host_values",
                    "butterfly_stage", "max_lazy_stages",
