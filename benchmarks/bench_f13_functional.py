@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from repro.field import BLS12_381_FR, GOLDILOCKS
+from repro.field import BLS12_381_FR, GOLDILOCKS, use_backend
 from repro.multigpu import DistributedVector, UniNTTEngine
 from repro.ntt import intt, ntt, ntt_radix4
 from repro.sim import SimCluster
@@ -53,14 +53,14 @@ def test_f13_unintt_distributed(benchmark, gpus):
 
 @pytest.mark.parametrize("log_n", [12, 14])
 def test_f13_goldilocks_vectorized(benchmark, log_n):
-    """The numpy Goldilocks kernel vs the pure-Python path."""
-    from repro.field import gl_array, gl_ntt
-
+    """Goldilocks radix-2 on the numpy backend's lane kernels."""
     field = GOLDILOCKS
     values = field.random_vector(1 << log_n, RNG)
-    arr = gl_array(values)
-    result = benchmark(gl_ntt, arr)
-    assert [int(v) for v in result] == ntt(field, values)
+    with use_backend("python"):
+        want = ntt(field, values)
+    with use_backend("numpy"):
+        result = benchmark(ntt, field, values)
+    assert result == want
 
 
 @pytest.mark.parametrize("log_n", [10, 12])
@@ -73,20 +73,21 @@ def test_f13_stockham_forward(benchmark, log_n):
     assert result == ntt(field, values)
 
 
-@pytest.mark.parametrize("vectorized", [False, True],
+@pytest.mark.parametrize("backend", ["python", "numpy"],
                          ids=["scalar", "vectorized"])
-def test_f13_unintt_local_path(benchmark, vectorized):
-    """The engine's vectorized Goldilocks local-transform option."""
+def test_f13_unintt_local_path(benchmark, backend):
+    """UniNTT with its local transforms on scalar code or numpy lanes."""
     field = GOLDILOCKS
     n = 1 << 12
     values = field.random_vector(n, RNG)
     cluster = SimCluster(field, 8)
-    engine = UniNTTEngine(cluster, vectorized=vectorized)
+    engine = UniNTTEngine(cluster)
     layout = engine.input_layout(n)
 
     def run():
         vec = DistributedVector.from_values(cluster, values, layout)
         return engine.forward(vec)
 
-    out = benchmark(run)
+    with use_backend(backend):
+        out = benchmark(run)
     assert out.to_values() == ntt(field, values)

@@ -38,7 +38,7 @@ those rules as AST visitors over ``src/repro/``:
   ``time.perf_counter`` (and their ``_ns`` variants),
   ``datetime.now``/``utcnow``/``today``, and bare calls to those names
   when imported via ``from time import ...``.  The serving and
-  simulation layers run on :class:`~repro.serve.clock.VirtualClock`;
+  simulation layers run on :class:`~repro.runtime.clock.VirtualClock`;
   a single wall-clock read makes reports differ run-to-run and breaks
   journal replay.  (This overlaps ``lint.nondeterminism`` for plain
   ``time.*`` in ``serve/``/``sim/`` — deliberately: the wall-clock
@@ -132,7 +132,7 @@ BIGFIELD_PACKAGES = ("ntt", "multigpu")
 #: Sub-packages that must be bit-deterministic.
 DETERMINISTIC_PACKAGES = ("sim", "multigpu", "serve")
 
-#: Sub-packages that run on :class:`~repro.serve.clock.VirtualClock`:
+#: Sub-packages that run on :class:`~repro.runtime.clock.VirtualClock`:
 #: any wall-clock read there makes reports differ run-to-run and
 #: breaks journal replay.  ``runtime`` (the shared event loop) is
 #: included even though it is not in :data:`DETERMINISTIC_PACKAGES` —

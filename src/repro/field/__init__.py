@@ -4,9 +4,9 @@ The bulk helpers (``vec_*``) run on a pluggable compute backend — NumPy
 ``uint64`` lanes and limb planes when NumPy is installed, pure Python
 otherwise or when selected — see
 :mod:`repro.field.backend` and ``docs/BACKENDS.md``.  NumPy is an
-optional dependency (``pip install repro[fast]``); the per-field
-specialized kernels (``gl_*``, ``bb_*``) are only importable when it
-is installed.
+optional dependency (``pip install repro[fast]``); the Goldilocks
+lane kernels (``gl_add``, ``gl_sub``, ``gl_mul``, ``gl_neg``) that
+the backend runs are only importable when it is installed.
 """
 
 from repro.field.backend import (
@@ -51,21 +51,11 @@ __all__ = [
     "fused_mul_sub_scale",
 ]
 
-# The hand-tuned per-field numpy kernels need the optional dependency;
-# without it the generic backends above still work (pure Python).
+# The Goldilocks lane kernels need the optional dependency; without it
+# the generic backends above still work (pure Python).
 if numpy_available():
-    from repro.field.babybear import (
-        BABYBEAR_P, bb_add, bb_array, bb_intt, bb_mul, bb_neg, bb_ntt,
-        bb_scale, bb_sub,
-    )
     from repro.field.goldilocks import (
-        GOLDILOCKS_P, gl_add, gl_array, gl_intt, gl_mul, gl_neg, gl_ntt,
-        gl_scale, gl_sub,
+        GOLDILOCKS_P, gl_add, gl_mul, gl_neg, gl_sub,
     )
 
-    __all__ += [
-        "GOLDILOCKS_P", "gl_array", "gl_add", "gl_sub", "gl_mul",
-        "gl_scale", "gl_neg", "gl_ntt", "gl_intt",
-        "BABYBEAR_P", "bb_array", "bb_add", "bb_sub", "bb_mul", "bb_scale",
-        "bb_neg", "bb_ntt", "bb_intt",
-    ]
+    __all__ += ["GOLDILOCKS_P", "gl_add", "gl_sub", "gl_mul", "gl_neg"]

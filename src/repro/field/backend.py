@@ -53,11 +53,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "FieldBackend", "PythonBackend", "NumPyBackend",
     "available_backends", "get_backend", "set_backend", "use_backend",
-    "numpy_available", "BACKEND_ENV_VAR",
+    "numpy_available", "BACKEND_ENV_VAR", "LANE_MIN_SIZE", "sized_lane_ops",
 ]
 
 #: Environment variable consulted for the initial backend choice.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
+
+#: Below this many lanes the pack/unpack overhead of a lane backend
+#: exceeds its whole-stage savings, so work stays on scalar code.
+LANE_MIN_SIZE = 32
 
 
 def numpy_available() -> bool:
@@ -746,6 +750,18 @@ def get_backend() -> FieldBackend:
     if _active is None:
         _active = _resolve(os.environ.get(BACKEND_ENV_VAR, "auto"))
     return _active
+
+
+def sized_lane_ops(field: "PrimeField", lanes: int):
+    """The active backend's lane ops for a ``lanes``-element job, or None.
+
+    The one crossover every lane route shares: ``None`` below
+    :data:`LANE_MIN_SIZE` lanes or when the backend has no lane
+    arithmetic for ``field``; the caller then runs its scalar code.
+    """
+    if lanes < LANE_MIN_SIZE:
+        return None
+    return get_backend().lane_ops(field)
 
 
 def set_backend(name: str) -> FieldBackend:

@@ -6,8 +6,8 @@ precisely because its reduction is branch-light 64-bit arithmetic:
 product ``lo + hi * 2^64`` (with ``hi = hi_hi * 2^32 + hi_lo``) reduces
 as ``lo + hi_lo * (2^32 - 1) - hi_hi``.  This module implements exactly
 that kernel on numpy ``uint64`` lanes — the same instruction mix a GPU
-thread executes — giving the repository a wall-clock-meaningful fast
-path alongside the arbitrary-precision reference.
+thread executes.  :class:`repro.field.NumPyBackend` runs Goldilocks on
+it, so every Goldilocks lane op and transform goes through this kernel.
 
 All functions take/return canonical values (``< p``) as ``uint64``
 arrays; the 128-bit product is assembled from four 32x32 partial
@@ -17,18 +17,11 @@ which is what the carry recovery relies on).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.errors import FieldError
 from repro.field.presets import GOLDILOCKS
-from repro.ntt.twiddle import TwiddleCache
 
-__all__ = [
-    "GOLDILOCKS_P", "gl_array", "gl_add", "gl_sub", "gl_mul", "gl_scale",
-    "gl_neg", "gl_ntt", "gl_intt", "GOLDILOCKS_OPS",
-]
+__all__ = ["GOLDILOCKS_P", "gl_add", "gl_sub", "gl_mul", "gl_neg"]
 
 #: The Goldilocks modulus as a plain int (fits in uint64).
 GOLDILOCKS_P = GOLDILOCKS.modulus
@@ -38,19 +31,6 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _EPS = np.uint64((1 << 32) - 1)  # 2^64 mod p
 _SHIFT32 = np.uint64(32)
 _C32 = np.uint64(1 << 32)
-_ONE = np.uint64(1)
-
-
-def gl_array(values: Sequence[int]) -> np.ndarray:
-    """Validate and pack canonical Goldilocks values into uint64."""
-    arr = np.asarray(values, dtype=np.object_)
-    out = np.empty(len(arr), dtype=np.uint64)
-    for i, v in enumerate(arr):
-        if not isinstance(v, (int, np.integer)) or not 0 <= v < GOLDILOCKS_P:
-            raise FieldError(
-                f"index {i}: {v!r} is not a canonical Goldilocks value")
-        out[i] = v
-    return out
 
 
 def _canonical(x: np.ndarray) -> np.ndarray:
@@ -113,50 +93,3 @@ def gl_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     lo += t1
     lo += (lo < t1) * _EPS
     return _canonical(_canonical(lo))
-
-
-def gl_scale(a: np.ndarray, scalar: int) -> np.ndarray:
-    """Multiply every lane by one canonical scalar."""
-    if not 0 <= scalar < GOLDILOCKS_P:
-        raise FieldError(f"{scalar} is not a canonical Goldilocks value")
-    return gl_mul(a, np.full(len(a), scalar, dtype=np.uint64))
-
-
-def _make_ops():
-    from repro.field.simd import LaneOps
-
-    return LaneOps(field=GOLDILOCKS, add=gl_add, sub=gl_sub, mul=gl_mul,
-                   scale=gl_scale,
-                   pack=lambda vals: np.asarray(vals, dtype=np.uint64))
-
-
-#: The lane-ops bundle the shared vectorized NTT driver consumes.
-GOLDILOCKS_OPS = _make_ops()
-
-
-def gl_ntt(values: np.ndarray | Sequence[int],
-           cache: TwiddleCache | None = None,
-           root: int | None = None) -> np.ndarray:
-    """Vectorized forward NTT over Goldilocks, natural order in/out.
-
-    Radix-2 DIF with whole-stage numpy butterflies followed by one
-    gather for the bit-reversal — the data-parallel shape of a GPU
-    kernel, which is exactly why it is fast here too (see
-    :mod:`repro.field.simd` for the shared schedule).
-    """
-    from repro.field.simd import vectorized_ntt
-
-    arr = values if isinstance(values, np.ndarray) \
-        else gl_array(list(values))
-    return vectorized_ntt(GOLDILOCKS_OPS, arr, cache, root)
-
-
-def gl_intt(values: np.ndarray | Sequence[int],
-            cache: TwiddleCache | None = None,
-            root: int | None = None) -> np.ndarray:
-    """Vectorized inverse NTT (includes the 1/n scaling)."""
-    from repro.field.simd import vectorized_intt
-
-    arr = values if isinstance(values, np.ndarray) \
-        else gl_array(list(values))
-    return vectorized_intt(GOLDILOCKS_OPS, arr, cache, root)

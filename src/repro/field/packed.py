@@ -12,8 +12,9 @@ lane kernels (:mod:`repro.field.simd`, :mod:`repro.field.multilimb`);
 what lives here is:
 
 * :func:`packed_ops` — the single gate deciding whether a pipeline may
-  run packed (backend offers lane ops, size clears ``min_size``, the
-  packed path has not been disabled);
+  run packed (backend offers lane ops, size clears
+  :data:`~repro.field.backend.LANE_MIN_SIZE`, the packed path has not
+  been disabled);
 * coset-aware transforms (:func:`packed_coset_ntt` /
   :func:`packed_coset_intt`) whose scale tables are cached in
   Montgomery form so the pointwise pre/post-scaling is one montmul via
@@ -35,7 +36,7 @@ from contextlib import contextmanager
 from typing import Sequence
 
 from repro.errors import NTTError
-from repro.field.backend import get_backend
+from repro.field.backend import sized_lane_ops
 from repro.field.prime_field import PrimeField
 from repro.ntt.twiddle import TwiddleCache, default_cache
 
@@ -44,7 +45,7 @@ __all__ = [
     "pack_values", "unpack_values", "host_list", "packed_ntt",
     "packed_intt",
     "packed_coset_ntt", "packed_coset_intt", "packed_pad",
-    "fused_mul_sub_scale", "pack_coefficients", "gather_dot",
+    "fused_mul_sub_scale", "pack_coefficients", "table_mul", "gather_dot",
 ]
 
 _ENABLED = True
@@ -102,22 +103,17 @@ def packed_disabled():
         _ENABLED = prior
 
 
-def packed_ops(field: PrimeField, n: int | None = None):
+def packed_ops(field: PrimeField, n: int):
     """The active backend's :class:`LaneOps` for ``field``, or ``None``.
 
     ``None`` means the caller must take the list path: the backend has
-    no lane kernels for this field, the problem size ``n`` (if given)
-    is below the backend's ``min_size`` crossover, or packed execution
-    is disabled via :func:`packed_disabled`.
+    no lane kernels for this field, the problem size ``n`` is below the
+    shared lane crossover or not a power of two, or packed execution is
+    disabled via :func:`packed_disabled`.
     """
-    if not _ENABLED:
+    if not _ENABLED or n & (n - 1):
         return None
-    ops = get_backend().lane_ops(field)
-    if ops is None:
-        return None
-    if n is not None and (n < ops.min_size or n & (n - 1)):
-        return None
-    return ops
+    return sized_lane_ops(field, n)
 
 
 def pack_values(ops, values: Sequence[int]):
@@ -184,14 +180,13 @@ def _scale_by_powers(ops, arr, base: int, cache: TwiddleCache):
     of one power table never collide.
     """
     field = ops.field
-    n = arr.shape[-1]
     if _mont_tables(ops):
-        table = cache.packed_powers(field, base % field.modulus, n,
-                                    ops.pack_table, fmt=ops.fmt)
-        return ops.mul_mont(arr, table)
-    table = cache.packed_powers(field, base % field.modulus, n,
-                                ops.pack, fmt="raw:" + ops.fmt)
-    return ops.mul(arr, table)
+        pack, fmt = ops.pack_table, ops.fmt
+    else:
+        pack, fmt = ops.pack, "raw:" + ops.fmt
+    table = cache.packed_powers(field, base % field.modulus, arr.shape[-1],
+                                pack, fmt=fmt)
+    return table_mul(ops)(arr, table)
 
 
 def packed_coset_ntt(ops, arr, shift: int,
@@ -263,6 +258,15 @@ def pack_coefficients(ops, values: Sequence[int]):
     return (ops.pack_table if _mont_tables(ops) else ops.pack)(list(values))
 
 
+def table_mul(ops):
+    """The lane multiply for :func:`pack_coefficients` tables.
+
+    ``mul_mont`` (one montmul) where tables are packed in Montgomery
+    form, ``mul`` where they are packed in the ordinary format.
+    """
+    return ops.mul_mont if _mont_tables(ops) else ops.mul
+
+
 def gather_dot(ops, x, slots):
     """``sum_j x[..., idx_j] * t_j`` over slot-major sparse terms, packed.
 
@@ -278,7 +282,7 @@ def gather_dot(ops, x, slots):
     """
     if ops.gather_dot is not None:
         return ops.gather_dot(x, slots)
-    mul = ops.mul_mont if _mont_tables(ops) else ops.mul
+    mul = table_mul(ops)
     acc = None
     for idx, table in slots:
         term = x[..., idx]

@@ -1,9 +1,7 @@
 """Shared driver for data-parallel (numpy) NTTs.
 
-The vectorized field backends (:mod:`repro.field.goldilocks`,
-:mod:`repro.field.babybear`, and the generic kernels in
-:mod:`repro.field.backend`) differ only in their lane arithmetic; the
-transform schedule lives here and is shared.
+The lane kernels of :mod:`repro.field.backend` differ only in their
+lane arithmetic; the transform schedule lives here and is shared.
 
 The schedule is a Stockham autosort: each stage reads the two
 *contiguous* halves of the working buffer, writes butterfly outputs
@@ -47,9 +45,8 @@ class LaneOps:
     domain, e.g. Montgomery form), ``ntt_core`` runs the whole
     transform in backend-native form instead of the generic Stockham
     loop below (called as ``ntt_core(values, table, batch)``, with the
-    size-major batch layout of :func:`vectorized_ntt`), ``fmt`` keys
-    the packed-twiddle cache, and ``min_size`` lets a backend demand a
-    larger minimum before the lane path beats scalar code.
+    size-major batch layout of :func:`vectorized_ntt`), and ``fmt``
+    keys the packed-twiddle cache.
     """
 
     field: PrimeField
@@ -62,7 +59,6 @@ class LaneOps:
     pack_table: Callable[[list[int]], np.ndarray] | None = None
     ntt_core: Callable[..., np.ndarray] | None = None
     fmt: str = "u64"
-    min_size: int = 32
     #: Pointwise multiply against a Montgomery-form (``pack_table``)
     #: array: one montmul instead of two.  ``None`` for backends whose
     #: tables are packed raw (use ``mul`` there).

@@ -40,7 +40,7 @@ class BatchedDistributedNTT:
 
     def __init__(self, cluster: SimCluster, strategy: str = "replicate",
                  inner: DistributedNTTEngine | None = None,
-                 tile: int = 4096, packed: bool = False):
+                 tile: int = 4096):
         if strategy not in ("replicate", "split"):
             raise SimulationError(
                 f"strategy must be 'replicate' or 'split', got "
@@ -50,12 +50,6 @@ class BatchedDistributedNTT:
         self.inner = inner if inner is not None else UniNTTEngine(
             cluster, tile=tile)
         self.tile = tile
-        #: Run each replicated transform on the backend's packed
-        #: currency (pack once, transform resident, unpack at egress).
-        #: Outputs, charges, and trace events are identical to the
-        #: list path — ``packed`` changes only the host-side execution
-        #: route — so it is deliberately *not* part of ``self.name``.
-        self.packed = packed
         self.name = f"batched-{strategy}"
 
     @property
@@ -86,55 +80,26 @@ class BatchedDistributedNTT:
             return self._run_replicated(batch, n, inverse)
         return self._run_split(batch, n, inverse)
 
-    def _packed_lane_ops(self, n: int):
-        """Lane ops iff this batch may run the packed replicate path."""
-        if not self.packed:
-            return None
-        injector = self.cluster.injector
-        if injector is not None and not (
-                hasattr(injector, "compute_only") and injector.compute_only()):
-            return None  # in-flight chaos needs materialized shards
-        if self.cluster.checksum_exchanges:
-            return None  # exchange checksums need materialized messages
-        from repro.field.packed import packed_ops
-
-        return packed_ops(self.field, n)
-
     def _run_replicated(self, batch: Sequence[Sequence[int]], n: int,
                         inverse: bool) -> list[list[int]]:
         """Round-robin whole vectors to GPUs; all transforms local.
 
-        With :attr:`packed` set (and the backend offering lane kernels
-        for this field/size), each vector is packed once, transformed
-        resident, and unpacked only at egress — the serve path for
-        batched big-field requests.  Charges and outputs are identical
-        either way; only the host execution route differs.
+        On a lane backend each transform packs its vector once, runs
+        the whole-stage kernel, and unpacks once (inside
+        :func:`repro.ntt.radix2.ntt`); the charges are the same on
+        every backend.
         """
         g = self.cluster.gpu_count
         eb = self.cluster.element_bytes
         transform = radix2.intt if inverse else radix2.ntt
-        ops = self._packed_lane_ops(n)
         out: list[list[int]] = []
         per_gpu_count = [0] * g
         per_gpu_buffers: dict[int, list[list[int]]] = {}
         for index, vec in enumerate(batch):
             gpu = self.cluster.gpus[index % g]
-            if ops is not None:
-                from repro.field.packed import (
-                    pack_stats, pack_values, packed_intt, packed_ntt,
-                    unpack_values,
-                )
-
-                arr = pack_values(ops, list(vec))
-                with pack_stats.hot():
-                    arr = (packed_intt if inverse else packed_ntt)(
-                        ops, arr, default_cache)
-                result = unpack_values(ops, arr)
-                gpu.load(result)
-            else:
-                gpu.load(list(vec))
-                gpu.shard = transform(self.field, gpu.shard, default_cache)
-                result = list(gpu.shard)
+            gpu.load(list(vec))
+            gpu.shard = transform(self.field, gpu.shard, default_cache)
+            result = list(gpu.shard)
             out.append(result)
             per_gpu_buffers.setdefault(gpu.gpu_id, []).append(result)
             muls = acct.local_ntt_muls(n) + (n if inverse else 0)

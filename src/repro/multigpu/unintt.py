@@ -54,42 +54,20 @@ class UniNTTEngine(DistributedNTTEngine):
     name = "unintt"
 
     def __init__(self, cluster: SimCluster, tile: int = 4096,
-                 options: UniNTTOptions = ALL_ON,
-                 vectorized: bool = False):
+                 options: UniNTTOptions = ALL_ON):
         super().__init__(cluster, tile)
         self.options = options
         self.name = f"unintt[{options.label()}]"
-        if vectorized:
-            from repro.field.presets import GOLDILOCKS
-
-            if cluster.field != GOLDILOCKS:
-                raise PartitionError(
-                    "vectorized local transforms are implemented for "
-                    f"Goldilocks only, not {cluster.field.name}")
-        self.vectorized = vectorized
 
     def _local_transform(self, shard: list[int], root: int,
                          twiddle_base: int | None, m: int) -> list[int]:
         """One GPU's local M-point transform (+ optional fused twiddle).
 
-        The vectorized path runs the numpy Goldilocks kernels — the
-        same data-parallel schedule a CUDA kernel uses — and is
-        bit-identical to the scalar path.
+        The active field backend decides how it runs on the host
+        (whole-stage lanes or scalar code); the result is bit-identical
+        either way.
         """
         field = self.field
-        p = field.modulus
-        if self.vectorized:
-            import numpy as np
-
-            from repro.field.goldilocks import gl_mul, gl_ntt
-
-            out = gl_ntt(np.asarray(shard, dtype=np.uint64), root=root)
-            if twiddle_base is not None:
-                tw = np.asarray(
-                    default_cache.powers(field, twiddle_base, m),
-                    dtype=np.uint64)
-                out = gl_mul(out, tw)
-            return [int(v) for v in out]
         out = radix2.ntt(field, shard, default_cache, root=root)
         if twiddle_base is not None:
             tw = default_cache.powers(field, twiddle_base, m)

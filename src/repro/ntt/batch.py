@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.errors import NTTError
-from repro.field.backend import get_backend
+from repro.field.backend import sized_lane_ops
 from repro.field.prime_field import PrimeField
 from repro.field.vector import vec_scale
 from repro.ntt import radix2
@@ -41,8 +41,9 @@ def ntt_groups(field: PrimeField, values: Sequence[int], size: int,
     count) runs every group's butterflies in one pass per stage; the
     scaling is one lane op, and the result is transposed back and
     unpacked once.  Without lane arithmetic for ``field``, or when the
-    whole vector is shorter than the backend's minimum lane size, the
-    groups are transformed one by one.
+    whole vector is shorter than
+    :data:`~repro.field.backend.LANE_MIN_SIZE`, the groups are
+    transformed one by one.
     """
     n = len(values)
     if size < 1 or size & (size - 1):
@@ -51,9 +52,8 @@ def ntt_groups(field: PrimeField, values: Sequence[int], size: int,
         raise NTTError(
             f"group size {size} does not divide the vector length {n}")
     cache = cache or default_cache
-    ops = get_backend().lane_ops(field) if n >= radix2.ACCEL_MIN_SIZE \
-        else None
-    if ops is None or n < ops.min_size:
+    ops = sized_lane_ops(field, n)
+    if ops is None:
         out = list(values)
         if size > 1:
             for base in range(0, n, size):

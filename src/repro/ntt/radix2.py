@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import NTTError
-from repro.field.backend import get_backend
+from repro.field.backend import sized_lane_ops
 from repro.field.prime_field import PrimeField
 from repro.ntt.twiddle import TwiddleCache, default_cache
 
@@ -30,16 +30,6 @@ __all__ = [
     "ntt", "intt", "ntt_dit_inplace", "ntt_dif_inplace",
     "apply_bit_reversal", "radix2_butterfly_count",
 ]
-
-#: Below this size the pack/unpack overhead of a lane backend exceeds
-#: the butterfly savings; stay on the scalar path.
-ACCEL_MIN_SIZE = 32
-
-
-def _lane_ops(field: PrimeField):
-    """Whole-stage lane arithmetic from the active backend, or None."""
-    return get_backend().lane_ops(field)
-
 
 def check_size(n: int, field: PrimeField) -> None:
     """Raise :class:`NTTError` unless ``field`` has an n-point NTT."""
@@ -122,14 +112,12 @@ def ntt(field: PrimeField, values: Sequence[int],
     elif n == 0 or n & (n - 1):
         raise NTTError(f"NTT size must be a power of two, got {n}")
     cache = cache or default_cache
-    if n >= ACCEL_MIN_SIZE:
-        ops = _lane_ops(field)
-        if ops is not None and n >= ops.min_size:
-            from repro.field.simd import vectorized_ntt
+    ops = sized_lane_ops(field, n)
+    if ops is not None:
+        from repro.field.simd import vectorized_ntt
 
-            res = vectorized_ntt(ops, ops.pack(list(values)), cache, root)
-            return (ops.unpack(res) if ops.unpack is not None
-                    else res.tolist())
+        res = vectorized_ntt(ops, ops.pack(list(values)), cache, root)
+        return ops.unpack(res) if ops.unpack is not None else res.tolist()
     out = list(values)
     if n == 1:
         return out
@@ -156,14 +144,12 @@ def intt(field: PrimeField, values: Sequence[int],
     elif n == 0 or n & (n - 1):
         raise NTTError(f"NTT size must be a power of two, got {n}")
     cache = cache or default_cache
-    if n >= ACCEL_MIN_SIZE:
-        ops = _lane_ops(field)
-        if ops is not None and n >= ops.min_size:
-            from repro.field.simd import vectorized_intt
+    ops = sized_lane_ops(field, n)
+    if ops is not None:
+        from repro.field.simd import vectorized_intt
 
-            res = vectorized_intt(ops, ops.pack(list(values)), cache, root)
-            return (ops.unpack(res) if ops.unpack is not None
-                    else res.tolist())
+        res = vectorized_intt(ops, ops.pack(list(values)), cache, root)
+        return ops.unpack(res) if ops.unpack is not None else res.tolist()
     out = list(values)
     if n == 1:
         return out

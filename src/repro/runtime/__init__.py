@@ -7,9 +7,8 @@ and every ordering decision is a pure function of the inputs.  This
 package is the common substrate they share:
 
 * :class:`~repro.runtime.clock.VirtualClock` — monotonic simulated
-  seconds.  Formerly ``repro.serve.clock`` (which now re-exports it);
-  hardened here to reject NaN and non-finite advances outright, since
-  one silently-absorbed ``nan`` corrupts every later timestamp.
+  seconds, hardened to reject NaN and non-finite advances outright,
+  since one silently-absorbed ``nan`` corrupts every later timestamp.
 * :class:`~repro.runtime.loop.EventLoop` — a deterministic scheduled-
   event heap on a :class:`VirtualClock`.  Events at equal timestamps
   order by an explicit priority and then by insertion sequence, so two

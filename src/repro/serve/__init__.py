@@ -23,10 +23,10 @@ Entry points:
   :mod:`repro.serve.qos`).
 """
 
+from repro.runtime.clock import VirtualClock
 from repro.serve.cache import (
     PLAN_MISS_MESSAGES, STRATEGIES, PlanCache, PlanEntry, TwiddleLedger,
 )
-from repro.serve.clock import VirtualClock
 from repro.serve.degrade import BREAKER_STATES, CircuitBreaker, DegradePolicy
 from repro.serve.durability import (
     JOURNAL_KINDS, JOURNAL_MESSAGES, RECOVER_MESSAGES,

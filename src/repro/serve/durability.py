@@ -7,7 +7,7 @@ server crash-consistent the way production proof-serving systems are:
 
 * :class:`WriteAheadJournal` — an append-only log of checksummed
   :class:`JournalRecord` entries keyed to the
-  :class:`~repro.serve.clock.VirtualClock`.  The server writes a record
+  :class:`~repro.runtime.clock.VirtualClock`.  The server writes a record
   *before* each externally visible state change (``admit``, ``reject``,
   ``shed``, ``dispatch``) and *after* each completion (``emit``,
   ``complete``), so the journal always brackets the truth: anything

@@ -52,14 +52,9 @@ class ProofRequest:
         The submitting tenant.  Per-tenant QoS (weighted fair queueing
         in :mod:`repro.serve.qos`) and the per-tenant report breakdown
         key on it; single-tenant workloads leave the default.
-    packed:
-        Request the packed execution route: the batcher transforms
-        each lane on the backend's packed arrays (limb planes for the
-        big ZKP fields) instead of ``list[int]``.  Bit-identical
-        outputs and identical accounting; part of :meth:`shape_key`
-        so packed and unpacked requests never share a cross-request
-        batch (they take different execution routes).  Old journal /
-        workload records without the field load as unpacked.
+
+    How a lane is transformed on the host (lists or packed lanes) is
+    the active field backend's choice, not the request's.
     """
 
     request_id: int
@@ -72,7 +67,6 @@ class ProofRequest:
     arrival_s: float = 0.0
     data_seed: int = 0
     tenant_id: str = "default"
-    packed: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.tenant_id, str) or not self.tenant_id:
@@ -113,10 +107,9 @@ class ProofRequest:
     def field(self) -> PrimeField:
         return field_by_name(self.field_name)
 
-    def shape_key(self) -> tuple[str, int, str, bool]:
+    def shape_key(self) -> tuple[str, int, str]:
         """Requests sharing this key may ride one cross-request batch."""
-        return (self.field_name, self.log_size, self.direction,
-                self.packed)
+        return (self.field_name, self.log_size, self.direction)
 
     def urgency_key(self) -> tuple[float, int, float, int]:
         """Deadline-first total order (EDF), ties by priority/arrival."""
@@ -137,14 +130,20 @@ class ProofRequest:
             "arrival_s": self.arrival_s,
             "data_seed": self.data_seed,
             "tenant_id": self.tenant_id,
-            "packed": self.packed,
         }
 
     @classmethod
     def from_record(cls, record: dict) -> "ProofRequest":
-        """Rebuild a request from :meth:`to_record` output."""
+        """Rebuild a request from :meth:`to_record` output.
+
+        Records written while requests still carried an execution-route
+        flag hold a ``"packed"`` key; it is dropped, since the backend
+        now makes that choice.  Any other unknown key is an error.
+        """
+        fields = {key: value for key, value in record.items()
+                  if key != "packed"}
         try:
-            return cls(**record)
+            return cls(**fields)
         except TypeError as error:
             raise ServeError(f"bad request record: {error}") from error
 

@@ -3,7 +3,7 @@
 :class:`ProofServer` turns a stream of
 :class:`~repro.serve.request.ProofRequest` records into completed
 transforms over one simulated machine.  The loop is a discrete-event
-simulation on a :class:`~repro.serve.clock.VirtualClock` — no wall
+simulation on a :class:`~repro.runtime.clock.VirtualClock` — no wall
 time anywhere — so the same workload replays bit-identically:
 
 1. **Admit** every request whose arrival time has passed into the
@@ -70,13 +70,13 @@ from repro.hw.model import MachineModel
 from repro.multigpu.abft import AbftChecker, ProbeLedger
 from repro.multigpu.batch_engine import BatchedDistributedNTT
 from repro.serve.cache import PLAN_MISS_MESSAGES, PlanCache, TwiddleLedger
-from repro.serve.clock import VirtualClock
 from repro.serve.degrade import CircuitBreaker, DegradePolicy, SdcScoreboard
 from repro.serve.durability import (
     JOURNAL_MESSAGES, RECOVER_MESSAGES, REPLAY_MESSAGES_PER_RECORD,
     SNAPSHOT_MESSAGES, ResumeState, ServerSnapshot, WriteAheadJournal,
     output_digest,
 )
+from repro.runtime.clock import VirtualClock
 from repro.runtime.loop import SharedCounter
 from repro.serve.queue import AdmissionQueue
 from repro.serve.report import DispatchRecord, ServeReport
@@ -757,7 +757,7 @@ class ProofServer:
         if not use_fallback:
             engine = BatchedDistributedNTT(
                 self._cluster(field), strategy=entry.strategy,
-                tile=entry.tile, packed=head.packed)
+                tile=entry.tile)
             profile = list(engine.forward_profile(n, total_vectors))
             steps.extend(profile)
             while outputs is None:
@@ -848,8 +848,7 @@ class ProofServer:
             # full (slower) profile is charged honestly.
             strategy_label = "single-gpu"
             fallback = BatchedDistributedNTT(
-                self._fallback_cluster(field), strategy="replicate",
-                packed=head.packed)
+                self._fallback_cluster(field), strategy="replicate")
             steps.extend(fallback.forward_profile(n, total_vectors))
             attempts += 1
             if head.direction == "inverse":

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from repro.errors import ProverError
 from repro.field.packed import (
-    pack_stats, pack_values, packed_coset_intt, packed_coset_ntt,
-    packed_ops, packed_pad, unpack_values,
+    pack_coefficients, pack_stats, pack_values, packed_coset_intt,
+    packed_coset_ntt, packed_ops, packed_pad, table_mul, unpack_values,
 )
 from repro.field.vector import vec_inv
 from repro.ntt.polymul import next_power_of_two
@@ -113,10 +113,7 @@ class KzgScheme:
         with pack_stats.hot():
             evals = packed_coset_ntt(ops, arr, shift, default_cache)
             numer = ops.sub(evals, ops.pack([value]))
-            if ops.mul_mont is not None and ops.pack_table is not None:
-                q_evals = ops.mul_mont(numer, ops.pack_table(inv_dens))
-            else:
-                q_evals = ops.mul(numer, ops.pack(inv_dens))
+            q_evals = table_mul(ops)(numer, pack_coefficients(ops, inv_dens))
             q_arr = packed_coset_intt(ops, q_evals, shift, default_cache)
         return Polynomial(field, unpack_values(ops, q_arr))
 

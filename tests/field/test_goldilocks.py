@@ -1,14 +1,16 @@
-"""Tests for the vectorized Goldilocks kernels."""
+"""Tests for the Goldilocks lane kernels and Goldilocks transforms on the
+numpy backend (which runs them)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import FieldError, NTTError
+from repro.errors import NTTError
 from repro.field import (
-    GOLDILOCKS, GOLDILOCKS_P, gl_add, gl_array, gl_intt, gl_mul, gl_neg,
-    gl_ntt, gl_scale, gl_sub,
+    GOLDILOCKS, GOLDILOCKS_P, NumPyBackend, gl_add, gl_mul, gl_neg, gl_sub,
+    use_backend,
 )
+from repro.field.packed import packed_ntt
 from repro.ntt import intt, ntt
 
 P = GOLDILOCKS_P
@@ -18,19 +20,21 @@ EDGE_VALUES = [0, 1, 2, (1 << 32) - 2, (1 << 32) - 1, 1 << 32,
                (1 << 32) + 1, (1 << 63) - 1, 1 << 63, P - 2, P - 1]
 
 
+def lanes(values):
+    """Canonical values as the ``uint64`` lanes the kernels take."""
+    return np.array(values, dtype=np.uint64)
+
+
+def numpy_ops():
+    """The numpy backend's Goldilocks lane ops (its ``gl_*`` kernels)."""
+    return NumPyBackend().lane_ops(GOLDILOCKS)
+
+
 class TestPacking:
     def test_roundtrip(self):
-        arr = gl_array(EDGE_VALUES)
+        arr = numpy_ops().pack(EDGE_VALUES)
         assert arr.dtype == np.uint64
-        assert [int(v) for v in arr] == EDGE_VALUES
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(FieldError, match="canonical"):
-            gl_array([P])
-        with pytest.raises(FieldError, match="canonical"):
-            gl_array([-1])
-        with pytest.raises(FieldError, match="canonical"):
-            gl_array([1.5])
+        assert arr.tolist() == EDGE_VALUES
 
 
 class TestArithmetic:
@@ -39,85 +43,99 @@ class TestArithmetic:
 
     def test_add_edge_matrix(self):
         pairs = self._pairs()
-        a = gl_array([x for x, _ in pairs])
-        b = gl_array([y for _, y in pairs])
+        a = lanes([x for x, _ in pairs])
+        b = lanes([y for _, y in pairs])
         assert [int(v) for v in gl_add(a, b)] == \
             [(x + y) % P for x, y in pairs]
 
     def test_sub_edge_matrix(self):
         pairs = self._pairs()
-        a = gl_array([x for x, _ in pairs])
-        b = gl_array([y for _, y in pairs])
+        a = lanes([x for x, _ in pairs])
+        b = lanes([y for _, y in pairs])
         assert [int(v) for v in gl_sub(a, b)] == \
             [(x - y) % P for x, y in pairs]
 
     def test_mul_edge_matrix(self):
         pairs = self._pairs()
-        a = gl_array([x for x, _ in pairs])
-        b = gl_array([y for _, y in pairs])
+        a = lanes([x for x, _ in pairs])
+        b = lanes([y for _, y in pairs])
         assert [int(v) for v in gl_mul(a, b)] == \
             [x * y % P for x, y in pairs]
 
     def test_random_against_reference(self, rng):
         xs = GOLDILOCKS.random_vector(500, rng)
         ys = GOLDILOCKS.random_vector(500, rng)
-        a, b = gl_array(xs), gl_array(ys)
+        a, b = lanes(xs), lanes(ys)
         assert [int(v) for v in gl_mul(a, b)] == \
             [x * y % P for x, y in zip(xs, ys)]
 
     def test_neg(self):
-        arr = gl_array(EDGE_VALUES)
+        arr = lanes(EDGE_VALUES)
         assert [int(v) for v in gl_neg(arr)] == [(-v) % P for v in
                                                  EDGE_VALUES]
 
     def test_scale(self):
-        arr = gl_array(EDGE_VALUES)
+        arr = lanes(EDGE_VALUES)
         s = P - 3
-        assert [int(v) for v in gl_scale(arr, s)] == \
+        assert [int(v) for v in numpy_ops().scale(arr, s)] == \
             [v * s % P for v in EDGE_VALUES]
-
-    def test_scale_validation(self):
-        with pytest.raises(FieldError, match="canonical"):
-            gl_scale(gl_array([1]), P)
 
 
 class TestVectorizedNTT:
+    """``radix2.ntt``/``intt`` on the numpy backend against ``python``."""
+
     @pytest.mark.parametrize("n", [1, 2, 4, 16, 256, 1024])
     def test_matches_scalar_path(self, n, rng):
         x = GOLDILOCKS.random_vector(n, rng)
-        assert [int(v) for v in gl_ntt(x)] == ntt(GOLDILOCKS, x)
+        with use_backend("python"):
+            want = ntt(GOLDILOCKS, x)
+        with use_backend("numpy"):
+            assert ntt(GOLDILOCKS, x) == want
 
     @pytest.mark.parametrize("n", [2, 64, 512])
     def test_roundtrip(self, n, rng):
         x = GOLDILOCKS.random_vector(n, rng)
-        assert [int(v) for v in gl_intt(gl_ntt(x))] == x
+        with use_backend("numpy"):
+            assert intt(GOLDILOCKS, ntt(GOLDILOCKS, x)) == x
 
     def test_interchangeable_with_scalar_inverse(self, rng):
         x = GOLDILOCKS.random_vector(64, rng)
-        assert intt(GOLDILOCKS, [int(v) for v in gl_ntt(x)]) == x
+        with use_backend("numpy"):
+            spectrum = ntt(GOLDILOCKS, x)
+        with use_backend("python"):
+            assert intt(GOLDILOCKS, spectrum) == x
 
     def test_explicit_root(self, rng):
-        n = 16
+        n = 64
         w = GOLDILOCKS.root_of_unity(n)
         x = GOLDILOCKS.random_vector(n, rng)
-        assert [int(v) for v in gl_ntt(x, root=w)] == ntt(GOLDILOCKS, x)
-        assert [int(v) for v in gl_intt(gl_ntt(x, root=w), root=w)] == x
+        with use_backend("python"):
+            want = ntt(GOLDILOCKS, x)
+        with use_backend("numpy"):
+            assert ntt(GOLDILOCKS, x, root=w) == want
+            assert intt(GOLDILOCKS, ntt(GOLDILOCKS, x, root=w),
+                        root=w) == x
 
     def test_accepts_ndarray(self, rng):
-        x = gl_array(GOLDILOCKS.random_vector(32, rng))
-        out = gl_ntt(x)
+        ops = numpy_ops()
+        x = ops.pack(GOLDILOCKS.random_vector(32, rng))
+        out = packed_ntt(ops, x)
         assert isinstance(out, np.ndarray)
 
     def test_size_validation(self):
+        with use_backend("numpy"):
+            with pytest.raises(NTTError, match="power of two"):
+                ntt(GOLDILOCKS, [1, 2, 3])
+            with pytest.raises(NTTError, match="power of two"):
+                intt(GOLDILOCKS, [1, 2, 3])
         with pytest.raises(NTTError, match="power of two"):
-            gl_ntt([1, 2, 3])
-        with pytest.raises(NTTError, match="power of two"):
-            gl_intt([1, 2, 3])
+            packed_ntt(numpy_ops(), lanes([1, 2, 3]))
 
     def test_input_not_mutated(self, rng):
-        x = gl_array(GOLDILOCKS.random_vector(16, rng))
+        ops = numpy_ops()
+        x = ops.pack(GOLDILOCKS.random_vector(16, rng))
         before = x.copy()
-        gl_ntt(x)
+        packed_ntt(ops, x)
         assert (x == before).all()
 
 
@@ -126,5 +144,5 @@ class TestVectorizedNTT:
        st.lists(st.integers(min_value=0, max_value=P - 1),
                 min_size=3, max_size=3))
 def test_mul_property(xs, ys):
-    got = [int(v) for v in gl_mul(gl_array(xs), gl_array(ys))]
+    got = [int(v) for v in gl_mul(lanes(xs), lanes(ys))]
     assert got == [x * y % P for x, y in zip(xs, ys)]

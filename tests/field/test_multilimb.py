@@ -18,6 +18,7 @@ from repro.field import (
     BLS12_381_FR, BN254_FR, NumPyBackend, PythonBackend,
     describe_schedule, generate_schedule, numpy_available, use_backend,
 )
+from repro.field.backend import LANE_MIN_SIZE
 from repro.field.limbgen import emit_montmul_source, pick_limb_bits
 
 BIG_FIELDS = (BN254_FR, BLS12_381_FR)
@@ -291,7 +292,7 @@ class TestNTTCore:
     def test_lane_ops_surface(self, field):
         ops = NumPyBackend().lane_ops(field)
         assert ops.fmt == "limb29x9"
-        assert ops.min_size == 32
+        assert LANE_MIN_SIZE == 32
         assert ops.unpack is not None and ops.pack_table is not None
 
     def test_stage_table_cache_is_bounded(self, field, rng):

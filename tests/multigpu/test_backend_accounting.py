@@ -1,11 +1,11 @@
 """The field backend changes how a transform runs on the host, never what
 it charges.
 
-A UniNTT forward + inverse round trip (and the same forward run by the
-schedule interpreter) on G=8 simulated GPUs must give, on the reference
-``python`` backend and on a lane backend, bit-identical outputs, the
-same per-GPU ``GpuCounters``, the same ``bytes_by_level()`` and the
-same trace event list.
+A UniNTT forward (plain or on a coset) + inverse round trip (and the
+same forward run by the schedule interpreter) on G=8 simulated GPUs
+must give, on the reference ``python`` backend and on a lane backend,
+bit-identical outputs, the same per-GPU ``GpuCounters``, the same
+``bytes_by_level()`` and the same trace event list.
 """
 
 import random
@@ -36,13 +36,14 @@ def accounting(cluster):
             cluster.trace.bytes_by_level(), list(cluster.trace.events))
 
 
-def engine_round_trip(backend, field, values):
+def engine_round_trip(backend, field, values, coset_shift=None):
     n = len(values)
     with use_backend(backend):
         cluster = SimCluster(field, GPUS)
         engine = UniNTTEngine(cluster)
         engine.forward(DistributedVector.from_values(
-            cluster, values, engine.input_layout(n)))
+            cluster, values, engine.input_layout(n)),
+            coset_shift=coset_shift)
         spectrum = cluster.peek_shards()
         back = engine.inverse(DistributedVector(
             cluster=cluster, layout=engine.output_layout(n))).to_values()
@@ -65,6 +66,20 @@ def test_engine_round_trip_accounting_is_backend_free(field, n,
     ref_out, ref_acct = engine_round_trip("python", field, values)
     out, acct = engine_round_trip(lane_backend, field, values)
     assert ref_out[1] == values
+    assert out == ref_out
+    assert acct == ref_acct
+
+
+@pytest.mark.parametrize("field,n,lane_backend", CASES)
+def test_coset_round_trip_accounting_is_backend_free(field, n,
+                                                     lane_backend):
+    """The coset scaling fused into the local twiddle pass runs on the
+    backend's lanes too, and charges the same."""
+    values = field.random_vector(n, random.Random(n + 2))
+    ref_out, ref_acct = engine_round_trip("python", field, values,
+                                          coset_shift=7)
+    out, acct = engine_round_trip(lane_backend, field, values,
+                                  coset_shift=7)
     assert out == ref_out
     assert acct == ref_acct
 

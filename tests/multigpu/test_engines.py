@@ -15,7 +15,9 @@ import random
 import pytest
 
 from repro.errors import PartitionError, SimulationError
-from repro.field import BLS12_381_FR, GOLDILOCKS, TEST_FIELD_7681
+from repro.field import (
+    BLS12_381_FR, GOLDILOCKS, TEST_FIELD_7681, numpy_available, use_backend,
+)
 from repro.hw import DGX_A100, PipelinedGroup
 from repro.multigpu import (
     ALL_OFF, ALL_ON, BaselineFourStepEngine, BlockLayout, CyclicLayout,
@@ -370,19 +372,24 @@ class TestDistributedCoset:
         assert out.to_values() == negacyclic_ntt(F, x)
 
 
+@pytest.mark.skipif(not numpy_available(), reason="needs numpy")
 class TestVectorizedPath:
+    """The numpy backend runs the local transforms on lanes; the python
+    backend runs them as scalar code.  Only the host route differs."""
+
     def test_bit_identical_to_scalar(self, rng):
         n, g = 512, 4
         x = GOLDILOCKS.random_vector(n, rng)
         results = []
-        for flag in (False, True):
-            cluster = SimCluster(GOLDILOCKS, g)
-            engine = UniNTTEngine(cluster, vectorized=flag)
-            vec = DistributedVector.from_values(cluster, x,
-                                                engine.input_layout(n))
-            out = engine.forward(vec)
-            results.append(out.to_values())
-            assert engine.inverse(out).to_values() == x
+        for backend in ("python", "numpy"):
+            with use_backend(backend):
+                cluster = SimCluster(GOLDILOCKS, g)
+                engine = UniNTTEngine(cluster)
+                vec = DistributedVector.from_values(cluster, x,
+                                                    engine.input_layout(n))
+                out = engine.forward(vec)
+                results.append(out.to_values())
+                assert engine.inverse(out).to_values() == x
         assert results[0] == results[1] == ntt(GOLDILOCKS, x)
 
     def test_counters_unchanged_by_vectorization(self, rng):
@@ -391,27 +398,25 @@ class TestVectorizedPath:
         n, g = 256, 4
         x = GOLDILOCKS.random_vector(n, rng)
         counters = []
-        for flag in (False, True):
-            cluster = SimCluster(GOLDILOCKS, g)
-            engine = UniNTTEngine(cluster, vectorized=flag)
-            vec = DistributedVector.from_values(cluster, x,
-                                                engine.input_layout(n))
-            engine.forward(vec)
+        for backend in ("python", "numpy"):
+            with use_backend(backend):
+                cluster = SimCluster(GOLDILOCKS, g)
+                engine = UniNTTEngine(cluster)
+                vec = DistributedVector.from_values(cluster, x,
+                                                    engine.input_layout(n))
+                engine.forward(vec)
             counters.append(cluster.gpus[0].counters.snapshot())
         assert counters[0] == counters[1]
-
-    def test_requires_goldilocks(self):
-        with pytest.raises(PartitionError, match="Goldilocks"):
-            UniNTTEngine(SimCluster(F, 4), vectorized=True)
 
     def test_coset_shift_with_vectorized(self, rng):
         from repro.ntt import coset_ntt
 
         n, g = 256, 4
         x = GOLDILOCKS.random_vector(n, rng)
-        cluster = SimCluster(GOLDILOCKS, g)
-        engine = UniNTTEngine(cluster, vectorized=True)
-        vec = DistributedVector.from_values(cluster, x,
-                                            engine.input_layout(n))
-        out = engine.forward(vec, coset_shift=7)
+        with use_backend("numpy"):
+            cluster = SimCluster(GOLDILOCKS, g)
+            engine = UniNTTEngine(cluster)
+            vec = DistributedVector.from_values(cluster, x,
+                                                engine.input_layout(n))
+            out = engine.forward(vec, coset_shift=7)
         assert out.to_values() == coset_ntt(GOLDILOCKS, x, 7)

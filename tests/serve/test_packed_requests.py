@@ -1,64 +1,44 @@
-"""Packed big-field requests through the serving stack.
+"""Big-field requests through the serving stack on a lane backend.
 
-``ProofRequest.packed`` asks the scheduler to run the batch on the
-resident limb-plane path.  It is an execution-currency hint, not a
-semantic one: the outputs must be byte-identical to the unpacked
-route, the accounting identical, and the flag must round-trip the
-durability journal (with journals written before the flag existed
-loading as unpacked).  Because the currencies execute differently,
-packed and unpacked requests of the same shape must never share a
-batch — the flag is part of the shape key.
+On the numpy backend (``multilimb`` is another name for it) the batcher
+transforms each BN254-Fr lane on limb planes; the request itself says
+nothing about the host route.  Outputs must be byte-identical to the
+reference transforms, and journal records written while requests still
+carried a ``packed`` route flag must keep loading.
 """
 
 import pytest
 
+from repro.errors import ServeError
 from repro.field import numpy_available, use_backend
 from repro.ntt import dft, idft
 from repro.serve import ProofRequest, ProofServer
 
 
 def _request(**overrides):
-    base = dict(request_id=0, field_name="BN254-Fr", log_size=5,
-                packed=True)
+    base = dict(request_id=0, field_name="BN254-Fr", log_size=5)
     base.update(overrides)
     return ProofRequest(**base)
 
 
-class TestShapeKey:
-    def test_packed_is_part_of_the_shape(self):
-        packed = _request(request_id=1)
-        plain = _request(request_id=2, packed=False)
-        assert packed.shape_key() != plain.shape_key()
-        assert packed.shape_key() == _request(request_id=3).shape_key()
-
-    def test_packed_and_unpacked_never_share_a_batch(self):
-        if not numpy_available():
-            pytest.skip("packed path needs the numpy/multilimb backend")
-        workload = [_request(request_id=i, packed=bool(i % 2))
-                    for i in range(6)]
-        with use_backend("multilimb"):
-            report = ProofServer(batching=True).serve(workload)
-        assert report.completed == 6
-        # Identical field/size/direction, differing only in currency:
-        # the batcher must keep them apart.
-        assert report.batches >= 2
-
-
 class TestRecords:
-    def test_record_roundtrip_preserves_packed(self):
+    def test_record_round_trip(self):
         request = _request(request_id=9, data_seed=3)
         record = request.to_record()
-        assert record["packed"] is True
+        assert "packed" not in record
         assert ProofRequest.from_record(record) == request
 
     def test_legacy_record_loads_as_unpacked(self):
-        """Journals written before the flag existed stay readable."""
-        record = _request(request_id=4, packed=False).to_record()
-        del record["packed"]
-        restored = ProofRequest.from_record(record)
-        assert restored.packed is False
-        assert restored.shape_key() == \
-            _request(request_id=4, packed=False).shape_key()
+        """Records in the older format carry ``"packed"``; either value
+        loads to the same request, and no other unknown key is let by."""
+        request = _request(request_id=4, data_seed=2)
+        for flag in (True, False):
+            record = dict(request.to_record(), packed=flag)
+            restored = ProofRequest.from_record(record)
+            assert restored == request
+            assert restored.shape_key() == request.shape_key()
+        with pytest.raises(ServeError, match="bad request record"):
+            ProofRequest.from_record(dict(request.to_record(), route="lanes"))
 
 
 class TestOutputs:

@@ -18,7 +18,7 @@ MODULES = [
     "repro.errors", "repro.cli",
     "repro.field.prime_field", "repro.field.montgomery",
     "repro.field.presets", "repro.field.vector",
-    "repro.field.goldilocks", "repro.field.babybear", "repro.field.simd",
+    "repro.field.goldilocks", "repro.field.simd",
     "repro.ntt.reference", "repro.ntt.radix2", "repro.ntt.radix4",
     "repro.ntt.stockham", "repro.ntt.bluestein",
     "repro.ntt.montgomery_ntt", "repro.ntt.fourstep", "repro.ntt.plan",

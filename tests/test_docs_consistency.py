@@ -68,8 +68,7 @@ def test_fields_guide_exists_and_covers_api():
                    "packed_ops", "pack_values", "unpack_values",
                    "packed_coset_ntt", "fused_mul_sub_scale",
                    "fused_quotient", "mul_mont", "pack_stats",
-                   "packed_disabled", "exchange_counts",
-                   "ProofRequest(packed=True)", "f26"):
+                   "packed_disabled", "exchange_counts", "f26"):
         assert needle in text, f"docs/FIELDS.md does not mention {needle}"
 
 

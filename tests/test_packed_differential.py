@@ -8,7 +8,8 @@ algebra, so any byte of divergence in a proof, commitment, opening, or
 intermediate polynomial is a bug by definition.  Each whole-pipeline
 leg is fuzzed here: the Groth16 QAP quotient pipeline, full Groth16
 proofs, KZG commit/open, the STARK LDE/prove path, distributed
-polynomial transforms, and the serve scheduler's packed batches.
+polynomial transforms, and the serve scheduler's batches (limb planes
+against the pure-Python backend).
 
 Where cheap, the packed result is also pinned against the pure-Python
 backend (the limbless oracle), and the :data:`pack_stats` counters
@@ -190,7 +191,7 @@ def test_distributed_polynomial_packed_matches_list(field, seed, coset,
         f"coset={coset})")
 
 
-# -- Serve scheduler: packed batches ------------------------------------------
+# -- Serve scheduler: lane batches --------------------------------------------
 
 @given(log_size=st.integers(5, 6),
        direction=st.sampled_from(["forward", "inverse"]),
@@ -198,21 +199,23 @@ def test_distributed_polynomial_packed_matches_list(field, seed, coset,
        requests=st.integers(1, 3))
 def test_serve_packed_requests_match_unpacked(log_size, direction, seed,
                                               requests):
-    """Packed serve batches return byte-identical outputs."""
-    def workload(packed):
-        return [
-            ProofRequest(request_id=i, field_name=BN254_FR.name,
-                         log_size=log_size, direction=direction,
-                         data_seed=seed + i, packed=packed)
-            for i in range(requests)
-        ]
-
-    with use_backend("multilimb"):
-        packed_report = ProofServer().serve(workload(True))
-        plain_report = ProofServer().serve(workload(False))
+    """Serve batches on limb planes (``multilimb``) return the outputs
+    and dispatch records of the list route (``python``)."""
+    workload = [
+        ProofRequest(request_id=i, field_name=BN254_FR.name,
+                     log_size=log_size, direction=direction,
+                     data_seed=seed + i)
+        for i in range(requests)
+    ]
+    reports = []
+    for backend in ("python", "multilimb"):
+        with use_backend(backend):
+            reports.append(ProofServer().serve(workload))
+    plain_report, packed_report = reports
     assert packed_report.completed == requests
     packed_out = [list(out) for res in packed_report.results
                   for out in res.outputs]
     plain_out = [list(out) for res in plain_report.results
                  for out in res.outputs]
     assert packed_out == plain_out, "packed serve output diverged"
+    assert packed_report.dispatches == plain_report.dispatches
