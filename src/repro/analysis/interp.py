@@ -33,8 +33,9 @@ from __future__ import annotations
 from repro.analysis.plancheck import verify_schedule
 from repro.analysis.synth import route_via
 from repro.errors import SchedulePassError
-from repro.field.vector import vec_mul
-from repro.multigpu.base import redistribute, relayout_plan
+from repro.multigpu.base import (
+    local_step, redistribute, relayout_plan, twiddle_table,
+)
 from repro.multigpu.layout import (
     BlockLayout, CyclicLayout, Layout, SpectralLayout, UniNTTExchangeLayout,
     collect, distribute,
@@ -42,9 +43,6 @@ from repro.multigpu.layout import (
 from repro.multigpu.schedule import (
     CommSchedule, ExchangeOp, LocalOp, ScheduleOp,
 )
-from repro.ntt import radix2
-from repro.ntt.batch import ntt_groups
-from repro.ntt.twiddle import default_cache
 from repro.sim.cluster import SimCluster
 
 __all__ = ["interpret_schedule"]
@@ -137,7 +135,7 @@ def _staged_redistribute(cluster: SimCluster, source: Layout,
                 count = len(msgs[src][dst])
                 fifo[src] = buf[pos:pos + count]
                 cursors[holder] = pos + count
-        cluster.gpus[dst].load(plan.assemble(dst, fifo))
+        cluster.gpus[dst].shard = plan.assemble(dst, fifo)
 
 
 def interpret_schedule(schedule: CommSchedule, cluster: SimCluster,
@@ -172,8 +170,6 @@ def interpret_schedule(schedule: CommSchedule, cluster: SimCluster,
     field = cluster.field
     p = field.modulus
     root = field.root_of_unity(n)
-    root_m = pow(root, g, p)
-    root_g = pow(root, m, p)
 
     kernel_names = [part for op in schedule.ops if isinstance(op, LocalOp)
                     for part in op.name.split("+")]
@@ -184,26 +180,16 @@ def interpret_schedule(schedule: CommSchedule, cluster: SimCluster,
             f"(interpreter understands {list(_LOCAL_KERNELS)})")
     separate_twiddle = "twiddle-pass" in kernel_names
 
+    twiddles = twiddle_table(field, root, range(g), m)
+
     def run_kernel(kernel: str) -> None:
         if kernel == "local-ntt":
-            for gpu in cluster.gpus:
-                s = gpu.gpu_id
-                out = radix2.ntt(field, gpu.shard, default_cache,
-                                 root=root_m)
-                if not separate_twiddle and s:
-                    tw = default_cache.powers(field, pow(root, s, p), m)
-                    out = vec_mul(field, out, tw)
-                gpu.shard = out
+            local_step(cluster, m, pow(root, g, p),
+                       post=None if separate_twiddle else twiddles)
         elif kernel == "twiddle-pass":
-            for gpu in cluster.gpus:
-                s = gpu.gpu_id
-                if s:
-                    tw = default_cache.powers(field, pow(root, s, p), m)
-                    gpu.shard = vec_mul(field, gpu.shard, tw)
+            local_step(cluster, post=twiddles)
         else:  # cross-ntt
-            for gpu in cluster.gpus:
-                gpu.shard = ntt_groups(field, gpu.shard, g, root_g,
-                                       cache=default_cache)
+            local_step(cluster, g, pow(root, m, p))
 
     cluster.load_shards(distribute(values, CyclicLayout(n=n, gpu_count=g)))
 

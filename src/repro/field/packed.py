@@ -33,6 +33,7 @@ and the coset scaling multiplies the exact same canonical table values.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import partial
 from typing import Sequence
 
 from repro.errors import NTTError
@@ -45,7 +46,8 @@ __all__ = [
     "pack_values", "unpack_values", "host_list", "packed_ntt",
     "packed_intt",
     "packed_coset_ntt", "packed_coset_intt", "packed_pad",
-    "fused_mul_sub_scale", "pack_coefficients", "table_mul", "gather_dot",
+    "fused_mul_sub_scale", "pack_coefficients", "table_format",
+    "table_mul", "gather_dot",
 ]
 
 _ENABLED = True
@@ -180,12 +182,9 @@ def _scale_by_powers(ops, arr, base: int, cache: TwiddleCache):
     of one power table never collide.
     """
     field = ops.field
-    if _mont_tables(ops):
-        pack, fmt = ops.pack_table, ops.fmt
-    else:
-        pack, fmt = ops.pack, "raw:" + ops.fmt
     table = cache.packed_powers(field, base % field.modulus, arr.shape[-1],
-                                pack, fmt=fmt)
+                                partial(pack_coefficients, ops),
+                                fmt=table_format(ops))
     return table_mul(ops)(arr, table)
 
 
@@ -256,6 +255,16 @@ def pack_coefficients(ops, values: Sequence[int]):
     Values must already be reduced mod p.
     """
     return (ops.pack_table if _mont_tables(ops) else ops.pack)(list(values))
+
+
+def table_format(ops) -> str:
+    """The cache key of a :func:`pack_coefficients` table under ``ops``.
+
+    The lane format, prefixed ``raw:`` where tables are packed in the
+    ordinary form, so the Montgomery and raw mirrors of one table never
+    collide.
+    """
+    return ops.fmt if _mont_tables(ops) else "raw:" + ops.fmt
 
 
 def table_mul(ops):

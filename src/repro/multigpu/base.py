@@ -14,6 +14,11 @@ memoized :func:`relayout_plan` that :func:`redistribute` (and the
 schedule interpreter's staged exchange) executes, and the closed-form
 O(G^2) :func:`exchange_counts` that prices it without touching the
 elements.
+
+Which GPU a value sits on is accounting only, so :func:`local_step`
+runs one local kernel step of every GPU as one host kernel over the
+concatenated shards, with its constant per-GPU tables memoized by
+:func:`twiddle_table`.
 """
 
 from __future__ import annotations
@@ -21,19 +26,22 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 from repro.errors import PartitionError, SimulationError
 from repro.field.prime_field import PrimeField
 from repro.hw.cost import CostBreakdown, CostModel, Step
 from repro.hw.model import MachineModel
 from repro.multigpu.layout import Layout, collect, distribute
+from repro.ntt.batch import StepTable, ntt_groups
+from repro.ntt.twiddle import default_cache
 from repro.sim.cluster import SimCluster
 from repro.sim.trace import TraceEvent
 
 __all__ = ["DistributedVector", "VectorCheckpoint", "RelayoutPlan",
            "relayout_plan", "redistribute", "exchange_counts",
-           "DistributedNTTEngine"]
+           "twiddle_table", "local_step", "DistributedNTTEngine"]
 
 
 @dataclass(frozen=True)
@@ -248,7 +256,7 @@ def redistribute(cluster: SimCluster, source: Layout, target: Layout,
         detail=detail or f"{type(source).__name__}->"
                          f"{type(target).__name__}")
     for dst in range(g):
-        cluster.gpus[dst].load(plan.assemble(dst, inboxes[dst]))
+        cluster.gpus[dst].shard = plan.assemble(dst, inboxes[dst])
 
 
 def exchange_counts(source: Layout, target: Layout) -> list[list[int]]:
@@ -272,6 +280,69 @@ def exchange_counts(source: Layout, target: Layout) -> list[list[int]]:
         for _, src_offset in pick:
             counts[src_base | src_offset][dst] = per_pair
     return counts
+
+
+def twiddle_table(field: PrimeField, base: int, exponents: Iterable[int],
+                  width: int, layout: Layout | None = None) -> StepTable:
+    """Per-GPU power tables as one :class:`~repro.ntt.batch.StepTable`.
+
+    Row ``r`` holds ``base^(exponents[r] * j)`` for ``j < width``, and
+    the rows are concatenated; with ``exponents = range(G)`` that is
+    every GPU's twiddle table ``root^(s*j)``, GPU-major.  With
+    ``layout``, slot ``(gpu, local)`` of the result holds entry
+    ``layout.global_index(gpu, local)`` of the rows instead.  Memoized
+    process-wide (bounded LRU) on the table's full identity: modulus,
+    base, exponents, width and layout; the table keeps its own packed
+    mirrors per lane format.
+    """
+    p = field.modulus
+    return _twiddle_table(p, base % p, tuple(exponents), width, layout)
+
+
+@lru_cache(maxsize=16)
+def _twiddle_table(p: int, base: int, exponents: tuple[int, ...],
+                   width: int, layout: Layout | None) -> StepTable:
+    rows: dict[int, list[int]] = {}
+    for e in exponents:
+        if e not in rows:
+            step, acc, row = pow(base, e, p), 1, []
+            for _ in range(width):
+                row.append(acc)
+                acc = acc * step % p
+            rows[e] = row
+    table = [v for e in exponents for v in rows[e]]
+    if layout is not None:
+        table = [table[i] for i in chain.from_iterable(
+            layout.shard_indices())]
+    return StepTable(table)
+
+
+def local_step(cluster: SimCluster, size: int = 1, root: int = 1, *,
+               pre: StepTable | None = None, post: StepTable | None = None,
+               scale: int | None = None) -> None:
+    """Run one local kernel step of every GPU as one host kernel.
+
+    Concatenates the shards GPU-major, multiplies by ``pre``,
+    transforms every contiguous ``size``-group with ``root``, multiplies
+    by ``post`` and ``scale`` (one :func:`~repro.ntt.batch.ntt_groups`
+    call), and writes each GPU's slice back to its shard.  ``size`` 1
+    applies the tables only.  The groups must not straddle GPUs, so
+    ``size`` must divide the shard size.  Charges nothing: callers
+    charge each GPU for its share, as if it ran its own kernel.
+    """
+    gpus = cluster.gpus
+    m = len(gpus[0].shard)
+    for gpu in gpus:
+        gpu.require_shard(m)
+    if m % size:
+        raise PartitionError(
+            f"group size {size} does not divide the shard size {m}")
+    out = ntt_groups(cluster.field,
+                     list(chain.from_iterable(gpu.shard for gpu in gpus)),
+                     size, root, scale=scale, cache=default_cache,
+                     pre=pre, post=post)
+    for i, gpu in enumerate(gpus):
+        gpu.shard = out[i * m:(i + 1) * m]
 
 
 class DistributedNTTEngine(ABC):

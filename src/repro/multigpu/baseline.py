@@ -22,18 +22,16 @@ implementations look like this.
 from __future__ import annotations
 
 from repro.errors import PartitionError
-from repro.field.vector import vec_mul, vec_scale
 from repro.hw.cost import Phase, Step
 from repro.multigpu import accounting as acct
 from repro.multigpu.base import (
-    DistributedNTTEngine, DistributedVector, redistribute,
+    DistributedNTTEngine, DistributedVector, local_step, redistribute,
+    twiddle_table,
 )
 from repro.multigpu.layout import (
     BlockLayout, ColumnBlockLayout, Layout, TransposedBlockLayout,
 )
-from repro.ntt.batch import ntt_groups
 from repro.ntt.fourstep import split_size
-from repro.ntt.twiddle import default_cache
 from repro.sim.cluster import SimCluster
 from repro.sim.trace import TraceEvent
 
@@ -90,26 +88,17 @@ class BaselineFourStepEngine(DistributedNTTEngine):
         redistribute(cluster, block, col_block, detail="baseline-T1")
 
         # 2. local column transforms of size `rows` with root w^cols.
-        root_r = pow(root, cols, p)
-        cols_per_gpu = cols // g
-        for gpu in cluster.gpus:
-            gpu.shard = ntt_groups(field, gpu.shard, rows, root_r,
-                                   cache=default_cache)
-        self._charge_local(acct.small_batch_ntt_muls(cols_per_gpu, rows),
+        local_step(cluster, rows, pow(root, cols, p))
+        self._charge_local(acct.small_batch_ntt_muls(cols // g, rows),
                            2 * m * eb * acct.tile_passes(rows, self.tile),
                            detail="baseline-colntt")
 
-        # 3. standalone twiddle sweep: Y[k1][c] *= root^(c*k1); the
-        #    inverse run also applies the 1/n scaling in this sweep.
-        n_inv = field.inv(n % p) if inverse else None
-        for gpu in cluster.gpus:
-            first = gpu.gpu_id * cols_per_gpu
-            factors = [w for c in range(first, first + cols_per_gpu)
-                       for w in default_cache.powers(
-                           field, pow(root, c, p), rows)]
-            gpu.shard = vec_mul(field, gpu.shard, factors)
-            if n_inv is not None:
-                gpu.shard = vec_scale(field, gpu.shard, n_inv)
+        # 3. standalone twiddle sweep: Y[k1][c] *= root^(c*k1) over the
+        #    column-major shards; the inverse run also applies the 1/n
+        #    scaling in this sweep.
+        local_step(cluster,
+                   post=twiddle_table(field, root, range(cols), rows),
+                   scale=field.inv(n % p) if inverse else None)
         self._charge_local(acct.twiddle_muls(m),
                            acct.pointwise_mem_bytes(m, eb),
                            detail="baseline-twiddle")
@@ -118,12 +107,8 @@ class BaselineFourStepEngine(DistributedNTTEngine):
         redistribute(cluster, col_block, block, detail="baseline-T2")
 
         # 5. local row transforms of size `cols` with root w^rows.
-        root_c = pow(root, rows, p)
-        rows_per_gpu = rows // g
-        for gpu in cluster.gpus:
-            gpu.shard = ntt_groups(field, gpu.shard, cols, root_c,
-                                   cache=default_cache)
-        self._charge_local(acct.small_batch_ntt_muls(rows_per_gpu, cols),
+        local_step(cluster, cols, pow(root, rows, p))
+        self._charge_local(acct.small_batch_ntt_muls(rows // g, cols),
                            2 * m * eb * acct.tile_passes(cols, self.tile),
                            detail="baseline-rowntt")
 

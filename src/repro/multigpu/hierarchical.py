@@ -28,16 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import PartitionError, SimulationError
-from repro.field.vector import vec_mul, vec_scale
 from repro.hw.cost import Phase, PipelinedGroup, Step
 from repro.multigpu import accounting as acct
 from repro.multigpu.base import (
-    DistributedNTTEngine, DistributedVector, redistribute,
+    DistributedNTTEngine, DistributedVector, local_step, redistribute,
+    twiddle_table,
 )
 from repro.multigpu.layout import BlockLayout, Layout
-from repro.ntt import radix2
-from repro.ntt.batch import ntt_groups
-from repro.ntt.twiddle import default_cache
 from repro.sim.cluster import SimCluster
 from repro.sim.trace import TraceEvent
 
@@ -229,15 +226,9 @@ class HierarchicalUniNTTEngine(DistributedNTTEngine):
 
         # 1. local m-point transforms (root w^G) + intra-node twiddle
         # (root_node^(s_gpu * k1'), fused).
-        root_local = pow(root, g, p)
-        for gpu in cluster.gpus:
-            gpu.shard = radix2.ntt(field, gpu.shard, default_cache,
-                                   root=root_local)
-            s_gpu = gpu.gpu_id % per_node
-            if s_gpu:
-                tw = default_cache.powers(
-                    field, pow(root_node, s_gpu, p), m)
-                gpu.shard = vec_mul(field, gpu.shard, tw)
+        s_gpus = list(range(per_node)) * n_nodes
+        local_step(cluster, m, pow(root, g, p),
+                   post=twiddle_table(field, root_node, s_gpus, m))
         self._charge_local_ntt(m, detail="hier-local")
 
         # 2. intra-node all-to-all + P-point cross transforms.
@@ -251,17 +242,10 @@ class HierarchicalUniNTTEngine(DistributedNTTEngine):
         self._cross_inplace(per_node, root_p, scale=None,
                             detail="hier-intra-cross")
 
-        # 3. inter-node twiddle w^(s_node * k1), fused: each GPU decodes
-        # the k1 its slots hold from the node-spectral layout.
-        node_indices = node_spectral.shard_indices()
-        for gpu in cluster.gpus:
-            s_node = gpu.gpu_id // per_node
-            if not s_node:
-                continue
-            w_base = pow(root, s_node, p)
-            factors = [pow(w_base, j % m_node, p)
-                       for j in node_indices[gpu.gpu_id]]
-            gpu.shard = vec_mul(field, gpu.shard, factors)
+        # 3. inter-node twiddle w^(s_node * k1), fused: each slot's k1
+        # is read through the node-spectral layout.
+        local_step(cluster, post=twiddle_table(
+            field, root, range(n_nodes), m_node, layout=node_spectral))
         self._charge_twiddle(m, detail="hier-inter-twiddle")
 
         # 4. inter-node all-to-all (column-aligned) + N-point cross.
@@ -301,15 +285,8 @@ class HierarchicalUniNTTEngine(DistributedNTTEngine):
         node_spectral = NodeSpectralLayout(n=n, gpu_count=g, nodes=n_nodes)
         redistribute(cluster, exchange, node_spectral,
                      detail="hier-inv-inter-exchange")
-        node_indices = node_spectral.shard_indices()
-        for gpu in cluster.gpus:
-            s_node = gpu.gpu_id // per_node
-            if not s_node:
-                continue
-            w_base = pow(inv_root, s_node, p)
-            factors = [pow(w_base, j % m_node, p)
-                       for j in node_indices[gpu.gpu_id]]
-            gpu.shard = vec_mul(field, gpu.shard, factors)
+        local_step(cluster, post=twiddle_table(
+            field, inv_root, range(n_nodes), m_node, layout=node_spectral))
         self._charge_twiddle(m, detail="hier-inv-inter-twiddle")
 
         # 3. inverse P-point cross transforms (scale 1/P) + intra-node
@@ -325,18 +302,10 @@ class HierarchicalUniNTTEngine(DistributedNTTEngine):
                      detail="hier-inv-intra-exchange")
 
         # 4. inverse intra-node twiddle + local inverse transforms (1/m).
-        inv_root_local = pow(inv_root, g, p)
-        m_inv = field.inv(m % p)
-        for gpu in cluster.gpus:
-            s_gpu = gpu.gpu_id % per_node
-            shard = gpu.shard
-            if s_gpu:
-                tw = default_cache.powers(
-                    field, pow(inv_root_node, s_gpu, p), m)
-                shard = vec_mul(field, shard, tw)
-            piece = radix2.ntt(field, shard, default_cache,
-                               root=inv_root_local)
-            gpu.shard = vec_scale(field, piece, m_inv)
+        s_gpus = list(range(per_node)) * n_nodes
+        local_step(cluster, m, pow(inv_root, g, p),
+                   pre=twiddle_table(field, inv_root_node, s_gpus, m),
+                   scale=field.inv(m % p))
         self._charge_local_ntt(m, scaled=True, detail="hier-inv-local")
         return DistributedVector(
             cluster=cluster,
@@ -344,11 +313,8 @@ class HierarchicalUniNTTEngine(DistributedNTTEngine):
 
     def _cross_inplace(self, size: int, root: int, scale: int | None,
                        detail: str) -> None:
-        """In-place small transforms over contiguous groups of ``size``,
-        one batched kernel per GPU."""
-        for gpu in self.cluster.gpus:
-            gpu.shard = ntt_groups(self.field, gpu.shard, size, root,
-                                   scale=scale, cache=default_cache)
+        """In-place small transforms over contiguous groups of ``size``."""
+        local_step(self.cluster, size, root, scale=scale)
         m = len(self.cluster.gpus[0].shard)
         self._charge_cross(m, size, scaled=scale is not None, detail=detail)
 

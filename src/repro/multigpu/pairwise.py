@@ -25,12 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import PartitionError
-from repro.field.vector import vec_add, vec_mul, vec_scale, vec_sub
+from repro.field.vector import vec_add, vec_scale, vec_sub
 from repro.hw.cost import Phase, Step
 from repro.multigpu import accounting as acct
-from repro.multigpu.base import DistributedNTTEngine, DistributedVector
+from repro.multigpu.base import (
+    DistributedNTTEngine, DistributedVector, local_step, twiddle_table,
+)
 from repro.multigpu.layout import CyclicLayout, Layout
-from repro.ntt import radix2
 from repro.ntt.twiddle import bit_reverse, default_cache
 from repro.sim.trace import TraceEvent
 
@@ -86,14 +87,8 @@ class PairwiseExchangeEngine(DistributedNTTEngine):
         cluster = self.cluster
 
         # Local M-point transforms + fused twiddle (as in UniNTT).
-        root_m = pow(root, g, p)
-        for gpu in cluster.gpus:
-            gpu.shard = radix2.ntt(field, gpu.shard, default_cache,
-                                   root=root_m)
-            s = gpu.gpu_id
-            if s:
-                tw = default_cache.powers(field, pow(root, s, p), m)
-                gpu.shard = vec_mul(field, gpu.shard, tw)
+        local_step(cluster, m, pow(root, g, p),
+                   post=twiddle_table(field, root, range(g), m))
         self._charge_local(m, twiddle=True, detail="pairwise-local")
 
         # DIF butterfly stages over the GPU dimension, root w^M (order G).
@@ -167,18 +162,11 @@ class PairwiseExchangeEngine(DistributedNTTEngine):
             self._charge_stage(m, detail=f"pairwise-inv-combine-h{half}")
             half *= 2
 
-        # Scale 1/G, inverse twiddle, local inverse transform (scale 1/M).
-        g_inv = field.inv(g % p)
-        inv_root_m = pow(inv_root, g, p)
-        m_inv = field.inv(m % p)
-        for gpu in cluster.gpus:
-            s = gpu.gpu_id
-            shard = vec_scale(field, gpu.shard, g_inv)
-            if s:
-                tw = default_cache.powers(field, pow(inv_root, s, p), m)
-                shard = vec_mul(field, shard, tw)
-            piece = radix2.ntt(field, shard, default_cache, root=inv_root_m)
-            gpu.shard = vec_scale(field, piece, m_inv)
+        # Inverse twiddle, local inverse transform, then the 1/G and 1/M
+        # scalings as one 1/n.
+        local_step(cluster, m, pow(inv_root, g, p),
+                   pre=twiddle_table(field, inv_root, range(g), m),
+                   scale=field.inv(n % p))
         self._charge_local(m, twiddle=True, scaled=True,
                            detail="pairwise-inv-local")
         return DistributedVector(cluster=cluster,

@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.field.prime_field import PrimeField
-from repro.field.vector import vec_mul, vec_scale
 from repro.hw.cost import CostModel
 from repro.hw.model import MachineModel
 from repro.multigpu import accounting as acct
-from repro.ntt import radix2
+from repro.multigpu.base import twiddle_table
 from repro.ntt.batch import ntt_groups
 from repro.ntt.fourstep import split_size
 from repro.ntt.twiddle import default_cache
@@ -99,24 +98,20 @@ class StreamingHostEngine:
         if inverse:
             root = field.inv(root)
         n_inv = field.inv(n % p) if inverse else None
-        g = self.cluster.gpu_count
         eb = self.cluster.element_bytes
         data = list(host_values)
 
-        # Pass 1: column transforms, streamed in per-GPU column batches.
-        root_r = pow(root, cols, p)
-        h2d = 0
+        # Pass 1: column transforms, streamed in per-GPU column batches:
+        # transposed on the host, one batched kernel with the twiddle
+        # (and 1/n) fused, transposed back.
+        columns = [v for c in range(cols) for v in data[c::cols]]  # H2D
+        columns = ntt_groups(field, columns, rows, pow(root, cols, p),
+                             scale=n_inv, cache=default_cache,
+                             post=twiddle_table(field, root, range(cols),
+                                                rows))
         for c in range(cols):
-            column = data[c::cols]                       # H2D
-            column = radix2.ntt(field, column, default_cache, root=root_r)
-            column = vec_mul(field, column,              # fused twiddle
-                             default_cache.powers(field, pow(root, c, p),
-                                                  rows))
-            if n_inv is not None:
-                column = vec_scale(field, column, n_inv)
-            data[c::cols] = column                       # D2H
-            h2d += 2 * rows * eb
-        self._charge_pass(n, rows, h2d, detail="stream-columns")
+            data[c::cols] = columns[c * rows:(c + 1) * rows]  # D2H
+        self._charge_pass(n, rows, 2 * n * eb, detail="stream-columns")
 
         # Pass 2: row transforms, contiguous streams, one batched kernel.
         root_c = pow(root, rows, p)

@@ -11,8 +11,9 @@ the uniform optimizations of :mod:`repro.multigpu.schedule`:
   chunk of spectrum residues; with ``overlap`` on, the exchange is
   chunked and pipelined with the cross transforms that consume it;
 * **cross transforms stay local** (step 4) — after the exchange each
-  GPU runs its M/G independent G-point NTTs as one batched kernel
-  (:func:`~repro.ntt.batch.ntt_groups`); the output is left in
+  GPU runs its M/G independent G-point NTTs; the host runs every GPU's
+  as one batched kernel (:func:`~repro.multigpu.base.local_step`, as
+  for every local step); the output is left in
   :class:`~repro.multigpu.layout.SpectralLayout` (``keep_permuted_output``),
   which deletes the final transpose entirely.  The inverse transform
   consumes that layout directly and returns the cyclic layout, so an
@@ -29,19 +30,17 @@ and the local kernel recursion repeats it per level.
 from __future__ import annotations
 
 from repro.errors import PartitionError
-from repro.field.vector import vec_mul, vec_scale
 from repro.hw.cost import Phase, PipelinedGroup, Step
 from repro.multigpu import accounting as acct
 from repro.multigpu.base import (
-    DistributedNTTEngine, DistributedVector, redistribute,
+    DistributedNTTEngine, DistributedVector, local_step, redistribute,
+    twiddle_table,
 )
 from repro.multigpu.layout import (
     BlockLayout, CyclicLayout, Layout, SpectralLayout, UniNTTExchangeLayout,
 )
 from repro.multigpu.schedule import ALL_ON, UniNTTOptions
-from repro.ntt import radix2, radix4
-from repro.ntt.batch import ntt_groups
-from repro.ntt.twiddle import default_cache
+from repro.ntt import radix4
 from repro.sim.cluster import SimCluster
 from repro.sim.trace import TraceEvent
 
@@ -58,21 +57,6 @@ class UniNTTEngine(DistributedNTTEngine):
         super().__init__(cluster, tile)
         self.options = options
         self.name = f"unintt[{options.label()}]"
-
-    def _local_transform(self, shard: list[int], root: int,
-                         twiddle_base: int | None, m: int) -> list[int]:
-        """One GPU's local M-point transform (+ optional fused twiddle).
-
-        The active field backend decides how it runs on the host
-        (whole-stage lanes or scalar code); the result is bit-identical
-        either way.
-        """
-        field = self.field
-        out = radix2.ntt(field, shard, default_cache, root=root)
-        if twiddle_base is not None:
-            tw = default_cache.powers(field, twiddle_base, m)
-            out = vec_mul(field, out, tw)
-        return out
 
     # -- layouts -----------------------------------------------------------
 
@@ -114,27 +98,13 @@ class UniNTTEngine(DistributedNTTEngine):
 
         # 0. fused coset scaling (local; charged with the twiddles).
         if coset_shift is not None:
-            if coset_shift % p == 0:
-                raise PartitionError("coset shift must be non-zero")
-            shift_g = pow(coset_shift, g, p)
-            for gpu in cluster.gpus:
-                s = gpu.gpu_id
-                factors = default_cache.powers(
-                    field, shift_g, m)
-                lead = pow(coset_shift, s, p)
-                gpu.shard = vec_scale(
-                    field, vec_mul(field, gpu.shard, factors), lead)
-            self._charge_coset(m)
+            self._scale_coset(n, coset_shift)
 
         # 1+2. local M-point transforms with the twiddle scaling fused
         # (functionally the twiddle is applied right after; the *charge*
         # differs: fused costs no extra memory sweep).
-        root_m = pow(root, g, p)
-        for gpu in cluster.gpus:
-            s = gpu.gpu_id
-            gpu.shard = self._local_transform(
-                gpu.shard, root_m,
-                pow(root, s, p) if s else None, m)
+        local_step(cluster, m, pow(root, g, p),
+                   post=twiddle_table(field, root, range(g), m))
         self._charge_local_ntt(m, twiddle=True, detail="unintt-local")
 
         # 3. the single all-to-all.
@@ -142,12 +112,9 @@ class UniNTTEngine(DistributedNTTEngine):
         exchange = UniNTTExchangeLayout(n=n, gpu_count=g)
         redistribute(cluster, unit_major, exchange, detail="unintt-exchange")
 
-        # 4. cross transforms: M/G independent G-point NTTs per GPU, one
-        # batched kernel over the shard's contiguous G-groups.
-        root_g = pow(root, m, p)
-        for gpu in cluster.gpus:
-            gpu.shard = ntt_groups(field, gpu.shard, g, root_g,
-                                   cache=default_cache)
+        # 4. cross transforms: M/G independent G-point NTTs per GPU over
+        # the shard's contiguous G-groups.
+        local_step(cluster, g, pow(root, m, p))
         self._charge_cross(m, detail="unintt-cross")
 
         out = DistributedVector(
@@ -181,13 +148,9 @@ class UniNTTEngine(DistributedNTTEngine):
         else:
             self._check_input(vec, spectral)
 
-        # 1. inverse cross transforms, one batched kernel per GPU with
-        # the 1/G scaling fused in.
-        inv_root_g = pow(inv_root, m, p)
-        g_inv = field.inv(g % p)
-        for gpu in cluster.gpus:
-            gpu.shard = ntt_groups(field, gpu.shard, g, inv_root_g,
-                                   scale=g_inv, cache=default_cache)
+        # 1. inverse cross transforms with the 1/G scaling fused in.
+        local_step(cluster, g, pow(inv_root, m, p),
+                   scale=field.inv(g % p))
         self._charge_cross(m, detail="unintt-inv-cross", scaled=True)
 
         # 2. the single all-to-all, back to unit-major order.
@@ -198,35 +161,36 @@ class UniNTTEngine(DistributedNTTEngine):
 
         # 3. fused inverse twiddle + local M-point inverse transforms
         # (scale 1/M; total scaling 1/G * 1/M = 1/n).
-        inv_root_m = pow(inv_root, g, p)
-        m_inv = field.inv(m % p)
-        for gpu in cluster.gpus:
-            s = gpu.gpu_id
-            shard = gpu.shard
-            if s:
-                tw = default_cache.powers(field, pow(inv_root, s, p), m)
-                shard = vec_mul(field, shard, tw)
-            piece = radix2.ntt(field, shard, default_cache, root=inv_root_m)
-            gpu.shard = vec_scale(field, piece, m_inv)
+        local_step(cluster, m, pow(inv_root, g, p),
+                   pre=twiddle_table(field, inv_root, range(g), m),
+                   scale=field.inv(m % p))
         self._charge_local_ntt(m, twiddle=True, scaled=True,
                                detail="unintt-inv-local")
 
         # Fused inverse coset scaling: x[j] *= shift^-j, decomposed
         # along the cyclic layout exactly like the forward pass.
         if coset_shift is not None:
-            if coset_shift % p == 0:
-                raise PartitionError("coset shift must be non-zero")
-            inv_shift = field.inv(coset_shift)
-            inv_shift_g = pow(inv_shift, g, p)
-            for gpu in cluster.gpus:
-                s = gpu.gpu_id
-                factors = default_cache.powers(field, inv_shift_g, m)
-                lead = pow(inv_shift, s, p)
-                gpu.shard = vec_scale(
-                    field, vec_mul(field, gpu.shard, factors), lead)
-            self._charge_coset(m)
+            self._scale_coset(n, coset_shift, inverse=True)
         return DistributedVector(cluster=cluster,
                                  layout=CyclicLayout(n=n, gpu_count=g))
+
+    def _scale_coset(self, n: int, shift: int,
+                     inverse: bool = False) -> None:
+        """``x[j] *= shift^j`` (``shift^-j`` for ``inverse``) over the
+        cyclic layout, then its charge.
+
+        On GPU ``s`` that is ``shift^s`` times the local geometric
+        series of ``shift^G``: the twiddle pass at zero extra memory
+        traffic.
+        """
+        if shift % self.field.modulus == 0:
+            raise PartitionError("coset shift must be non-zero")
+        if inverse:
+            shift = self.field.inv(shift)
+        cyclic = CyclicLayout(n=n, gpu_count=self.gpu_count)
+        local_step(self.cluster, post=twiddle_table(
+            self.field, shift, (1,), n, layout=cyclic))
+        self._charge_coset(n // self.gpu_count)
 
     # -- accounting --------------------------------------------------------------
 

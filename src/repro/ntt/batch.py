@@ -1,13 +1,15 @@
 """Batched NTTs.
 
 Proof systems transform many same-size polynomials at once (one per
-witness column / quotient chunk), and the multi-GPU engines run many
-small transforms per GPU (UniNTT's M/G cross transforms of G points);
-GPU implementations exploit both by launching one batched kernel that
-amortizes twiddle loads and fills the machine.  :func:`ntt_groups` is
-that kernel: it transforms every contiguous ``size``-group of a flat
-vector in one call.  :class:`BatchTransform` treats "B transforms of
-size n" as a single workload on top of it.
+witness column / quotient chunk), and every local step of a multi-GPU
+engine is a batch (G local M-point transforms, or each GPU's M/G cross
+transforms of G points); GPU implementations exploit both by launching
+one batched kernel that amortizes twiddle loads and fills the machine.
+:func:`ntt_groups` is that kernel: it transforms every contiguous
+``size``-group of a flat vector in one call, with the step's constant
+:class:`StepTable` multipliers fused in before and after.
+:class:`BatchTransform` treats "B transforms of size n" as a single
+workload on top of it.
 """
 
 from __future__ import annotations
@@ -17,31 +19,65 @@ from typing import Callable, Sequence
 from repro.errors import NTTError
 from repro.field.backend import sized_lane_ops
 from repro.field.prime_field import PrimeField
-from repro.field.vector import vec_scale
+from repro.field.vector import vec_mul, vec_scale
 from repro.ntt import radix2
 from repro.ntt.twiddle import TwiddleCache, default_cache
 
-__all__ = ["batch_ntt", "batch_intt", "BatchTransform", "ntt_groups"]
+__all__ = ["batch_ntt", "batch_intt", "BatchTransform", "StepTable",
+           "ntt_groups"]
+
+
+class StepTable:
+    """A constant full-length multiplier table for :func:`ntt_groups`.
+
+    Holds the canonical int ``values`` and, per (modulus, lane format),
+    the packed mirror a lane backend multiplies by, so a step that
+    reuses one table packs it once, not once per call.
+    """
+
+    __slots__ = ("values", "_packed")
+
+    def __init__(self, values: Sequence[int]) -> None:
+        self.values = tuple(values)
+        self._packed: dict[tuple[int, str], object] = {}
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def packed(self, ops):
+        """The table packed for ``ops`` (see ``pack_coefficients``)."""
+        from repro.field.packed import pack_coefficients, table_format
+
+        key = (ops.field.modulus, table_format(ops))
+        table = self._packed.get(key)
+        if table is None:
+            table = self._packed[key] = pack_coefficients(ops, self.values)
+        return table
 
 
 def ntt_groups(field: PrimeField, values: Sequence[int], size: int,
                root: int, scale: int | None = None,
-               cache: TwiddleCache | None = None) -> list[int]:
+               cache: TwiddleCache | None = None,
+               pre: StepTable | None = None,
+               post: StepTable | None = None) -> list[int]:
     """Forward NTT of every contiguous ``size``-group of ``values``.
 
     ``root`` is a primitive ``size``-th root of unity (the forward root,
-    or its inverse for an inverse transform); ``scale``, if given,
-    multiplies every output by that scalar (the ``1/size`` of an
-    inverse).  The result is a new list, bit-identical to running
-    :func:`repro.ntt.radix2.ntt` (then ``vec_scale``) on each group.
+    or its inverse for an inverse transform); ``pre`` and ``post``, if
+    given, are full-length tables multiplied in element by element
+    before and after the transforms; ``scale``, if given, multiplies
+    every output by that scalar (the ``1/size`` of an inverse).  The
+    result is a new list, bit-identical to ``vec_mul`` by ``pre``, then
+    :func:`repro.ntt.radix2.ntt` on each group, then ``vec_mul`` by
+    ``post`` and ``vec_scale``.  ``size`` 1 leaves only the scalings.
 
     On a lane backend the vector is packed once and transposed to
     size-major order, so the shared Stockham driver
     (:func:`repro.field.simd.vectorized_ntt` with ``batch`` = the group
     count) runs every group's butterflies in one pass per stage; the
-    scaling is one lane op, and the result is transposed back and
-    unpacked once.  Without lane arithmetic for ``field``, or when the
-    whole vector is shorter than
+    tables and the scaling are one lane op each, and the result is
+    transposed back and unpacked once.  Without lane arithmetic for
+    ``field``, or when the whole vector is shorter than
     :data:`~repro.field.backend.LANE_MIN_SIZE`, the groups are
     transformed one by one.
     """
@@ -51,31 +87,45 @@ def ntt_groups(field: PrimeField, values: Sequence[int], size: int,
     if n % size:
         raise NTTError(
             f"group size {size} does not divide the vector length {n}")
+    for table in (pre, post):
+        if table is not None and len(table) != n:
+            raise NTTError(
+                f"table of {len(table)} entries for a vector of {n}")
     cache = cache or default_cache
     ops = sized_lane_ops(field, n)
     if ops is None:
-        out = list(values)
+        out = list(values) if pre is None \
+            else vec_mul(field, values, pre.values)
         if size > 1:
             for base in range(0, n, size):
                 out[base:base + size] = radix2.ntt(
                     field, out[base:base + size], cache, root=root)
+        if post is not None:
+            out = vec_mul(field, out, post.values)
         return out if scale is None else vec_scale(field, out, scale)
 
+    from repro.field.packed import table_mul
     from repro.field.simd import vectorized_ntt
 
     groups = n // size
     packed = ops.pack(list(values))
+    if pre is not None:
+        packed = table_mul(ops)(packed, pre.packed(ops))
     lead = packed.shape[:-1]
-    if groups > 1:  # group-major -> size-major
-        packed = packed.reshape(lead + (groups, size)).swapaxes(-1, -2) \
-            .reshape(lead + (n,))
-    out = vectorized_ntt(ops, packed, cache, root, batch=groups)
+    if size > 1:
+        if groups > 1:  # group-major -> size-major
+            packed = packed.reshape(lead + (groups, size)) \
+                .swapaxes(-1, -2).reshape(lead + (n,))
+        packed = vectorized_ntt(ops, packed, cache, root, batch=groups)
+        if groups > 1:  # size-major -> group-major
+            packed = packed.reshape(lead + (size, groups)) \
+                .swapaxes(-1, -2).reshape(lead + (n,))
+    if post is not None:
+        packed = table_mul(ops)(packed, post.packed(ops))
     if scale is not None:
-        out = ops.scale(out, scale % field.modulus)
-    if groups > 1:  # size-major -> group-major
-        out = out.reshape(lead + (size, groups)).swapaxes(-1, -2) \
-            .reshape(lead + (n,))
-    return ops.unpack(out) if ops.unpack is not None else out.tolist()
+        packed = ops.scale(packed, scale % field.modulus)
+    return ops.unpack(packed) if ops.unpack is not None \
+        else packed.tolist()
 
 
 def batch_ntt(field: PrimeField, batch: Sequence[Sequence[int]],

@@ -4,14 +4,18 @@ import itertools
 
 import pytest
 
+from repro.analysis.interp import interpret_schedule
+from repro.analysis.synth import synthesize_hierarchical
 from repro.errors import PartitionError
-from repro.field import TEST_FIELD_97
+from repro.field import GOLDILOCKS, TEST_FIELD_97, use_backend
+from repro.field.backend import numpy_available
 from repro.multigpu import (
     BlockLayout, ColumnBlockLayout, CyclicLayout, NestedCyclicLayout,
     SpectralLayout, UniNTTExchangeLayout, collect, distribute,
     redistribute,
 )
 from repro.multigpu.base import exchange_counts
+from repro.multigpu.schedule import ALL_ON, build_unintt_schedule
 from repro.sim import SimCluster
 
 F = TEST_FIELD_97
@@ -82,6 +86,25 @@ class TestRedistribute:
         cluster.load_shards(distribute(list(range(n)), src))
         redistribute(cluster, src, dst, detail="my-transpose")
         assert cluster.trace.events[-1].detail == "my-transpose"
+
+
+@pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+@pytest.mark.parametrize("node_size", [None, 4], ids=["flat", "staged"])
+def test_relayout_leaves_plain_ints_on_numpy(node_size):
+    """Relayouts install assembled shards without re-normalizing them:
+    values the lane kernels hand back stay plain ints through both the
+    direct and the staged (per-node scratch) relayout."""
+    n, g = 1 << 10, 8
+    schedule = build_unintt_schedule(
+        n, g, 8, ALL_ON.without("keep_permuted_output"))
+    assert schedule.ops[-1].name == "unintt-materialize"
+    if node_size:
+        schedule, _ = synthesize_hierarchical(schedule, node_size)
+    values = [v * 7919 % GOLDILOCKS.modulus for v in range(n)]
+    with use_backend("numpy"):
+        cluster = SimCluster(GOLDILOCKS, g, node_size=node_size)
+        interpret_schedule(schedule, cluster, values)
+    assert all(type(v) is int for gpu in cluster.gpus for v in gpu.shard)
 
 
 def identity_counts(g, per_gpu):

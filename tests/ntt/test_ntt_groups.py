@@ -136,11 +136,10 @@ class TestMultiLimbBatch:
             tight.ntt_core(values[:, :16], table(16))
 
     def test_cross_step_packs_once_per_gpu(self, monkeypatch):
-        """A UniNTT forward packs every GPU's shard once for the local
-        transform and once for the batched cross step: 2G packs of M
-        lanes, none of G lanes."""
+        """A UniNTT forward packs the whole cluster's shards once for
+        the local step and once for the cross step: two packs of n
+        lanes, none per GPU and none of G lanes."""
         gpus, n = 8, 1 << 10
-        m = n // gpus
         packs = []
         with use_backend("multilimb") as backend:
             lane_ops = type(backend).lane_ops
@@ -164,8 +163,8 @@ class TestMultiLimbBatch:
                 cluster, values, engine.input_layout(n))
             packs.clear()
             engine.forward(vec)
-            assert packs == [m] * (2 * gpus)
+            assert packs == [n, n]
             packs.clear()
             engine.inverse(DistributedVector(
                 cluster=cluster, layout=engine.output_layout(n)))
-            assert packs == [m] * (2 * gpus)
+            assert packs == [n, n]

@@ -20,7 +20,7 @@ Runs under the seeded "repro"/"ci" hypothesis profiles from
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from repro.field import (
     BLS12_381_FR, BN254_FR, GOLDILOCKS, numpy_available, use_backend,
@@ -116,22 +116,60 @@ def test_groth16_proof_packed_matches_list(seed):
 
 # -- KZG commit + open --------------------------------------------------------
 
-@given(degree=st.integers(33, 64),
-       seed=st.integers(0, 2**16),
-       point=st.integers(0, 2**64))
-def test_kzg_open_packed_matches_list(degree, seed, point):
+def _kzg_case(degree, seed):
     import random
 
     coeffs = [random.Random(seed + i).randrange(BN254_FR.modulus)
               for i in range(degree + 1)]
-    poly = Polynomial(BN254_FR, coeffs)
-    scheme = KzgScheme(trusted_setup(degree + 1, 0xFACEFEED))
+    return (Polynomial(BN254_FR, coeffs),
+            KzgScheme(trusted_setup(degree + 1, 0xFACEFEED)))
+
+
+def _on_opening_coset(degree, point):
+    """Whether ``point`` lies on the coset ``g * H`` the packed opening
+    evaluates on (``g`` the multiplicative generator, ``|H|`` the
+    padded size); there the opening divides synthetically by design."""
+    field = BN254_FR
+    p = field.modulus
+    n = 1 << degree.bit_length()
+    return pow(point * field.inv(field.multiplicative_generator) % p,
+               n, p) == 1
+
+
+@given(degree=st.integers(33, 64),
+       seed=st.integers(0, 2**16),
+       point=st.integers(0, 2**64))
+def test_kzg_open_packed_matches_list(degree, seed, point):
+    # On the coset the packed opening takes no packed leg, which would
+    # make the engagement guard of _packed_vs_list fail for a correct
+    # run; test_kzg_open_on_coset_matches_list covers those points.
+    assume(not _on_opening_coset(degree, point))
+    poly, scheme = _kzg_case(degree, seed)
     with use_backend("multilimb"):
         packed, unpacked = _packed_vs_list(
             lambda: (scheme.commit(poly), scheme.open(poly, point)))
     assert packed == unpacked, "KZG commit/open diverged packed vs list"
     commitment, opening = packed
     assert scheme.check_with_trapdoor(commitment, opening, 0xFACEFEED)
+
+
+@pytest.mark.parametrize("k", [0, 1, 63])
+def test_kzg_open_on_coset_matches_list(k):
+    """A point on the opening coset (``g * w^k``) falls back to synthetic
+    division under the packed backend too, with the same opening."""
+    degree = 33
+    field = BN254_FR
+    point = field.multiplicative_generator \
+        * pow(field.root_of_unity(64), k, field.modulus) % field.modulus
+    assert _on_opening_coset(degree, point)
+    poly, scheme = _kzg_case(degree, 0)
+    with use_backend("multilimb"):
+        packed = scheme.open(poly, point)
+        with packed_disabled():
+            unpacked = scheme.open(poly, point)
+    assert packed == unpacked
+    assert scheme.check_with_trapdoor(scheme.commit(poly), packed,
+                                      0xFACEFEED)
 
 
 # -- STARK prove (LDE leg packed) ---------------------------------------------
