@@ -13,7 +13,9 @@ Four tools share one reporting vocabulary
   schedule-rewriting compiler layer: peephole passes, hierarchical
   all-to-all synthesis, and the verification gate every rewritten
   schedule must pass (``repro analyze optimize``), with
-  :mod:`repro.analysis.interp` executing the products on the simulator.
+  :mod:`repro.analysis.interp` executing the products on the simulator
+  (it is also the executor every ``UniNTTEngine`` transform runs
+  through).
 
 :func:`all_checks` aggregates every registered check for ``repro
 info`` and the docs.

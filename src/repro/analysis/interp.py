@@ -1,23 +1,27 @@
-"""Schedule interpreter: execute a verified ``CommSchedule`` on the simulator.
+"""Schedule interpreter: the executor of every UniNTT run.
 
-The final piece of the verification story.  Passes and synthesis prove
-a schedule's *accounting* (gate in :mod:`repro.analysis.passes`); this
-module proves its *semantics* by actually running the op list on a
-:class:`~repro.sim.cluster.SimCluster` — real field values flow through
-every declared transfer — and letting tests check the result bit-exact
-against the engine the schedule was derived from, and the recorded
-trace's ``bytes_by_level()`` bit-for-bit against the schedule's.
+A :class:`~repro.multigpu.schedule.CommSchedule` of the **unintt
+family** is the program of a UniNTT transform:
+:func:`~repro.multigpu.schedule.build_unintt_schedule` writes it once
+(forward or inverse, with or without a coset), and the pass framework
+and :mod:`repro.analysis.synth` rewrite it.  :func:`execute_schedule`
+is the one executor.  :class:`~repro.multigpu.unintt.UniNTTEngine`
+runs its memoized, verified program (:func:`unintt_program`) through
+it, and :func:`interpret_schedule` stages a host vector and runs any
+verified forward schedule of the family, rewritten or not.  The
+packed polynomial path charges the same program op by op without
+moving data.
 
-The interpreter understands the **unintt family** of schedules
-(:func:`~repro.multigpu.schedule.build_unintt_schedule` and everything
-the pass framework / :mod:`repro.analysis.synth` derive from it):
+The executor runs:
 
-* local kernels by op name — ``local-ntt``, ``twiddle-pass``,
-  ``cross-ntt`` — with merged names (``a+b`` from the merge pass) split
-  and applied in order, then charged once per :class:`LocalOp`;
-* flat exchanges by relayout (``unintt-exchange``,
-  ``unintt-materialize``), executed by
-  :func:`~repro.multigpu.base.redistribute`;
+* local kernels from one table keyed by op name — ``coset``,
+  ``local-ntt``, ``twiddle-pass``, ``cross-ntt``, each with an
+  ``inv-`` twin — with merged names (``a+b`` from the merge pass)
+  split and applied in order, then charged once per :class:`LocalOp`
+  through :meth:`~repro.sim.cluster.SimCluster.charge_local` with the
+  live shards, so an injected compute fault corrupts real data;
+* flat exchanges by the relayout each :class:`ExchangeOp` carries,
+  executed by :func:`~repro.multigpu.base.redistribute`;
 * hierarchical ``*-stage`` / ``*-rail`` pairs, executed as two chained
   ``all_to_all`` collectives with the data genuinely forwarded through
   the per-node scratch GPUs (:func:`~repro.analysis.synth.route_via`).
@@ -30,30 +34,109 @@ raises :class:`~repro.errors.SchedulePassError` before touching data.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.analysis.plancheck import verify_schedule
 from repro.analysis.synth import route_via
-from repro.errors import SchedulePassError
+from repro.errors import PartitionError, SchedulePassError
 from repro.multigpu.base import (
     local_step, redistribute, relayout_plan, twiddle_table,
 )
 from repro.multigpu.layout import (
-    BlockLayout, CyclicLayout, Layout, SpectralLayout, UniNTTExchangeLayout,
-    collect, distribute,
+    BlockLayout, CyclicLayout, Layout, SpectralLayout, collect, distribute,
 )
 from repro.multigpu.schedule import (
-    CommSchedule, ExchangeOp, LocalOp, ScheduleOp,
+    CommSchedule, ExchangeOp, LocalOp, UniNTTOptions, build_unintt_schedule,
 )
 from repro.sim.cluster import SimCluster
 
-__all__ = ["interpret_schedule"]
+__all__ = ["execute_schedule", "interpret_schedule", "unintt_program"]
 
-#: Flat exchange ops the unintt family uses, as (source, target) layouts.
-_RELAYOUTS = {
-    "unintt-exchange": (BlockLayout, UniNTTExchangeLayout),
-    "unintt-materialize": (SpectralLayout, BlockLayout),
+
+def _step_root(cluster: SimCluster, inverse: bool) -> tuple[int, int]:
+    """(shard size M, the n-th root of unity or its inverse)."""
+    m = len(cluster.gpus[0].shard)
+    root = cluster.field.root_of_unity(m * cluster.gpu_count)
+    return m, cluster.field.inv(root) if inverse else root
+
+
+def _coset(cluster: SimCluster, inverse: bool, shift: int | None,
+           fused: bool) -> None:
+    """``x[j] *= shift^(+-j)`` over the cyclic layout: on GPU ``s``,
+    ``shift^s`` times the local geometric series of ``shift^G``."""
+    field = cluster.field
+    n = len(cluster.gpus[0].shard) * cluster.gpu_count
+    local_step(cluster, post=twiddle_table(
+        field, field.inv(shift) if inverse else shift, (1,), n,
+        layout=CyclicLayout(n=n, gpu_count=cluster.gpu_count)))
+
+
+def _local_ntt(cluster: SimCluster, inverse: bool, shift: int | None,
+               fused: bool) -> None:
+    """The M-point transforms; the twiddle rides them when ``fused``
+    (after them forward, before them inverse, which also scales 1/M)."""
+    m, root = _step_root(cluster, inverse)
+    g = cluster.gpu_count
+    p = cluster.field.modulus
+    twiddles = twiddle_table(cluster.field, root, range(g), m) \
+        if fused else None
+    if inverse:
+        local_step(cluster, m, pow(root, g, p), pre=twiddles,
+                   scale=cluster.field.inv(m % p))
+    else:
+        local_step(cluster, m, pow(root, g, p), post=twiddles)
+
+
+def _twiddle_pass(cluster: SimCluster, inverse: bool, shift: int | None,
+                  fused: bool) -> None:
+    """The inter-factor twiddle as its own sweep."""
+    m, root = _step_root(cluster, inverse)
+    local_step(cluster, post=twiddle_table(
+        cluster.field, root, range(cluster.gpu_count), m))
+
+
+def _cross_ntt(cluster: SimCluster, inverse: bool, shift: int | None,
+               fused: bool) -> None:
+    """Every GPU's M/G contiguous G-point transforms (inverse: 1/G)."""
+    m, root = _step_root(cluster, inverse)
+    g = cluster.gpu_count
+    p = cluster.field.modulus
+    local_step(cluster, g, pow(root, m, p),
+               scale=cluster.field.inv(g % p) if inverse else None)
+
+
+#: Local kernels by op name; an ``inv-`` prefix runs the inverse twin.
+_KERNELS = {
+    "coset": _coset,
+    "local-ntt": _local_ntt,
+    "twiddle-pass": _twiddle_pass,
+    "cross-ntt": _cross_ntt,
 }
 
-_LOCAL_KERNELS = ("local-ntt", "twiddle-pass", "cross-ntt")
+
+def _require_verified(schedule: CommSchedule) -> None:
+    findings = verify_schedule(schedule)
+    if findings:
+        raise SchedulePassError(
+            f"refusing to interpret {schedule.name!r}: "
+            f"{findings[0].format()}")
+
+
+@lru_cache(maxsize=64)
+def unintt_program(n: int, gpu_count: int, element_bytes: int,
+                   options: UniNTTOptions, tile: int, inverse: bool,
+                   coset: bool) -> CommSchedule:
+    """The verified program of one UniNTT run.
+
+    Memoized (bounded LRU) on the run's full identity — n, G, element
+    size, options, tile, direction and coset — so
+    :func:`verify_schedule` runs once per key; a finding raises
+    :class:`SchedulePassError`.
+    """
+    schedule = build_unintt_schedule(n, gpu_count, element_bytes, options,
+                                     tile, inverse=inverse, coset=coset)
+    _require_verified(schedule)
+    return schedule
 
 
 def _base_exchange_name(op: ExchangeOp) -> str:
@@ -138,22 +221,87 @@ def _staged_redistribute(cluster: SimCluster, source: Layout,
         cluster.gpus[dst].shard = plan.assemble(dst, fifo)
 
 
+def execute_schedule(schedule: CommSchedule, cluster: SimCluster, *,
+                     coset_shift: int | None = None) -> None:
+    """Run a unintt-family schedule on the cluster's current shards.
+
+    Each :class:`LocalOp` runs its kernel(s) and is charged once with
+    the live shards as the compute-fault buffers; each
+    :class:`ExchangeOp` executes its relayout (a ``-stage``/``-rail``
+    pair as the staged form).  ``coset_shift`` is the shift the
+    ``coset`` / ``inv-coset`` ops scale by.  The caller verifies the
+    schedule (:func:`unintt_program`, :func:`interpret_schedule`); ops
+    this executor has no kernel or relayout for raise
+    :class:`SchedulePassError` before any data moves.
+    """
+    n = len(cluster.gpus[0].shard) * cluster.gpu_count
+    fused, coset = True, False
+    for op in schedule.ops:
+        if isinstance(op, LocalOp):
+            for part in op.name.split("+"):
+                kernel = part.removeprefix("inv-")
+                if kernel not in _KERNELS:
+                    raise SchedulePassError(
+                        f"{schedule.name!r}: no kernel for local op "
+                        f"{part!r} (interpreter understands "
+                        f"{list(_KERNELS)} and their inv- twins)")
+                fused = fused and kernel != "twiddle-pass"
+                coset = coset or kernel == "coset"
+        elif not isinstance(op, ExchangeOp):
+            raise SchedulePassError(
+                f"{schedule.name!r}: interpreter does not execute "
+                f"{type(op).__name__} ops ({op.name!r})")
+        elif op.source is None or op.target is None \
+                or op.source.n != n:
+            raise SchedulePassError(
+                f"{schedule.name!r}: exchange op {op.name!r} carries no "
+                f"relayout of the cluster's {n} elements")
+    if coset != (coset_shift is not None):
+        raise SchedulePassError(
+            f"{schedule.name!r}: a coset shift goes with, and only with, "
+            f"coset ops")
+    if coset and coset_shift % cluster.field.modulus == 0:
+        raise PartitionError("coset shift must be non-zero")
+
+    ops = schedule.ops
+    i = 0
+    while i < len(ops):
+        op = ops[i]
+        if isinstance(op, LocalOp):
+            for part in op.name.split("+"):
+                _KERNELS[part.removeprefix("inv-")](
+                    cluster, part.startswith("inv-"), coset_shift, fused)
+            cluster.charge_local(
+                op.field_muls_per_gpu, op.mem_bytes_per_gpu,
+                detail=op.name,
+                buffers={gpu.gpu_id: [gpu.shard] for gpu in cluster.gpus})
+        elif op.name.endswith("-stage"):
+            base = _base_exchange_name(op)
+            rail = ops[i + 1] if i + 1 < len(ops) else None
+            if (not isinstance(rail, ExchangeOp)
+                    or rail.name != f"{base}-rail"):
+                raise SchedulePassError(
+                    f"{op.name!r} is not followed by its {base}-rail op")
+            _staged_redistribute(cluster, op.source, op.target, base)
+            i += 1
+        else:
+            redistribute(cluster, op.source, op.target,
+                         detail=_base_exchange_name(op))
+        i += 1
+
+
 def interpret_schedule(schedule: CommSchedule, cluster: SimCluster,
                        values: list[int]) -> list[int]:
-    """Run a verified unintt-family schedule on real data.
+    """Run a verified forward unintt-family schedule on real data.
 
     Loads ``values`` in the engine's cyclic input layout, executes
-    every op (kernels compute, collectives move the declared bytes,
-    charges hit the trace), and returns the transform output in natural
-    order — bit-exact with
+    every op (:func:`execute_schedule`: kernels compute, collectives
+    move the declared bytes, charges hit the trace), and returns the
+    transform output in natural order — bit-exact with
     :meth:`repro.multigpu.unintt.UniNTTEngine.forward` on the same
     input.
     """
-    findings = verify_schedule(schedule)
-    if findings:
-        raise SchedulePassError(
-            f"refusing to interpret {schedule.name!r}: "
-            f"{findings[0].format()}")
+    _require_verified(schedule)
     g = schedule.num_gpus
     if cluster.gpu_count != g:
         raise SchedulePassError(
@@ -166,70 +314,16 @@ def interpret_schedule(schedule: CommSchedule, cluster: SimCluster,
     if n < g * g or n % g:
         raise SchedulePassError(
             f"unintt schedules need n >= G^2 with G | n ({n}, G={g})")
-    m = n // g
-    field = cluster.field
-    p = field.modulus
-    root = field.root_of_unity(n)
-
-    kernel_names = [part for op in schedule.ops if isinstance(op, LocalOp)
-                    for part in op.name.split("+")]
-    unknown = [k for k in kernel_names if k not in _LOCAL_KERNELS]
-    if unknown:
+    if any(op.name.startswith("inv-") for op in schedule.ops):
         raise SchedulePassError(
-            f"{schedule.name!r}: no kernel for local op(s) {unknown!r} "
-            f"(interpreter understands {list(_LOCAL_KERNELS)})")
-    separate_twiddle = "twiddle-pass" in kernel_names
-
-    twiddles = twiddle_table(field, root, range(g), m)
-
-    def run_kernel(kernel: str) -> None:
-        if kernel == "local-ntt":
-            local_step(cluster, m, pow(root, g, p),
-                       post=None if separate_twiddle else twiddles)
-        elif kernel == "twiddle-pass":
-            local_step(cluster, post=twiddles)
-        else:  # cross-ntt
-            local_step(cluster, g, pow(root, m, p))
+            f"{schedule.name!r} is an inverse program; it runs through "
+            f"UniNTTEngine.inverse, which stages its spectral input")
 
     cluster.load_shards(distribute(values, CyclicLayout(n=n, gpu_count=g)))
-
-    ops: list[ScheduleOp] = list(schedule.ops)
-    i = 0
-    while i < len(ops):
-        op = ops[i]
-        if isinstance(op, LocalOp):
-            for part in op.name.split("+"):
-                run_kernel(part)
-            cluster.charge_local(op.field_muls_per_gpu,
-                                 op.mem_bytes_per_gpu, detail=op.name)
-        elif isinstance(op, ExchangeOp):
-            base = _base_exchange_name(op)
-            layouts = _RELAYOUTS.get(base)
-            if layouts is None:
-                raise SchedulePassError(
-                    f"{schedule.name!r}: no relayout for exchange op "
-                    f"{op.name!r}")
-            source, target = (cls(n=n, gpu_count=g) for cls in layouts)
-            if op.name.endswith("-stage"):
-                rail = ops[i + 1] if i + 1 < len(ops) else None
-                if (not isinstance(rail, ExchangeOp)
-                        or rail.name != f"{base}-rail"):
-                    raise SchedulePassError(
-                        f"{op.name!r} is not followed by its "
-                        f"{base}-rail op")
-                _staged_redistribute(cluster, source, target, base)
-                i += 1
-            else:
-                redistribute(cluster, source, target, detail=base)
-        else:
-            raise SchedulePassError(
-                f"{schedule.name!r}: interpreter does not execute "
-                f"{type(op).__name__} ops ({op.name!r})")
-        i += 1
-
-    bases = {_base_exchange_name(op) for op in schedule.ops
-             if isinstance(op, ExchangeOp)}
-    out_layout: Layout = (BlockLayout(n=n, gpu_count=g)
-                          if "unintt-materialize" in bases
+    execute_schedule(schedule, cluster)
+    materialized = any(_base_exchange_name(op) == "unintt-materialize"
+                       for op in schedule.ops
+                       if isinstance(op, ExchangeOp))
+    out_layout: Layout = (BlockLayout(n=n, gpu_count=g) if materialized
                           else SpectralLayout(n=n, gpu_count=g))
     return collect(cluster.peek_shards(), out_layout)

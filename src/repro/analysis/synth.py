@@ -89,11 +89,13 @@ def split_exchange(op: ExchangeOp, num_gpus: int,
     stage_op = ExchangeOp(
         name=f"{op.name}-stage", consumes=op.consumes,
         produces=staged_tag, transfers=_matrix_ops(stage),
-        expected_in_bytes=_received(stage), level="multi-gpu")
+        expected_in_bytes=_received(stage), level="multi-gpu",
+        source=op.source, target=op.target)
     rail_op = ExchangeOp(
         name=f"{op.name}-rail", consumes=staged_tag,
         produces=op.produces, transfers=_matrix_ops(rail),
-        expected_in_bytes=_received(rail), level="multi-node")
+        expected_in_bytes=_received(rail), level="multi-node",
+        source=op.source, target=op.target)
     return stage_op, rail_op
 
 

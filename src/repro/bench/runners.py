@@ -8,7 +8,8 @@ the sweeps here lets the example scripts regenerate the same numbers.
 
 from __future__ import annotations
 
-from typing import Sequence
+import time
+from typing import Callable, Sequence, TypeVar
 
 from repro.bench.reporting import geomean
 from repro.field.presets import BLS12_381_FR
@@ -33,11 +34,28 @@ __all__ = [
     "stark_end_to_end", "backend_comparison", "resilience_overhead",
     "serving_throughput", "durability_degradation",
     "bigfield_comparison", "schedule_synthesis", "fleet_scaling",
-    "packed_prover_pipeline",
+    "packed_prover_pipeline", "best_of",
 ]
 
 Row = Sequence[object]
 Table = tuple[list[str], list[list[object]]]
+T = TypeVar("T")
+
+
+def best_of(fn: Callable[[], T], repeats: int) -> tuple[float, T | None]:
+    """Best wall-clock seconds over ``repeats`` calls of ``fn``, and the
+    last call's result.
+
+    The one timer of the measured F-tables.  Runners that interleave
+    their columns (F23, F26) take one sample per column per repeat
+    (``repeats=1``), so every column sees the same machine regime.
+    """
+    best, result = float("inf"), None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, result
 
 
 def platforms_table() -> Table:
@@ -436,21 +454,15 @@ def backend_comparison(log_sizes: Sequence[int] = (10, 12, 14),
     ``n/a`` and the speedup is 1.0.
     """
     import random
-    import time
 
     from repro.field import available_backends, use_backend
     from repro.field.presets import GOLDILOCKS
     from repro.ntt.radix2 import ntt
 
     def best_time(backend: str, values: list[int]) -> float:
-        best = float("inf")
         with use_backend(backend):
             ntt(GOLDILOCKS, values)  # warm the twiddle cache
-            for _ in range(repeats):
-                start = time.perf_counter()
-                ntt(GOLDILOCKS, values)
-                best = min(best, time.perf_counter() - start)
-        return best
+            return best_of(lambda: ntt(GOLDILOCKS, values), repeats)[0]
 
     have_numpy = available_backends()["numpy"]
     headers = ["log2(n)", "field", "python ms", "numpy ms", "speedup"]
@@ -497,7 +509,6 @@ def bigfield_comparison(log_sizes: Sequence[int] = (10, 12, 14, 16),
     are 1.0.
     """
     import random
-    import time
 
     from repro.field import NumPyBackend, available_backends, use_backend
     from repro.field.presets import BN254_FR
@@ -505,11 +516,6 @@ def bigfield_comparison(log_sizes: Sequence[int] = (10, 12, 14, 16),
     from repro.ntt.twiddle import TwiddleCache
 
     fields = (BN254_FR, BLS12_381_FR)
-
-    def timed(fn) -> float:
-        start = time.perf_counter()
-        fn()
-        return time.perf_counter() - start
 
     have_numpy = available_backends()["multilimb"]
     headers = ["log2(n)", "field", "python ms", "multilimb ms",
@@ -529,7 +535,7 @@ def bigfield_comparison(log_sizes: Sequence[int] = (10, 12, 14, 16),
 
             if not have_numpy:
                 run_python()  # warm the twiddle cache
-                t_py = min(timed(run_python) for _ in range(repeats))
+                t_py, _ = best_of(run_python, repeats)
                 rows.append([log_n, field.name, t_py * 1e3, "n/a",
                              "1.0x", "n/a", "1.0x"])
                 continue
@@ -552,9 +558,9 @@ def bigfield_comparison(log_sizes: Sequence[int] = (10, 12, 14, 16),
             run_python(), run_e2e(), run_resident()
             t_py = t_ml = t_res = float("inf")
             for _ in range(repeats):
-                t_py = min(t_py, timed(run_python))
-                t_ml = min(t_ml, timed(run_e2e))
-                t_res = min(t_res, timed(run_resident))
+                t_py = min(t_py, best_of(run_python, 1)[0])
+                t_ml = min(t_ml, best_of(run_e2e, 1)[0])
+                t_res = min(t_res, best_of(run_resident, 1)[0])
             rows.append([
                 log_n, field.name, t_py * 1e3, t_ml * 1e3,
                 f"{t_py / t_ml:.1f}x", t_res * 1e3,
@@ -996,8 +1002,6 @@ def packed_prover_pipeline(log_sizes: Sequence[int] = (8, 10, 12, 14),
     (unpacked then packed per repeat) and best-of-``repeats``, as in
     F23.  Without numpy the packed columns read ``n/a``.
     """
-    import time
-
     from repro.field import available_backends, use_backend
     from repro.field.packed import pack_stats, packed_disabled
     from repro.field.presets import BN254_FR
@@ -1010,11 +1014,6 @@ def packed_prover_pipeline(log_sizes: Sequence[int] = (8, 10, 12, 14),
                "packs", "unpacks", "hot unpacks", "fused legs"]
     rows: list[list[object]] = []
 
-    def timed(fn):
-        start = time.perf_counter()
-        result = fn()
-        return time.perf_counter() - start, result
-
     for log_n in log_sizes:
         n = 1 << log_n
         r1cs, witness = square_chain(field, n - 1)
@@ -1022,9 +1021,8 @@ def packed_prover_pipeline(log_sizes: Sequence[int] = (8, 10, 12, 14),
         assert qap.domain.size == n, (qap.domain.size, n)
 
         if not have_numpy:
-            t_list, _ = min(
-                (timed(lambda: qap.witness_polynomials(witness))
-                 for _ in range(repeats)), key=lambda tr: tr[0])
+            t_list, _ = best_of(lambda: qap.witness_polynomials(witness),
+                                repeats)
             rows.append([log_n, field.name, t_list * 1e3, "n/a", "1.0x",
                          0, 0, 0, 0])
             continue
@@ -1052,8 +1050,8 @@ def packed_prover_pipeline(log_sizes: Sequence[int] = (8, 10, 12, 14),
                     f"{snap}")
             t_list = t_packed = float("inf")
             for _ in range(repeats):
-                t_u, _ = timed(run_unpacked)
-                t_p, got = timed(run_packed)
+                t_u, _ = best_of(run_unpacked, 1)
+                t_p, got = best_of(run_packed, 1)
                 t_list = min(t_list, t_u)
                 t_packed = min(t_packed, t_p)
                 if got.all() != reference.all():

@@ -96,13 +96,17 @@ class DistributedVector:
         array (uint64 lanes, or the multi-limb planes the big ZKP
         fields use); packed forms are unpacked at this boundary so
         shards — and the checkpoints taken from them — always hold
-        plain ints regardless of the active compute backend.
+        plain ints regardless of the active compute backend.  The
+        values are normalized once, here; the shards are installed
+        directly, as :func:`redistribute` installs its assembled ones.
         """
         from repro.field.vector import host_values
 
-        cluster.load_shards(distribute(host_values(cluster.field, values),
-                                       layout))
-        return cls(cluster=cluster, layout=layout)
+        vec = cls(cluster=cluster, layout=layout)
+        shards = distribute(host_values(cluster.field, values), layout)
+        for gpu, shard in zip(cluster.gpus, shards):
+            gpu.shard = shard
+        return vec
 
     def to_values(self) -> list[int]:
         """Reassemble the global vector (diagnostic; charges nothing)."""

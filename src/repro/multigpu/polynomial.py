@@ -46,10 +46,8 @@ from repro.field.vector import vec_add, vec_mul, vec_sub
 from repro.multigpu.base import (
     DistributedVector, VectorCheckpoint, exchange_counts,
 )
-from repro.multigpu.layout import (
-    BlockLayout, Layout, SpectralLayout, UniNTTExchangeLayout, collect,
-    distribute,
-)
+from repro.multigpu.layout import Layout, collect, distribute
+from repro.multigpu.schedule import LocalOp
 from repro.multigpu.unintt import UniNTTEngine
 from repro.ntt.twiddle import default_cache
 from repro.sim.trace import TraceEvent
@@ -96,7 +94,7 @@ def _packed_engine_ops(engine: UniNTTEngine, n: int):
     ``None`` routes the caller to the materialized list path: the
     backend has no lane kernels (or packed execution is disabled), the
     size is below the crossover or the UniNTT G^2 floor, the engine is
-    not UniNTT (other engines have no phase-charge hooks to mirror), or
+    not UniNTT (other engines have no program to charge), or
     chaos instrumentation (fault injector / exchange checksums) needs
     real messages on the wire.  A *compute-only* fault plan is the
     exception: its corruption targets local results, which the packed
@@ -237,8 +235,8 @@ class DistributedPolynomial:
 
     def _packed_transform(self, forward: bool, coset_shift: int | None,
                           ) -> "DistributedPolynomial":
-        """One transform on the packed currency, phases charged as if
-        the engine had materialized it.
+        """One transform on the packed currency, charged with the
+        engine's own program.
 
         UniNTT's forward pass *is* the full n-point (coset) NTT with
         its output permuted into the spectral layout, so running the
@@ -332,50 +330,27 @@ class DistributedPolynomial:
         return pack_values(ops, collect(shards, out_layout))
 
     def _charge_packed_transform(self, forward: bool, coset: bool) -> None:
-        """Mirror the engine's per-phase charges and trace events.
+        """Charge the engine's program op by op without moving data.
 
-        Same order, details, compute charges, and (count-priced)
-        exchanges as :meth:`UniNTTEngine.forward` / ``inverse``, so a
-        trace from the packed path is indistinguishable from the
-        materialized one.
+        The same verified schedule :meth:`UniNTTEngine.forward` /
+        ``inverse`` executes, so a trace from the packed path is
+        indistinguishable from the materialized one.  Local ops pass no
+        buffers — the cluster shards are stale (the data is resident
+        in the packed array), so the injector only advances its step
+        counter and :meth:`_replay_compute_faults` applies this leg's
+        compute faults to the packed output instead.  Exchanges are
+        priced by the element counts of their relayouts.
         """
-        engine = self.engine
-        cluster = engine.cluster
-        n = self.n
-        g = engine.gpu_count
-        m = n // g
-        block = BlockLayout(n=n, gpu_count=g)
-        exchange = UniNTTExchangeLayout(n=n, gpu_count=g)
-        spectral = SpectralLayout(n=n, gpu_count=g)
-        # live=False: the cluster shards are stale (the data is resident
-        # in the packed array), so the local-compute hooks advance the
-        # injector's step counter without handing it buffers — compute
-        # faults for this leg are replayed onto the packed output by
-        # :meth:`_replay_compute_faults` instead.
-        if forward:
-            if coset:
-                engine._charge_coset(m, live=False)
-            engine._charge_local_ntt(m, twiddle=True, detail="unintt-local",
-                                     live=False)
-            cluster.charge_all_to_all(exchange_counts(block, exchange),
-                                      detail="unintt-exchange")
-            engine._charge_cross(m, detail="unintt-cross", live=False)
-            if not engine.options.keep_permuted_output:
+        cluster = self.engine.cluster
+        program = self.engine.program(self.n, inverse=not forward,
+                                      coset=coset)
+        for op in program.ops:
+            if isinstance(op, LocalOp):
+                cluster.charge_local(op.field_muls_per_gpu,
+                                     op.mem_bytes_per_gpu, detail=op.name)
+            else:
                 cluster.charge_all_to_all(
-                    exchange_counts(spectral, block),
-                    detail="unintt-materialize")
-            return
-        if not engine.options.keep_permuted_output:
-            cluster.charge_all_to_all(exchange_counts(block, spectral),
-                                      detail="unintt-dematerialize")
-        engine._charge_cross(m, detail="unintt-inv-cross", scaled=True,
-                             live=False)
-        cluster.charge_all_to_all(exchange_counts(exchange, block),
-                                  detail="unintt-inv-exchange")
-        engine._charge_local_ntt(m, twiddle=True, scaled=True,
-                                 detail="unintt-inv-local", live=False)
-        if coset:
-            engine._charge_coset(m, live=False)
+                    exchange_counts(op.source, op.target), detail=op.name)
 
     # -- pointwise algebra (zero communication) ------------------------------------
 

@@ -20,11 +20,13 @@ set, as toggles the ablation benchmark flips:
   "do more per visit" idea that tiling applies at the memory level).
 
 The second half of the module is the **symbolic schedule**: a
-:class:`CommSchedule` is the list of local passes and shard transfers an
-engine would execute, derived from the *same* layouts and accounting
-formulas the engines use, but containing no data.  It is the object the
-plan verifier (:mod:`repro.analysis.plancheck`) walks: every op declares
-which dataflow *tag* it consumes and produces, so read-before-write,
+:class:`CommSchedule` is the list of local passes and shard transfers of
+one engine run, with exact accounting but no data.  For UniNTT it is
+the program itself: :func:`build_unintt_schedule` is the only
+description of a run, which the engine executes and the packed path
+charges.  It is also the object the plan verifier
+(:mod:`repro.analysis.plancheck`) walks: every op declares which
+dataflow *tag* it consumes and produces, so read-before-write,
 lost/duplicated transfers and deadlocks are decidable without running
 the simulator.  Transfers are the closed-form
 :func:`~repro.multigpu.base.exchange_counts` of the real
@@ -162,6 +164,10 @@ class ExchangeOp:
     #: op that consumes its output (SCCL's recv-copy-send chaining).
     #: Pure scheduling metadata — moves no bytes, changes no dataflow.
     pipelined: bool = False
+    #: The relayout the exchange executes (``None`` for a hand-built
+    #: op, which the executor refuses to run).
+    source: Layout | None = None
+    target: Layout | None = None
 
     def total_bytes(self) -> int:
         return sum(t.nbytes for t in self.transfers)
@@ -266,66 +272,96 @@ def make_transfers(source: Layout, target: Layout,
         if src != dst and counts[src][dst])
 
 
-def _relayout_op(name: str, source: Layout, target: Layout,
-                 element_bytes: int, consumes: str,
-                 produces: str) -> ExchangeOp:
-    transfers = make_transfers(source, target, element_bytes)
-    received = [0] * source.gpu_count
-    for t in transfers:
-        received[t.dst] += t.nbytes
-    return ExchangeOp(name=name, consumes=consumes, produces=produces,
-                      transfers=transfers,
-                      expected_in_bytes=tuple(received))
-
-
 def build_unintt_schedule(n: int, gpu_count: int, element_bytes: int,
                           options: UniNTTOptions = ALL_ON,
-                          tile: int = 4096) -> CommSchedule:
-    """The symbolic forward UniNTT run.
+                          tile: int = 4096, *, inverse: bool = False,
+                          coset: bool = False) -> CommSchedule:
+    """The UniNTT program: every local pass and exchange of one run.
 
-    Op-for-op mirror of :meth:`repro.multigpu.unintt.UniNTTEngine.forward`
-    (without a coset shift), using the same accounting formulas, so both
+    :class:`~repro.multigpu.unintt.UniNTTEngine` executes exactly this
+    op list (:func:`repro.analysis.interp.execute_schedule`), and the
+    packed polynomial path charges it op by op, so
     :meth:`CommSchedule.bytes_by_level` and
-    :meth:`CommSchedule.total_field_muls` match the simulator trace.
+    :meth:`CommSchedule.total_field_muls` are the trace's own charges.
+
+    The forward run is the local M-point transforms (twiddle fused or
+    a separate ``twiddle-pass``), the one exchange, the cross
+    transforms, and the materializing relayout unless the output stays
+    permuted.  ``inverse`` runs it backwards: dematerialize, inverse
+    cross transforms with the 1/G scaling, the inverse exchange, then
+    the inverse twiddle and local transforms with the 1/M scaling.
+    ``coset`` adds the coset scaling ``x[j] *= shift^(+-j)`` over the
+    cyclic layout, first in the forward run and last in the inverse;
+    the shift itself is data, supplied when the program runs.
     """
     g = gpu_count
     if n < g * g:
         raise ValueError(f"UniNTT needs n >= G^2 ({n} < {g}^2)")
     m = n // g
     eb = element_bytes
-
+    fused = options.fused_twiddle
+    scale = m if inverse else 0  # the 1/M (local) and 1/G (cross) multiply
     local_muls = (radix4.radix4_multiply_count(m) if options.radix_fusion
-                  else acct.local_ntt_muls(m))
-    if options.fused_twiddle:
+                  else acct.local_ntt_muls(m)) + scale
+    if fused:
         local_muls += acct.twiddle_muls(m)
-
-    ops: list[ScheduleOp] = [LocalOp(
-        name="local-ntt", consumes=INPUT_TAG, produces="local",
-        field_muls_per_gpu=local_muls,
-        mem_bytes_per_gpu=acct.local_ntt_mem_bytes(m, eb, tile))]
-    tag = "local"
-    if not options.fused_twiddle:
-        ops.append(LocalOp(
-            name="twiddle-pass", consumes=tag, produces="twiddled",
-            field_muls_per_gpu=acct.twiddle_muls(m),
-            mem_bytes_per_gpu=acct.pointwise_mem_bytes(m, eb)))
-        tag = "twiddled"
-
-    unit_major = BlockLayout(n=n, gpu_count=g)
+    pass_bytes = acct.pointwise_mem_bytes(m, eb)
+    block = BlockLayout(n=n, gpu_count=g)
     exchange = UniNTTExchangeLayout(n=n, gpu_count=g)
-    ops.append(_relayout_op("unintt-exchange", unit_major, exchange, eb,
-                            consumes=tag, produces="exchanged"))
-    ops.append(LocalOp(
-        name="cross-ntt", consumes="exchanged", produces="spectral",
-        field_muls_per_gpu=acct.small_batch_ntt_muls(m // g, g),
-        mem_bytes_per_gpu=acct.small_batch_mem_bytes(m // g, g, eb)))
-    if not options.keep_permuted_output:
-        spectral = SpectralLayout(n=n, gpu_count=g)
-        natural = BlockLayout(n=n, gpu_count=g)
-        ops.append(_relayout_op("unintt-materialize", spectral, natural,
-                                eb, consumes="spectral",
-                                produces="natural"))
-    return CommSchedule(name=f"unintt[{options.label()}]", num_gpus=g,
+    spectral = SpectralLayout(n=n, gpu_count=g)
+
+    ops: list[ScheduleOp] = []
+    tag = INPUT_TAG
+
+    def local(name: str, produces: str, muls: int, mem: int) -> None:
+        nonlocal tag
+        ops.append(LocalOp(name=name, consumes=tag, produces=produces,
+                           field_muls_per_gpu=muls, mem_bytes_per_gpu=mem))
+        tag = produces
+
+    def relayout(name: str, source: Layout, target: Layout,
+                 produces: str) -> None:
+        nonlocal tag
+        transfers = make_transfers(source, target, eb)
+        received = [0] * g
+        for t in transfers:
+            received[t.dst] += t.nbytes
+        ops.append(ExchangeOp(
+            name=name, consumes=tag, produces=produces, transfers=transfers,
+            expected_in_bytes=tuple(received), source=source, target=target))
+        tag = produces
+
+    # Coset scaling: multiplications only (it rides the twiddle pass)
+    # when twiddles are fused, a standalone sweep otherwise.
+    coset_bytes = 0 if fused else pass_bytes
+    cross_muls = acct.small_batch_ntt_muls(m // g, g) + scale
+    cross_bytes = acct.small_batch_mem_bytes(m // g, g, eb)
+    local_bytes = acct.local_ntt_mem_bytes(m, eb, tile)
+    if not inverse:
+        if coset:
+            local("coset", "coset", 2 * m, coset_bytes)
+        local("local-ntt", "local", local_muls, local_bytes)
+        if not fused:
+            local("twiddle-pass", "twiddled", acct.twiddle_muls(m),
+                  pass_bytes)
+        relayout("unintt-exchange", block, exchange, "exchanged")
+        local("cross-ntt", "spectral", cross_muls, cross_bytes)
+        if not options.keep_permuted_output:
+            relayout("unintt-materialize", spectral, block, "natural")
+    else:
+        if not options.keep_permuted_output:
+            relayout("unintt-dematerialize", block, spectral, "spectral")
+        local("inv-cross-ntt", "inv-cross", cross_muls, cross_bytes)
+        relayout("unintt-inv-exchange", exchange, block, "unit-major")
+        if not fused:
+            local("inv-twiddle-pass", "inv-twiddled",
+                  acct.twiddle_muls(m), pass_bytes)
+        local("inv-local-ntt", "cyclic", local_muls, local_bytes)
+        if coset:
+            local("inv-coset", "inv-coset", 2 * m, coset_bytes)
+    kind = "unintt" + ("-inverse" if inverse else "") \
+        + ("-coset" if coset else "")
+    return CommSchedule(name=f"{kind}[{options.label()}]", num_gpus=g,
                         element_bytes=eb, ops=tuple(ops))
 
 

@@ -20,29 +20,32 @@ the uniform optimizations of :mod:`repro.multigpu.schedule`:
   NTT -> pointwise -> INTT round trip pays exactly **two** all-to-alls
   where the baseline pays six.
 
+The steps are written once, as the program
+:func:`~repro.multigpu.schedule.build_unintt_schedule` builds:
+:meth:`UniNTTEngine.forward` and :meth:`UniNTTEngine.inverse` run its
+verified form through :func:`repro.analysis.interp.execute_schedule`,
+and the packed polynomial path charges the same ops.
+
 The local transforms follow a hierarchical plan
 (:func:`repro.ntt.plan.hierarchical_plan` restricted to the intra-GPU
 levels), which is what "the same NTT computation at different scales"
-means operationally: this module's step list *is* the plan's split node,
+means operationally: the program's step list *is* the plan's split node,
 and the local kernel recursion repeats it per level.
 """
 
 from __future__ import annotations
 
+from repro.analysis.interp import execute_schedule, unintt_program
 from repro.errors import PartitionError
 from repro.hw.cost import Phase, PipelinedGroup, Step
 from repro.multigpu import accounting as acct
-from repro.multigpu.base import (
-    DistributedNTTEngine, DistributedVector, local_step, redistribute,
-    twiddle_table,
-)
+from repro.multigpu.base import DistributedNTTEngine, DistributedVector
 from repro.multigpu.layout import (
-    BlockLayout, CyclicLayout, Layout, SpectralLayout, UniNTTExchangeLayout,
+    BlockLayout, CyclicLayout, Layout, SpectralLayout,
 )
-from repro.multigpu.schedule import ALL_ON, UniNTTOptions
+from repro.multigpu.schedule import ALL_ON, CommSchedule, UniNTTOptions
 from repro.ntt import radix4
 from repro.sim.cluster import SimCluster
-from repro.sim.trace import TraceEvent
 
 __all__ = ["UniNTTEngine"]
 
@@ -76,6 +79,24 @@ class UniNTTEngine(DistributedNTTEngine):
 
     # -- functional ------------------------------------------------------------
 
+    def program(self, n: int, *, inverse: bool = False,
+                coset: bool = False) -> CommSchedule:
+        """The verified schedule a size-``n`` run executes.
+
+        :func:`~repro.multigpu.schedule.build_unintt_schedule` is the
+        engine's only description of its phases;
+        :func:`repro.analysis.interp.unintt_program` verifies it once
+        per key and memoizes it.
+        """
+        self._check_size(n)
+        return unintt_program(n, self.gpu_count, self.cluster.element_bytes,
+                              self.options, self.tile, inverse, coset)
+
+    def _run(self, n: int, inverse: bool, coset_shift: int | None) -> None:
+        execute_schedule(
+            self.program(n, inverse=inverse, coset=coset_shift is not None),
+            self.cluster, coset_shift=coset_shift)
+
     def forward(self, vec: DistributedVector,
                 coset_shift: int | None = None) -> DistributedVector:
         """Forward transform; ``coset_shift`` evaluates on ``shift * H``.
@@ -89,179 +110,30 @@ class UniNTTEngine(DistributedNTTEngine):
         n = vec.n
         self._check_size(n)
         self._check_input(vec, self.input_layout(n))
-        g = self.gpu_count
-        m = n // g
-        field = self.field
-        p = field.modulus
-        root = field.root_of_unity(n)
-        cluster = self.cluster
-
-        # 0. fused coset scaling (local; charged with the twiddles).
-        if coset_shift is not None:
-            self._scale_coset(n, coset_shift)
-
-        # 1+2. local M-point transforms with the twiddle scaling fused
-        # (functionally the twiddle is applied right after; the *charge*
-        # differs: fused costs no extra memory sweep).
-        local_step(cluster, m, pow(root, g, p),
-                   post=twiddle_table(field, root, range(g), m))
-        self._charge_local_ntt(m, twiddle=True, detail="unintt-local")
-
-        # 3. the single all-to-all.
-        unit_major = BlockLayout(n=n, gpu_count=g)
-        exchange = UniNTTExchangeLayout(n=n, gpu_count=g)
-        redistribute(cluster, unit_major, exchange, detail="unintt-exchange")
-
-        # 4. cross transforms: M/G independent G-point NTTs per GPU over
-        # the shard's contiguous G-groups.
-        local_step(cluster, g, pow(root, m, p))
-        self._charge_cross(m, detail="unintt-cross")
-
-        out = DistributedVector(
-            cluster=cluster, layout=SpectralLayout(n=n, gpu_count=g))
-        if not self.options.keep_permuted_output:
-            out = out.relayout(BlockLayout(n=n, gpu_count=g),
-                               detail="unintt-materialize")
-        return out
+        self._run(n, inverse=False, coset_shift=coset_shift)
+        return DistributedVector(cluster=self.cluster,
+                                 layout=self.output_layout(n))
 
     def inverse(self, vec: DistributedVector,
                 coset_shift: int | None = None) -> DistributedVector:
         """Inverse transform; ``coset_shift`` interprets the spectrum as
         evaluations on ``shift * H`` (undoing :meth:`forward`'s fused
-        scaling after the transform)."""
+        scaling after the transform).  Accepts the forward output
+        layout: natural order is restored to the spectral layout first
+        unless the output stays permuted."""
         n = vec.n
         self._check_size(n)
-        g = self.gpu_count
-        m = n // g
-        field = self.field
-        p = field.modulus
-        root = field.root_of_unity(n)
-        inv_root = field.inv(root)
-        cluster = self.cluster
+        self._check_input(vec, self.output_layout(n))
+        self._run(n, inverse=True, coset_shift=coset_shift)
+        return DistributedVector(cluster=self.cluster,
+                                 layout=self.input_layout(n))
 
-        spectral = SpectralLayout(n=n, gpu_count=g)
-        if not self.options.keep_permuted_output:
-            # The engine hands out natural order, so it must also accept
-            # it back: restore the spectral layout first.
-            self._check_input(vec, BlockLayout(n=n, gpu_count=g))
-            vec = vec.relayout(spectral, detail="unintt-dematerialize")
-        else:
-            self._check_input(vec, spectral)
-
-        # 1. inverse cross transforms with the 1/G scaling fused in.
-        local_step(cluster, g, pow(inv_root, m, p),
-                   scale=field.inv(g % p))
-        self._charge_cross(m, detail="unintt-inv-cross", scaled=True)
-
-        # 2. the single all-to-all, back to unit-major order.
-        unit_major = BlockLayout(n=n, gpu_count=g)
-        exchange = UniNTTExchangeLayout(n=n, gpu_count=g)
-        redistribute(cluster, exchange, unit_major,
-                     detail="unintt-inv-exchange")
-
-        # 3. fused inverse twiddle + local M-point inverse transforms
-        # (scale 1/M; total scaling 1/G * 1/M = 1/n).
-        local_step(cluster, m, pow(inv_root, g, p),
-                   pre=twiddle_table(field, inv_root, range(g), m),
-                   scale=field.inv(m % p))
-        self._charge_local_ntt(m, twiddle=True, scaled=True,
-                               detail="unintt-inv-local")
-
-        # Fused inverse coset scaling: x[j] *= shift^-j, decomposed
-        # along the cyclic layout exactly like the forward pass.
-        if coset_shift is not None:
-            self._scale_coset(n, coset_shift, inverse=True)
-        return DistributedVector(cluster=cluster,
-                                 layout=CyclicLayout(n=n, gpu_count=g))
-
-    def _scale_coset(self, n: int, shift: int,
-                     inverse: bool = False) -> None:
-        """``x[j] *= shift^j`` (``shift^-j`` for ``inverse``) over the
-        cyclic layout, then its charge.
-
-        On GPU ``s`` that is ``shift^s`` times the local geometric
-        series of ``shift^G``: the twiddle pass at zero extra memory
-        traffic.
-        """
-        if shift % self.field.modulus == 0:
-            raise PartitionError("coset shift must be non-zero")
-        if inverse:
-            shift = self.field.inv(shift)
-        cyclic = CyclicLayout(n=n, gpu_count=self.gpu_count)
-        local_step(self.cluster, post=twiddle_table(
-            self.field, shift, (1,), n, layout=cyclic))
-        self._charge_coset(n // self.gpu_count)
-
-    # -- accounting --------------------------------------------------------------
+    # -- analytic ----------------------------------------------------------------
 
     def _local_ntt_muls(self, m: int) -> int:
         if self.options.radix_fusion:
             return radix4.radix4_multiply_count(m)
         return acct.local_ntt_muls(m)
-
-    def _charge_local_ntt(self, m: int, twiddle: bool, detail: str,
-                          scaled: bool = False, live: bool = True) -> None:
-        eb = self.cluster.element_bytes
-        muls = self._local_ntt_muls(m)
-        mem = acct.local_ntt_mem_bytes(m, eb, self.tile)
-        if twiddle and self.options.fused_twiddle:
-            muls += acct.twiddle_muls(m)
-        if scaled:
-            muls += m  # the 1/M scaling multiply
-        buffers = self._live_buffers() if live else None
-        for gpu in self.cluster.gpus:
-            gpu.charge_compute(muls, mem)
-        self.cluster.trace.record(TraceEvent(
-            kind="local-compute", level="gpu", max_bytes_per_gpu=mem,
-            total_bytes=mem * self.gpu_count,
-            field_muls=muls * self.gpu_count, detail=detail))
-        self.cluster.local_compute_hook(buffers, detail)
-        if twiddle and not self.options.fused_twiddle:
-            # A standalone twiddle kernel: its own launch and memory sweep.
-            tw_muls = acct.twiddle_muls(m)
-            tw_mem = acct.pointwise_mem_bytes(m, eb)
-            for gpu in self.cluster.gpus:
-                gpu.charge_compute(tw_muls, tw_mem)
-            self.cluster.trace.record(TraceEvent(
-                kind="local-compute", level="gpu",
-                max_bytes_per_gpu=tw_mem,
-                total_bytes=tw_mem * self.gpu_count,
-                field_muls=tw_muls * self.gpu_count,
-                detail=f"{detail}-twiddle"))
-            self.cluster.local_compute_hook(buffers, f"{detail}-twiddle")
-
-    def _charge_coset(self, m: int, live: bool = True) -> None:
-        """Fused coset scaling: multiplications only, no memory sweep
-        when twiddle fusion is on; a standalone pass otherwise."""
-        eb = self.cluster.element_bytes
-        mem = 0 if self.options.fused_twiddle \
-            else acct.pointwise_mem_bytes(m, eb)
-        for gpu in self.cluster.gpus:
-            gpu.charge_compute(2 * m, mem)
-        self.cluster.trace.record(TraceEvent(
-            kind="local-compute", level="gpu", max_bytes_per_gpu=mem,
-            total_bytes=mem * self.gpu_count,
-            field_muls=2 * m * self.gpu_count, detail="unintt-coset"))
-        self.cluster.local_compute_hook(
-            self._live_buffers() if live else None, "unintt-coset")
-
-    def _charge_cross(self, m: int, detail: str,
-                      scaled: bool = False, live: bool = True) -> None:
-        g = self.gpu_count
-        eb = self.cluster.element_bytes
-        muls = acct.small_batch_ntt_muls(m // g, g)
-        if scaled:
-            muls += m
-        mem = acct.small_batch_mem_bytes(m // g, g, eb)
-        for gpu in self.cluster.gpus:
-            gpu.charge_compute(muls, mem)
-        self.cluster.trace.record(TraceEvent(
-            kind="local-compute", level="gpu", max_bytes_per_gpu=mem,
-            total_bytes=mem * g, field_muls=muls * g, detail=detail))
-        self.cluster.local_compute_hook(
-            self._live_buffers() if live else None, detail)
-
-    # -- analytic ----------------------------------------------------------------
 
     def _profile(self, n: int, inverse: bool) -> list[Step]:
         self._check_size(n)

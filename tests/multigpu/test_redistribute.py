@@ -10,9 +10,9 @@ from repro.errors import PartitionError
 from repro.field import GOLDILOCKS, TEST_FIELD_97, use_backend
 from repro.field.backend import numpy_available
 from repro.multigpu import (
-    BlockLayout, ColumnBlockLayout, CyclicLayout, NestedCyclicLayout,
-    SpectralLayout, UniNTTExchangeLayout, collect, distribute,
-    redistribute,
+    BlockLayout, ColumnBlockLayout, CyclicLayout, DistributedVector,
+    NestedCyclicLayout, SpectralLayout, UniNTTExchangeLayout, collect,
+    distribute, redistribute,
 )
 from repro.multigpu.base import exchange_counts
 from repro.multigpu.schedule import ALL_ON, build_unintt_schedule
@@ -105,6 +105,25 @@ def test_relayout_leaves_plain_ints_on_numpy(node_size):
         cluster = SimCluster(GOLDILOCKS, g, node_size=node_size)
         interpret_schedule(schedule, cluster, values)
     assert all(type(v) is int for gpu in cluster.gpus for v in gpu.shard)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="needs numpy")
+@pytest.mark.parametrize("packed", [False, True], ids=["scalars", "lanes"])
+def test_staging_leaves_plain_ints_on_numpy(packed):
+    """from_values normalizes once and installs the shards directly:
+    numpy integer inputs (a list of scalars or a 1-D lane array) land
+    as plain ints on every GPU."""
+    import numpy as np
+
+    n, g = 256, 4
+    values = np.arange(n, dtype=np.uint64) * np.uint64(7919)
+    staged = values if packed else list(values)
+    with use_backend("numpy"):
+        cluster = SimCluster(GOLDILOCKS, g)
+        vec = DistributedVector.from_values(
+            cluster, staged, CyclicLayout(n=n, gpu_count=g))
+    assert all(type(v) is int for gpu in cluster.gpus for v in gpu.shard)
+    assert vec.to_values() == [int(v) for v in values]
 
 
 def identity_counts(g, per_gpu):
