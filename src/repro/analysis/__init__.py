@@ -23,54 +23,53 @@ info`` and the docs.
 
 from __future__ import annotations
 
-from repro.analysis import passes, plancheck, tracecheck
-from repro.analysis.findings import (
-    Check, Finding, findings_to_json, render_findings,
-)
-from repro.analysis.interp import interpret_schedule
-from repro.analysis.passes import (
-    DEFAULT_PASSES, PassReport, ScheduleDelta, SchedulePass, run_passes,
-    verify_rewrite,
-)
-from repro.analysis.plancheck import (
-    SEED_BUGS, analyze_plan, check_cost, seed_bug, verify_schedule,
-)
-from repro.analysis.synth import (
-    ScheduleCandidate, enumerate_candidates, synthesize_hierarchical,
-)
-from repro.analysis.tracecheck import check_trace
+import importlib
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Check", "Finding", "render_findings", "findings_to_json",
-    "all_checks", "verify_schedule", "check_cost", "analyze_plan",
-    "seed_bug", "SEED_BUGS", "check_trace", "lint_paths",
-    "ScheduleDelta", "SchedulePass", "PassReport", "DEFAULT_PASSES",
-    "run_passes", "verify_rewrite", "ScheduleCandidate",
-    "synthesize_hierarchical", "enumerate_candidates",
-    "interpret_schedule",
-]
+if TYPE_CHECKING:
+    from repro.analysis.findings import Check
+
+#: Where each public name lives.  The package imports nothing up front
+#: (PEP 562 ``__getattr__``): a process that only runs the UniNTT
+#: executor pays for :mod:`~repro.analysis.interp` and
+#: :mod:`~repro.analysis.plancheck`, not for the rewriting passes, the
+#: synthesizer, the trace checker or the lint.
+_EXPORTS = {
+    "findings": ("Check", "Finding", "findings_to_json", "render_findings"),
+    "interp": ("interpret_schedule",),
+    "lint": ("lint_paths",),
+    "passes": ("DEFAULT_PASSES", "PassReport", "ScheduleDelta",
+               "SchedulePass", "run_passes", "verify_rewrite"),
+    "plancheck": ("SEED_BUGS", "analyze_plan", "check_cost", "seed_bug",
+                  "verify_schedule"),
+    "synth": ("ScheduleCandidate", "enumerate_candidates",
+              "synthesize_hierarchical"),
+    "tracecheck": ("check_trace",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names}
+
+__all__ = ["all_checks", *_HOME]
 
 
-def _lint_module():
-    # repro.analysis.lint is imported lazily (and via import_module, to
-    # dodge this package's own __getattr__) so that running it as a
-    # script (``python -m repro.analysis.lint``) does not import the
-    # module twice and trip runpy's double-import warning.
-    import importlib
-
-    return importlib.import_module("repro.analysis.lint")
+def _module(name: str):
+    # Imported on demand, so running the lint as a script (``python -m
+    # repro.analysis.lint``) does not find it already imported by this
+    # package (runpy's double-import warning).
+    return importlib.import_module(f"{__name__}.{name}")
 
 
 def __getattr__(name: str):
-    if name == "lint":
-        return _lint_module()
-    if name == "lint_paths":
-        return _lint_module().lint_paths
+    if name in _EXPORTS:
+        return _module(name)
+    if name in _HOME:
+        return getattr(_module(_HOME[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def all_checks() -> list[Check]:
     """Every registered check across the four tools, sorted by id."""
-    checks = list(plancheck.CHECKS) + list(tracecheck.CHECKS) \
-        + list(passes.CHECKS) + list(_lint_module().CHECKS)
+    checks = [check for module in ("plancheck", "tracecheck", "passes",
+                                   "lint")
+              for check in _module(module).CHECKS]
     return sorted(checks, key=lambda check: check.check_id)

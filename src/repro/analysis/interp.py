@@ -24,7 +24,7 @@ The executor runs:
   executed by :func:`~repro.multigpu.base.redistribute`;
 * hierarchical ``*-stage`` / ``*-rail`` pairs, executed as two chained
   ``all_to_all`` collectives with the data genuinely forwarded through
-  the per-node scratch GPUs (:func:`~repro.analysis.synth.route_via`).
+  the per-node scratch GPUs (:func:`~repro.multigpu.schedule.route_via`).
   Both kinds run the same memoized
   :func:`~repro.multigpu.base.relayout_plan` of the layout pair.
 
@@ -37,7 +37,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.analysis.plancheck import verify_schedule
-from repro.analysis.synth import route_via
 from repro.errors import PartitionError, SchedulePassError
 from repro.multigpu.base import (
     local_step, redistribute, relayout_plan, twiddle_table,
@@ -47,6 +46,7 @@ from repro.multigpu.layout import (
 )
 from repro.multigpu.schedule import (
     CommSchedule, ExchangeOp, LocalOp, UniNTTOptions, build_unintt_schedule,
+    route_via,
 )
 from repro.sim.cluster import SimCluster
 

@@ -36,25 +36,13 @@ from repro.analysis.passes import (
 from repro.errors import SchedulePassError
 from repro.multigpu.schedule import (
     ALL_ON, CommSchedule, ExchangeOp, ScheduleOp, ShardTransfer,
-    UniNTTOptions, build_unintt_schedule,
+    UniNTTOptions, build_unintt_schedule, route_via,
 )
 
 __all__ = [
     "route_via", "split_exchange", "synthesize_hierarchical",
     "ScheduleCandidate", "enumerate_candidates",
 ]
-
-
-def route_via(src: int, dst: int, node_size: int) -> int:
-    """The GPU that carries a ``src -> dst`` message out of src's node.
-
-    Same node: deliver directly (``dst``).  Cross node: the scratch GPU
-    in src's node on dst's *rail* (same intra-node index), so the
-    inter-node hop is rail-aligned and aggregates per destination.
-    """
-    if src // node_size == dst // node_size:
-        return dst
-    return (src // node_size) * node_size + dst % node_size
 
 
 def _matrix_ops(counts: list[list[int]]) -> tuple[ShardTransfer, ...]:

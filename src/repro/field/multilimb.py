@@ -28,6 +28,7 @@ CIOS example.
 
 from __future__ import annotations
 
+import struct
 from typing import Any, Sequence
 
 from repro.errors import FieldError
@@ -55,6 +56,8 @@ class _MultiLimbKernel:
         s = self.schedule
         k, L = s.limb_bits, s.limbs
         self.k, self.L, self.W = k, L, s.words
+        #: One element's little-endian words as a bytes chunk (unpack).
+        self._element = struct.Struct(f"{8 * s.words}s")
         self.mask = np.uint64(s.mask)
         self.sh = np.uint64(k)
         self.m64 = np.int64(s.mask)
@@ -98,6 +101,7 @@ class _MultiLimbKernel:
                 prod=np.empty((L, n), dtype=np.uint64),
                 m=np.empty(n, dtype=np.uint64),
                 b=np.empty((L, n), dtype=np.uint64),
+                tw=np.empty((L, n), dtype=np.uint64),
                 c0=np.empty(n, dtype=np.int64),
                 c1=np.empty(n, dtype=np.int64),
             )
@@ -275,11 +279,9 @@ class _MultiLimbKernel:
             words[:, w] |= arr[j] << np.uint64(off)
             if off + k > 64 and w + 1 < W:
                 words[:, w + 1] |= arr[j] >> np.uint64(64 - off)
-        buf = words.tobytes()
-        step = W * 8
-        mv = memoryview(buf)
-        return [int.from_bytes(mv[i:i + step], "little")
-                for i in range(0, len(buf), step)]
+        from_bytes = int.from_bytes
+        return [from_bytes(chunk, "little")
+                for (chunk,) in self._element.iter_unpack(words.tobytes())]
 
     # -- lane-shape hooks (see backend._Kernel) ------------------------------
 
@@ -419,37 +421,49 @@ class _MultiLimbKernel:
         self.norm_seq(out)
         return self._cond_sub(out)
 
-    def _stage_tables_for(self, table, n: int, batch: int) -> list:
-        """Per-stage sliced+repeated twiddle views for an n-point DIT run
-        over ``batch`` size-major vectors.
+    def _stage_tables_for(self, table, n: int) -> list:
+        """Per-stage ``(L, m)`` twiddle slices for an n-point DIT run.
 
-        Keyed by the table's identity (a strong reference is kept, so
-        ``id`` stays valid) and the run's shape; bounded to a few
-        transform shapes.
+        Stage ``s`` multiplies its ``m = 2^s`` butterfly groups by one
+        twiddle each, so only those ``m`` columns stay resident; the
+        run widens them to its lane count (:meth:`ntt_core`).  Keyed by
+        the table's identity (a strong reference is kept, so ``id``
+        stays valid) and n, not the batch, so a stream of varying
+        batch sizes shares one entry; bounded to a few tables.
         """
-        key = (id(table), n, batch)
+        key = (id(table), n)
         tabs = self._stage_tables.get(key)
         if tabs is None:
-            np = self.np
             half_n = n // 2
             tabs = [table]  # strong ref pins id(table)
-            stride, m = half_n, 1
-            while stride >= 1:
-                half = m
-                step = half_n // half
-                if half == 1:
-                    tabs.append(None)  # first stage: tw == 1
-                else:
-                    tw = table[:, ::step][:, :half]
-                    if stride * batch > 1:
-                        tw = np.repeat(tw, stride * batch, axis=-1)
-                    tabs.append(np.ascontiguousarray(tw))
+            m = 1
+            while m <= half_n:  # first stage (m == 1): tw == 1
+                tabs.append(self.np.ascontiguousarray(
+                    table[:, ::half_n // m][:, :m]) if m > 1 else None)
                 m *= 2
-                stride //= 2
             if len(self._stage_tables) >= 4:
                 self._stage_tables.pop(next(iter(self._stage_tables)))
             self._stage_tables[key] = tabs
         return tabs[1:]
+
+    def _widen(self, stage, out, stride: int):
+        """Stage twiddles ``(L, m)`` repeated ``stride`` times per group.
+
+        Written into the scratch ``out`` (``(L, m * stride)``); a
+        stride of 1 needs no copy.  Up to a stride of 4, ``stride``
+        strided column copies beat one broadcast copy's ``L * m`` tiny
+        rows; above it the broadcast copy wins (2^8-2^13 lanes).
+        """
+        if stride == 1:
+            return stage
+        L, m = stage.shape
+        grid = out.reshape(L, m, stride)
+        if stride <= 4:
+            for j in range(stride):
+                grid[:, :, j] = stage
+        else:
+            self.np.copyto(grid, stage[:, :, None])
+        return out
 
     def ntt_core(self, values, table, batch: int = 1):
         """Forward DIT Stockham NTT on packed planes; canonical result.
@@ -480,7 +494,7 @@ class _MultiLimbKernel:
         if n == 1:
             return values.copy()
         half_lanes = lanes // 2
-        tabs = self._stage_tables_for(table, n, batch)
+        tabs = self._stage_tables_for(table, n)
         sc = self.scratch(half_lanes)
         x = values
         y = np.empty_like(values)
@@ -503,7 +517,8 @@ class _MultiLimbKernel:
                 a = xr[:, :, 0, :]
                 b = sc["b"]
                 np.copyto(b.reshape(L, m, stride), xr[:, :, 1, :])
-                u = self.montmul_lazy(b, tabs[si], sc)
+                u = self.montmul_lazy(
+                    b, self._widen(tabs[si], sc["tw"], stride), sc)
                 self.butterfly_stage(a, u.reshape(L, m, stride),
                                      y0.reshape(L, m, stride),
                                      y1.reshape(L, m, stride),

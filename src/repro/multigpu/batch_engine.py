@@ -28,11 +28,16 @@ from repro.multigpu import accounting as acct
 from repro.multigpu.base import DistributedNTTEngine, DistributedVector
 from repro.multigpu.unintt import UniNTTEngine
 from repro.ntt import radix2
+from repro.ntt.batch import ntt_groups
 from repro.ntt.twiddle import default_cache
 from repro.sim.cluster import SimCluster
 from repro.sim.trace import TraceEvent
 
-__all__ = ["BatchedDistributedNTT"]
+__all__ = ["BatchedDistributedNTT", "REPLICATE_MAX_LANES"]
+
+#: Lanes (vectors x points) one host kernel of the replicate route
+#: covers; a larger batch runs as several calls of this size.
+REPLICATE_MAX_LANES = 1 << 13
 
 
 class BatchedDistributedNTT:
@@ -84,36 +89,45 @@ class BatchedDistributedNTT:
                         inverse: bool) -> list[list[int]]:
         """Round-robin whole vectors to GPUs; all transforms local.
 
-        On a lane backend each transform packs its vector once, runs
-        the whole-stage kernel, and unpacks once (inside
-        :func:`repro.ntt.radix2.ntt`); the charges are the same on
-        every backend.
+        GPU assignment is accounting only, so the host runs the whole
+        batch as :func:`repro.ntt.batch.ntt_groups` calls of at most
+        :data:`REPLICATE_MAX_LANES` lanes each (the inverse is the
+        inverse root plus the ``1/n`` scale).  Each GPU is charged one
+        transform per vector it owns, holds its last vector's result as
+        its shard, and hands the fault hook the very lists returned.
         """
-        g = self.cluster.gpu_count
-        eb = self.cluster.element_bytes
-        transform = radix2.intt if inverse else radix2.ntt
+        radix2.check_size(n, self.field)
+        field = self.field
+        gpus = self.cluster.gpus
+        g = len(gpus)
+        if inverse:
+            root = field.inv_root_of_unity(n)
+            scale = field.inv(n % field.modulus)
+        else:
+            root, scale = field.root_of_unity(n), None
+        per_call = max(1, REPLICATE_MAX_LANES // n)
         out: list[list[int]] = []
-        per_gpu_count = [0] * g
+        for start in range(0, len(batch), per_call):
+            flat = [int(v) for vec in batch[start:start + per_call]
+                    for v in vec]
+            flat = ntt_groups(field, flat, n, root, scale, default_cache)
+            out.extend(flat[base:base + n]
+                       for base in range(0, len(flat), n))
+        mem = acct.local_ntt_mem_bytes(n, self.cluster.element_bytes,
+                                       self.tile)
+        muls = acct.local_ntt_muls(n) + (n if inverse else 0)
+        for index in range(len(out)):
+            gpus[index % g].charge_compute(muls, mem)
         per_gpu_buffers: dict[int, list[list[int]]] = {}
-        for index, vec in enumerate(batch):
-            gpu = self.cluster.gpus[index % g]
-            gpu.load(list(vec))
-            gpu.shard = transform(self.field, gpu.shard, default_cache)
-            result = list(gpu.shard)
-            out.append(result)
-            per_gpu_buffers.setdefault(gpu.gpu_id, []).append(result)
-            muls = acct.local_ntt_muls(n) + (n if inverse else 0)
-            gpu.charge_compute(muls,
-                               acct.local_ntt_mem_bytes(n, eb, self.tile))
-            per_gpu_count[index % g] += 1
+        for i, gpu in enumerate(gpus[:len(out)]):
+            per_gpu_buffers[gpu.gpu_id] = out[i::g]
+            gpu.shard = list(per_gpu_buffers[gpu.gpu_id][-1])
         detail = f"{self.name}-{'intt' if inverse else 'ntt'}"
         self.cluster.trace.record(TraceEvent(
             kind="local-compute", level="gpu",
-            max_bytes_per_gpu=max(per_gpu_count)
-            * acct.local_ntt_mem_bytes(n, eb, self.tile),
-            total_bytes=len(batch)
-            * acct.local_ntt_mem_bytes(n, eb, self.tile),
-            field_muls=len(batch) * acct.local_ntt_muls(n),
+            max_bytes_per_gpu=-(-len(out) // g) * mem,
+            total_bytes=len(out) * mem,
+            field_muls=len(out) * acct.local_ntt_muls(n),
             detail=detail))
         self.cluster.local_compute_hook(per_gpu_buffers, detail)
         return out

@@ -52,8 +52,8 @@ from repro.ntt import radix4
 __all__ = [
     "UniNTTOptions", "ALL_ON", "ALL_OFF", "ablation_grid",
     "ShardTransfer", "LocalOp", "ExchangeOp", "PairwiseOp", "ScheduleOp",
-    "CommSchedule", "make_transfers", "build_unintt_schedule",
-    "build_pairwise_schedule",
+    "CommSchedule", "make_transfers", "route_via",
+    "build_unintt_schedule", "build_pairwise_schedule",
 ]
 
 
@@ -250,6 +250,18 @@ class CommSchedule:
     def total_field_muls(self) -> int:
         return sum(op.field_muls_per_gpu * self.num_gpus
                    for op in self.ops if isinstance(op, LocalOp))
+
+
+def route_via(src: int, dst: int, node_size: int) -> int:
+    """The GPU that carries a ``src -> dst`` message out of src's node.
+
+    Same node: deliver directly (``dst``).  Cross node: the scratch GPU
+    in src's node on dst's *rail* (same intra-node index), so the
+    inter-node hop is rail-aligned and aggregates per destination.
+    """
+    if src // node_size == dst // node_size:
+        return dst
+    return (src // node_size) * node_size + dst % node_size
 
 
 def make_transfers(source: Layout, target: Layout,

@@ -13,10 +13,16 @@ generated entry, a hit costs zero recompute.  An optional
 ``max_tables`` bound turns the cache into an LRU (least recently used
 table evicted first), which models finite device memory for resident
 twiddles.
+
+The table *values* are memoized once per process (:func:`_memo_powers`,
+:func:`_memo_bitrev`): a fresh cache that misses copies the shared
+values instead of regenerating them, but still counts and prices the
+miss as its own.  Counts are per cache; values are per process.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 
 from repro.errors import NTTError
@@ -41,6 +47,18 @@ def bit_reverse_permutation(n: int) -> list[int]:
         raise NTTError(f"bit-reversal needs a power-of-two size, got {n}")
     bits = n.bit_length() - 1
     return [bit_reverse(i, bits) for i in range(n)]
+
+
+@functools.lru_cache(maxsize=64)
+def _memo_powers(field: PrimeField, root: int,
+                 count: int) -> tuple[int, ...]:
+    # Fields compare by modulus, so the key is (modulus, root, count).
+    return tuple(vec_pow_series(field, root, count))
+
+
+@functools.lru_cache(maxsize=32)
+def _memo_bitrev(n: int) -> tuple[int, ...]:
+    return tuple(bit_reverse_permutation(n))
 
 
 class TwiddleCache:
@@ -71,7 +89,7 @@ class TwiddleCache:
         table = self._tables.get(key)
         if table is None:
             self.misses += 1
-            table = vec_pow_series(field, root, count)
+            table = list(_memo_powers(field, root, count))
             self.generated_entries += count
             self._tables[key] = table
             self._evict_over_bound()
@@ -125,8 +143,7 @@ class TwiddleCache:
         """Cached bit-reversal permutation for size n."""
         perm = self._bitrev.get(n)
         if perm is None:
-            perm = bit_reverse_permutation(n)
-            self._bitrev[n] = perm
+            perm = self._bitrev[n] = list(_memo_bitrev(n))
         return perm
 
     def clear(self) -> None:

@@ -18,11 +18,15 @@ Two caches decide how much per-dispatch overhead a served request pays:
   recompute** (the satellite invariant the serving tests pin).
 
 Both report hits/misses/evictions so the :class:`~repro.serve.report.
-ServeReport` can show exactly what caching bought.
+ServeReport` can show exactly what caching bought.  The *values* behind
+both (plan entries, twiddle tables) are memoized once per process, so a
+fresh fleet does not re-plan or regenerate them; every cache still
+counts and prices its own misses as if it had.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.errors import ServeError
@@ -110,7 +114,7 @@ class PlanCache:
             self.hits += 1
             return entry, True
         self.misses += 1
-        entry = self._plan(machine, field, log_size, strategy)
+        entry = _memo_plan(machine, field, field.name, log_size, strategy)
         self._entries[key] = entry
         return entry, False
 
@@ -145,29 +149,33 @@ class PlanCache:
                                        e.strategy))
         return chosen_entry, misses
 
-    def _plan(self, machine: MachineModel, field: PrimeField,
-              log_size: int, strategy: str) -> PlanEntry:
-        n = 1 << log_size
-        g = machine.gpu_count
-        tile, _ = autotune_tile(machine, field, n)
-        if strategy == "replicate":
-            model = CostModel(machine, field)
-            eb = model.element_bytes
-            unit = model.estimate([Phase(
-                name="replicated-ntt",
-                field_muls=acct.local_ntt_muls(n),
-                mem_bytes=acct.local_ntt_mem_bytes(n, eb, tile),
-            )]).total_s
-            return PlanEntry(machine.name, field.name, log_size,
-                             strategy, tile, g, unit)
-        if n < g * g:  # UniNTT needs n >= G^2; split is unavailable
-            return PlanEntry(machine.name, field.name, log_size,
-                             strategy, tile, g, float("inf"),
-                             available=False)
-        scratch = SimCluster(field, g)
-        unit = UniNTTEngine(scratch, tile=tile).estimate(machine, n).total_s
-        return PlanEntry(machine.name, field.name, log_size, strategy,
-                         tile, g, unit)
+@functools.lru_cache(maxsize=64)
+def _memo_plan(machine: MachineModel, field: PrimeField, field_name: str,
+               log_size: int, strategy: str) -> PlanEntry:
+    """Plan one shape once per process; the entry is frozen, so every
+    :class:`PlanCache` shares it while counting its own miss."""
+    # ``field_name`` keys what field equality (by modulus) leaves out.
+    n = 1 << log_size
+    g = machine.gpu_count
+    tile, _ = autotune_tile(machine, field, n)
+    if strategy == "replicate":
+        model = CostModel(machine, field)
+        eb = model.element_bytes
+        unit = model.estimate([Phase(
+            name="replicated-ntt",
+            field_muls=acct.local_ntt_muls(n),
+            mem_bytes=acct.local_ntt_mem_bytes(n, eb, tile),
+        )]).total_s
+        return PlanEntry(machine.name, field_name, log_size,
+                         strategy, tile, g, unit)
+    if n < g * g:  # UniNTT needs n >= G^2; split is unavailable
+        return PlanEntry(machine.name, field_name, log_size,
+                         strategy, tile, g, float("inf"),
+                         available=False)
+    scratch = SimCluster(field, g)
+    unit = UniNTTEngine(scratch, tile=tile).estimate(machine, n).total_s
+    return PlanEntry(machine.name, field_name, log_size, strategy,
+                     tile, g, unit)
 
 
 class TwiddleLedger:

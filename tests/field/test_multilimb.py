@@ -308,6 +308,29 @@ class TestNTTCore:
             kern.ntt_core(packed, t2)
         assert len(kern._stage_tables) <= 4
 
+    def test_stage_table_bytes_do_not_grow_with_batch(self, field, rng):
+        from repro.ntt.radix2 import ntt
+
+        kern = _kernel(field)
+        ops, table = self._ops_and_table(field, 64)
+
+        def resident_bytes():
+            return sum(tab.nbytes for tabs in kern._stage_tables.values()
+                       for tab in tabs[1:] if tab is not None)
+
+        sizes = []
+        for batch in (1, 2, 8, 32):
+            vals = field.random_vector(64 * batch, rng)
+            out = kern.ntt_core(ops.pack(vals), table, batch)
+            # Size-major batch layout: vector g is lanes g, g+B, ...
+            got = ops.unpack(out)
+            assert got[0::batch] == ntt(field, vals[0::batch])
+            sizes.append(resident_bytes())
+        assert len(kern._stage_tables) == 1
+        # Only the (L, m) slices, m = 2 .. n/2, stay resident: L(n-2)
+        # words, whatever the batch.
+        assert sizes == [kern.L * 62 * 8] * 4
+
     def test_depth_guard_raises_clearly(self, field):
         import dataclasses
 
