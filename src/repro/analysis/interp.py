@@ -3,26 +3,30 @@
 A :class:`~repro.multigpu.schedule.CommSchedule` of the **unintt
 family** is the program of a UniNTT transform:
 :func:`~repro.multigpu.schedule.build_unintt_schedule` writes it once
-(forward or inverse, with or without a coset), and the pass framework
-and :mod:`repro.analysis.synth` rewrite it.  :func:`execute_schedule`
-is the one executor.  :class:`~repro.multigpu.unintt.UniNTTEngine`
-runs its memoized, verified program (:func:`unintt_program`) through
-it, and :func:`interpret_schedule` stages a host vector and runs any
-verified forward schedule of the family, rewritten or not.  The
-packed polynomial path charges the same program op by op without
-moving data.
+(forward or inverse, with or without a coset, over one level or over
+an intra-node and an inter-node level), and the pass framework and
+:mod:`repro.analysis.synth` rewrite it.  :func:`execute_schedule` is
+the one executor.  Both UniNTT engines run their memoized, verified
+program (:func:`unintt_program`) through it and price its steps
+(:func:`unintt_steps`), and :func:`interpret_schedule` stages a host
+vector and runs any verified one-level forward schedule of the family,
+rewritten or not.  The packed polynomial path charges the same program
+op by op without moving data.
 
 The executor runs:
 
 * local kernels from one table keyed by op name — ``coset``,
   ``local-ntt``, ``twiddle-pass``, ``cross-ntt``, each with an
-  ``inv-`` twin — with merged names (``a+b`` from the merge pass)
-  split and applied in order, then charged once per :class:`LocalOp`
-  through :meth:`~repro.sim.cluster.SimCluster.charge_local` with the
-  live shards, so an injected compute fault corrupts real data;
-* flat exchanges by the relayout each :class:`ExchangeOp` carries,
-  executed by :func:`~repro.multigpu.base.redistribute`;
-* hierarchical ``*-stage`` / ``*-rail`` pairs, executed as two chained
+  ``inv-`` twin and an ``inter-`` form for the inter-node level — each
+  reading its level's fanout and twiddle layout from the op, with
+  merged names (``a+b`` from the merge pass) split and applied in
+  order, then charged once per :class:`LocalOp` through
+  :meth:`~repro.sim.cluster.SimCluster.charge_local` with the live
+  shards, so an injected compute fault corrupts real data;
+* exchanges by the relayout each :class:`ExchangeOp` carries,
+  executed by :func:`~repro.multigpu.base.redistribute` (the
+  inter-node level's is rail-aligned by its layouts);
+* synthesized ``*-stage`` / ``*-rail`` pairs, executed as two chained
   ``all_to_all`` collectives with the data genuinely forwarded through
   the per-node scratch GPUs (:func:`~repro.multigpu.schedule.route_via`).
   Both kinds run the same memoized
@@ -38,6 +42,8 @@ from functools import lru_cache
 
 from repro.analysis.plancheck import verify_schedule
 from repro.errors import PartitionError, SchedulePassError
+from repro.hw.cost import Step
+from repro.hw.plancost import schedule_steps
 from repro.multigpu.base import (
     local_step, redistribute, relayout_plan, twiddle_table,
 )
@@ -48,20 +54,41 @@ from repro.multigpu.schedule import (
     CommSchedule, ExchangeOp, LocalOp, UniNTTOptions, build_unintt_schedule,
     route_via,
 )
+from repro.ntt.batch import StepTable
 from repro.sim.cluster import SimCluster
 
-__all__ = ["execute_schedule", "interpret_schedule", "unintt_program"]
+__all__ = ["execute_schedule", "interpret_schedule", "unintt_program",
+           "unintt_steps"]
 
 
-def _step_root(cluster: SimCluster, inverse: bool) -> tuple[int, int]:
-    """(shard size M, the n-th root of unity or its inverse)."""
+def _step_root(cluster: SimCluster, inverse: bool) -> tuple[int, int, int]:
+    """(n, shard size M, the n-th root of unity or its inverse)."""
     m = len(cluster.gpus[0].shard)
-    root = cluster.field.root_of_unity(m * cluster.gpu_count)
-    return m, cluster.field.inv(root) if inverse else root
+    n = m * cluster.gpu_count
+    root = cluster.field.root_of_unity(n)
+    return n, m, cluster.field.inv(root) if inverse else root
 
 
-def _coset(cluster: SimCluster, inverse: bool, shift: int | None,
-           fused: bool) -> None:
+def _twiddles(cluster: SimCluster, op: LocalOp,
+              inverse: bool) -> StepTable:
+    """The twiddle of the op's level, ``w^(s * k)`` for unit ``s``.
+
+    Without a layout the units are the GPUs modulo the fanout and
+    ``k`` the local slot (right after the local transforms); with one,
+    ``s * n/fanout + k`` is the global index the layout stores.
+    """
+    n, m, root = _step_root(cluster, inverse)
+    f = op.fanout
+    if op.layout is None:
+        return twiddle_table(
+            cluster.field, pow(root, n // (m * f), cluster.field.modulus),
+            [s % f for s in range(cluster.gpu_count)], m)
+    return twiddle_table(cluster.field, root, range(f), n // f,
+                         layout=op.layout)
+
+
+def _coset(cluster: SimCluster, op: LocalOp, inverse: bool,
+           shift: int | None, fused: bool) -> None:
     """``x[j] *= shift^(+-j)`` over the cyclic layout: on GPU ``s``,
     ``shift^s`` times the local geometric series of ``shift^G``."""
     field = cluster.field
@@ -71,47 +98,50 @@ def _coset(cluster: SimCluster, inverse: bool, shift: int | None,
         layout=CyclicLayout(n=n, gpu_count=cluster.gpu_count)))
 
 
-def _local_ntt(cluster: SimCluster, inverse: bool, shift: int | None,
-               fused: bool) -> None:
-    """The M-point transforms; the twiddle rides them when ``fused``
-    (after them forward, before them inverse, which also scales 1/M)."""
-    m, root = _step_root(cluster, inverse)
-    g = cluster.gpu_count
+def _local_ntt(cluster: SimCluster, op: LocalOp, inverse: bool,
+               shift: int | None, fused: bool) -> None:
+    """The M-point transforms; the first level's twiddle rides them
+    when ``fused`` (after them forward, before them inverse, which
+    also scales 1/M)."""
+    n, m, root = _step_root(cluster, inverse)
     p = cluster.field.modulus
-    twiddles = twiddle_table(cluster.field, root, range(g), m) \
-        if fused else None
+    twiddles = _twiddles(cluster, op, inverse) if fused else None
     if inverse:
-        local_step(cluster, m, pow(root, g, p), pre=twiddles,
+        local_step(cluster, m, pow(root, n // m, p), pre=twiddles,
                    scale=cluster.field.inv(m % p))
     else:
-        local_step(cluster, m, pow(root, g, p), post=twiddles)
+        local_step(cluster, m, pow(root, n // m, p), post=twiddles)
 
 
-def _twiddle_pass(cluster: SimCluster, inverse: bool, shift: int | None,
-                  fused: bool) -> None:
-    """The inter-factor twiddle as its own sweep."""
-    m, root = _step_root(cluster, inverse)
-    local_step(cluster, post=twiddle_table(
-        cluster.field, root, range(cluster.gpu_count), m))
+def _twiddle_pass(cluster: SimCluster, op: LocalOp, inverse: bool,
+                  shift: int | None, fused: bool) -> None:
+    """A level's twiddle as its own step."""
+    local_step(cluster, post=_twiddles(cluster, op, inverse))
 
 
-def _cross_ntt(cluster: SimCluster, inverse: bool, shift: int | None,
-               fused: bool) -> None:
-    """Every GPU's M/G contiguous G-point transforms (inverse: 1/G)."""
-    m, root = _step_root(cluster, inverse)
-    g = cluster.gpu_count
+def _cross_ntt(cluster: SimCluster, op: LocalOp, inverse: bool,
+               shift: int | None, fused: bool) -> None:
+    """Every GPU's contiguous fanout-point transforms (inverse:
+    1/fanout)."""
+    n, _, root = _step_root(cluster, inverse)
+    f = op.fanout
     p = cluster.field.modulus
-    local_step(cluster, g, pow(root, m, p),
-               scale=cluster.field.inv(g % p) if inverse else None)
+    local_step(cluster, f, pow(root, n // f, p),
+               scale=cluster.field.inv(f % p) if inverse else None)
 
 
-#: Local kernels by op name; an ``inv-`` prefix runs the inverse twin.
+#: Local kernels by op name ``[inv-][inter-]kernel``: ``inv-`` runs the
+#: inverse twin; each kernel reads its level from the op.
 _KERNELS = {
     "coset": _coset,
     "local-ntt": _local_ntt,
     "twiddle-pass": _twiddle_pass,
     "cross-ntt": _cross_ntt,
 }
+
+
+def _kernel_name(part: str) -> str:
+    return part.removeprefix("inv-").removeprefix("inter-")
 
 
 def _require_verified(schedule: CommSchedule) -> None:
@@ -125,18 +155,32 @@ def _require_verified(schedule: CommSchedule) -> None:
 @lru_cache(maxsize=64)
 def unintt_program(n: int, gpu_count: int, element_bytes: int,
                    options: UniNTTOptions, tile: int, inverse: bool,
-                   coset: bool) -> CommSchedule:
-    """The verified program of one UniNTT run.
+                   coset: bool, nodes: int = 1) -> CommSchedule:
+    """The verified program of one UniNTT run, overlap marks included.
 
     Memoized (bounded LRU) on the run's full identity — n, G, element
-    size, options, tile, direction and coset — so
+    size, options, tile, direction, coset and node count — so
     :func:`verify_schedule` runs once per key; a finding raises
     :class:`SchedulePassError`.
     """
-    schedule = build_unintt_schedule(n, gpu_count, element_bytes, options,
-                                     tile, inverse=inverse, coset=coset)
+    schedule = build_unintt_schedule(
+        n, gpu_count, element_bytes, options, tile, inverse=inverse,
+        coset=coset, nodes=nodes, pipelined=True)
     _require_verified(schedule)
     return schedule
+
+
+@lru_cache(maxsize=256)
+def unintt_steps(n: int, gpu_count: int, element_bytes: int,
+                 options: UniNTTOptions, tile: int, inverse: bool,
+                 nodes: int = 1) -> tuple[Step, ...]:
+    """:func:`~repro.hw.plancost.schedule_steps` of the plain program
+    :func:`unintt_program` returns, built and verified the same way
+    but memoized apart, so pricing sweeps (the tile autotuner prices
+    every tile) never evict the programs transforms execute."""
+    return tuple(schedule_steps(unintt_program.__wrapped__(
+        n, gpu_count, element_bytes, options, tile, inverse, False,
+        nodes)))
 
 
 def _base_exchange_name(op: ExchangeOp) -> str:
@@ -239,13 +283,17 @@ def execute_schedule(schedule: CommSchedule, cluster: SimCluster, *,
     for op in schedule.ops:
         if isinstance(op, LocalOp):
             for part in op.name.split("+"):
-                kernel = part.removeprefix("inv-")
+                kernel = _kernel_name(part)
                 if kernel not in _KERNELS:
                     raise SchedulePassError(
                         f"{schedule.name!r}: no kernel for local op "
                         f"{part!r} (interpreter understands "
-                        f"{list(_KERNELS)} and their inv- twins)")
-                fused = fused and kernel != "twiddle-pass"
+                        f"{list(_KERNELS)} and their inv- and inter- "
+                        f"forms)")
+                # A first-level twiddle pass means the local
+                # transforms do not fuse theirs.
+                fused = fused and part.removeprefix("inv-") \
+                    != "twiddle-pass"
                 coset = coset or kernel == "coset"
         elif not isinstance(op, ExchangeOp):
             raise SchedulePassError(
@@ -269,8 +317,9 @@ def execute_schedule(schedule: CommSchedule, cluster: SimCluster, *,
         op = ops[i]
         if isinstance(op, LocalOp):
             for part in op.name.split("+"):
-                _KERNELS[part.removeprefix("inv-")](
-                    cluster, part.startswith("inv-"), coset_shift, fused)
+                _KERNELS[_kernel_name(part)](
+                    cluster, op, part.startswith("inv-"), coset_shift,
+                    fused)
             cluster.charge_local(
                 op.field_muls_per_gpu, op.mem_bytes_per_gpu,
                 detail=op.name,
@@ -318,6 +367,12 @@ def interpret_schedule(schedule: CommSchedule, cluster: SimCluster,
         raise SchedulePassError(
             f"{schedule.name!r} is an inverse program; it runs through "
             f"UniNTTEngine.inverse, which stages its spectral input")
+    if any(isinstance(op, LocalOp) and op.fanout != g
+           for op in schedule.ops):
+        raise SchedulePassError(
+            f"{schedule.name!r} recurses over more than one level; it "
+            f"runs through HierarchicalUniNTTEngine, which stages its "
+            f"nested input")
 
     cluster.load_shards(distribute(values, CyclicLayout(n=n, gpu_count=g)))
     execute_schedule(schedule, cluster)

@@ -6,7 +6,8 @@ performs one SCCL-style peephole rewrite:
 
 * ``merge-local-ops`` — fuse back-to-back :class:`LocalOp`\\ s whose
   dataflow tags chain (B consumes exactly what A produces and nobody
-  else reads A's output), summing their multiplication and memory
+  else reads A's output) and that run at the same recursion level
+  (fanout and twiddle layout), summing their multiplication and memory
   charges.  The kernel-fusion analogue at the schedule level.
 * ``dead-op-elimination`` — delete ops that move no bytes and charge no
   work (empty exchanges, zero-charge local passes, identity pairwise
@@ -112,16 +113,17 @@ def merge_local_ops(schedule: CommSchedule) -> CommSchedule:
                and isinstance(ops[i + 1], LocalOp)
                and ops[i + 1].consumes == op.produces
                and ops[i + 1].level == op.level
+               and (ops[i + 1].fanout, ops[i + 1].layout)
+               == (op.fanout, op.layout)
                and _tag_consumers(ops, op.produces, i + 2) == 0):
             nxt = ops[i + 1]
-            op = LocalOp(
-                name=f"{op.name}+{nxt.name}",
-                consumes=op.consumes, produces=nxt.produces,
-                level=op.level,
+            op = replace(
+                op, name=f"{op.name}+{nxt.name}", produces=nxt.produces,
                 field_muls_per_gpu=(op.field_muls_per_gpu
                                     + nxt.field_muls_per_gpu),
                 mem_bytes_per_gpu=(op.mem_bytes_per_gpu
-                                   + nxt.mem_bytes_per_gpu))
+                                   + nxt.mem_bytes_per_gpu),
+                pipelined=nxt.pipelined)
             i += 1
         out.append(op)
         i += 1

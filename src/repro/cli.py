@@ -458,8 +458,9 @@ def _cmd_estimate(machine_name: str, field_name: str, log_size: int,
     print(f"{engine.name} on {machine.name}, {field.name}, n=2^{log_size}:")
     print(f"  total    {breakdown.total_s * 1e3:10.3f} ms "
           f"(bottleneck: {breakdown.dominant_resource()})")
+    width = max([22, *map(len, breakdown.per_phase)])
     for phase, seconds in breakdown.per_phase.items():
-        print(f"  {phase:22s} {seconds * 1e3:10.3f} ms")
+        print(f"  {phase:{width}s} {seconds * 1e3:10.3f} ms")
     return 0
 
 

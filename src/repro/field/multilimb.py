@@ -80,8 +80,7 @@ class _MultiLimbKernel:
         # canonical.
         self.p_top1 = np.uint64((p >> (k * (L - 2))) + 1)
         self._montmul = compile_montmul(s)
-        self._scratch_n = -1
-        self._scratch: dict[str, Any] = {}
+        self._scratch: dict[int, dict[str, Any]] = {}
         self._stage_tables: dict = {}
 
     # -- scratch and helpers -------------------------------------------------
@@ -93,10 +92,19 @@ class _MultiLimbKernel:
                          for i in range(self.L)], dtype=np.uint64)
 
     def scratch(self, n: int) -> dict:
-        """Persistent CIOS scratch for lane count n (reallocated on change)."""
-        if self._scratch_n != n:
+        """Persistent CIOS scratch for lane count n.
+
+        The two most recently used lane counts stay resident: a
+        transform's ``ntt_core`` (n/2 lanes) alternates with the
+        pointwise kernels around it (n lanes), and a single slot
+        reallocated on every switch.
+        """
+        sc = self._scratch.pop(n, None)
+        if sc is None:
+            if len(self._scratch) == 2:
+                del self._scratch[next(iter(self._scratch))]
             np, L = self.np, self.L
-            self._scratch = dict(
+            sc = dict(
                 t=np.zeros((2 * L + 2, n), dtype=np.uint64),
                 prod=np.empty((L, n), dtype=np.uint64),
                 m=np.empty(n, dtype=np.uint64),
@@ -105,8 +113,8 @@ class _MultiLimbKernel:
                 c0=np.empty(n, dtype=np.int64),
                 c1=np.empty(n, dtype=np.int64),
             )
-            self._scratch_n = n
-        return self._scratch
+        self._scratch[n] = sc  # most recently used last
+        return sc
 
     def montmul_lazy(self, a, b, sc):
         """CIOS montmul: a lazy-normed limbs, b canonical (a table).

@@ -420,12 +420,11 @@ class DistributedNTTEngine(ABC):
             raise PartitionError(
                 f"{self.name} expects {expected!r}, got {vec.layout!r}")
 
-    def _live_buffers(self) -> dict[int, list[list[int]]]:
-        """Per-GPU mutable shard buffers for the local-compute hook.
-
-        Engines pass this to
-        :meth:`repro.sim.cluster.SimCluster.local_compute_hook` right
-        after charging a local kernel so an injected compute fault
-        corrupts the data the kernel actually wrote.
-        """
-        return {gpu.gpu_id: [gpu.shard] for gpu in self.cluster.gpus}
+    def _charge_local(self, muls: int, mem_bytes: int, detail: str) -> None:
+        """Charge one local kernel on every GPU
+        (:meth:`repro.sim.cluster.SimCluster.charge_local`), with the
+        live shards as its buffers so an injected compute fault
+        corrupts the data the kernel actually wrote."""
+        self.cluster.charge_local(
+            muls, mem_bytes, detail=detail,
+            buffers={gpu.gpu_id: [gpu.shard] for gpu in self.cluster.gpus})

@@ -33,7 +33,6 @@ from repro.multigpu.layout import (
 )
 from repro.ntt.fourstep import split_size
 from repro.sim.cluster import SimCluster
-from repro.sim.trace import TraceEvent
 
 __all__ = ["BaselineFourStepEngine"]
 
@@ -121,16 +120,6 @@ class BaselineFourStepEngine(DistributedNTTEngine):
 
     def inverse(self, vec: DistributedVector) -> DistributedVector:
         return self._run(vec, inverse=True)
-
-    def _charge_local(self, muls: int, mem_bytes: int, detail: str) -> None:
-        for gpu in self.cluster.gpus:
-            gpu.charge_compute(muls, mem_bytes)
-        self.cluster.trace.record(TraceEvent(
-            kind="local-compute", level="gpu",
-            max_bytes_per_gpu=mem_bytes,
-            total_bytes=mem_bytes * self.gpu_count,
-            field_muls=muls * self.gpu_count, detail=detail))
-        self.cluster.local_compute_hook(self._live_buffers(), detail)
 
     # -- analytic ----------------------------------------------------------------
 

@@ -14,6 +14,10 @@ slots.  Layout choice is *the* lever of multi-GPU NTT design:
   spectral operations are layout-agnostic, so ZKP pipelines never pay
   for the permutation.  This is the distributed face of the paper's
   "overhead-free decomposition".
+* The nested layouts (:class:`NestedCyclicLayout` in,
+  :class:`NestedSpectralLayout` out, and the node-level intermediates)
+  — the same maps recursed once over N nodes of P GPUs, for the
+  two-level UniNTT program.
 
 Each layout states its map exactly once, as :meth:`Layout.global_index`.
 Every layout here is a **bit permutation**: with ``m = n / G``, the slot
@@ -37,7 +41,10 @@ from repro.errors import PartitionError
 
 __all__ = ["Layout", "BlockLayout", "CyclicLayout", "SpectralLayout",
            "ColumnBlockLayout", "TransposedBlockLayout",
-           "UniNTTExchangeLayout", "distribute", "collect"]
+           "UniNTTExchangeLayout", "NestedCyclicLayout",
+           "IntraNodeExchangeLayout", "NodeSpectralLayout",
+           "InterNodeExchangeLayout", "NestedSpectralLayout",
+           "distribute", "collect"]
 
 
 @dataclass(frozen=True)
@@ -243,6 +250,136 @@ class UniNTTExchangeLayout(SpectralLayout):
     slot map of :class:`SpectralLayout` with ``k2`` read as ``s``: the
     in-place cross NTT over each G-group turns one into the other.
     """
+
+
+@dataclass(frozen=True)
+class _NodeStructured(Layout):
+    """Base for layouts over an N-node, P-GPUs-per-node cluster."""
+
+    nodes: int = 0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.nodes < 1 or self.nodes & (self.nodes - 1):
+            raise PartitionError(
+                f"nodes must be a power of two, got {self.nodes}")
+        if self.gpu_count % self.nodes:
+            raise PartitionError(
+                f"{self.gpu_count} GPUs do not split into {self.nodes} nodes")
+
+    @property
+    def gpus_per_node(self) -> int:
+        return self.gpu_count // self.nodes
+
+    @property
+    def node_size(self) -> int:
+        """Elements per node: M = n / N."""
+        return self.n // self.nodes
+
+
+class NestedCyclicLayout(_NodeStructured):
+    """Input order: ``j = (q*P + s_gpu)*N + s_node``.
+
+    GPU ``(s_node, s_gpu)`` holds the doubly-cyclic sub-sequence, so
+    both recursion levels' local transforms touch only local data.
+    """
+
+    def global_index(self, gpu: int, local: int) -> int:
+        self._check_slot(gpu, local)
+        n_nodes, p = self.nodes, self.gpus_per_node
+        s_node, s_gpu = divmod(gpu, p)
+        return (local * p + s_gpu) * n_nodes + s_node
+
+
+class NodeSpectralLayout(_NodeStructured):
+    """Per-node spectra after the intra-node cross transforms.
+
+    Index space: ``v = s_node * M + k1`` with ``k1 = k1' + L*k2_gpu``
+    (``L = M/P = m``).  Within node ``s_node``, GPU column ``t_gpu`` owns
+    the k1'-chunk ``[t_gpu*L/P, ...)``, storing ``local = (k1' % (L/P))*P
+    + k2_gpu`` — the per-node instance of
+    :class:`~repro.multigpu.layout.SpectralLayout`.
+    """
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        p = self.gpus_per_node
+        if self.node_size < p * p:
+            raise PartitionError(
+                f"{type(self).__name__} needs M >= P^2 "
+                f"({self.node_size} < {p}^2)")
+
+    @property
+    def chunk(self) -> int:
+        """k1' values per GPU column: L / P."""
+        return self.node_size // (self.gpus_per_node ** 2)
+
+    def global_index(self, gpu: int, local: int) -> int:
+        self._check_slot(gpu, local)
+        p = self.gpus_per_node
+        m_node = self.node_size
+        l_local = m_node // p
+        s_node, t_gpu = divmod(gpu, p)
+        offset, k2_gpu = divmod(local, p)
+        k1 = t_gpu * self.chunk + offset + l_local * k2_gpu
+        return s_node * m_node + k1
+
+
+class IntraNodeExchangeLayout(NodeSpectralLayout):
+    """Target of the intra-node all-to-all, in unit-major index space.
+
+    Index space: ``u = (s_node*P + s_gpu) * m + k1'`` (the physical
+    order after the local transforms).  Within node ``s_node``, GPU
+    column ``t_gpu`` receives the k1'-chunk ``[t_gpu*m/P, ...)`` from
+    its node's P GPUs, storing the P-vector over ``s_gpu`` contiguously:
+    ``local = (k1' % (m/P)) * P + s_gpu``.  That is the slot map of
+    :class:`NodeSpectralLayout` with ``k2_gpu`` read as ``s_gpu``: the
+    in-place P-point cross transform turns one into the other.  Traffic
+    never crosses a node boundary.
+    """
+
+
+class NestedSpectralLayout(_NodeStructured):
+    """Final spectrum order: ``k = k1 + M * k2_node``.
+
+    Splits each GPU column's m spectrum slots into N sub-chunks of
+    ``m/N``, storing the N-vector over ``k2_node`` contiguously.
+    """
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        p = self.gpus_per_node
+        if self.node_size < p * p:
+            raise PartitionError(
+                f"layout needs M >= P^2 ({self.node_size} < {p}^2)")
+        if self.shard_size % self.nodes:
+            raise PartitionError(
+                f"shard of {self.shard_size} does not split into "
+                f"{self.nodes} node sub-chunks (need n >= N^2 * P)")
+
+    @property
+    def sub(self) -> int:
+        """Spectrum slots per (GPU, node sub-chunk): m / N."""
+        return self.shard_size // self.nodes
+
+    def global_index(self, gpu: int, local: int) -> int:
+        self._check_slot(gpu, local)
+        p = self.gpus_per_node
+        l_local = self.node_size // p
+        t_node, t_gpu = divmod(gpu, p)
+        pos, k2_node = divmod(local, self.nodes)
+        offset, k2_gpu = divmod(t_node * self.sub + pos, p)
+        k1 = t_gpu * (l_local // p) + offset + l_local * k2_gpu
+        return k2_node * self.node_size + k1
+
+
+class InterNodeExchangeLayout(NestedSpectralLayout):
+    """Index space ``v = s_node * M + k1`` after the inter-node
+    all-to-all: GPU ``(t_node, t_gpu)`` holds, for each k1 in its
+    sub-chunk, the N values over ``s_node`` contiguously — the slot map
+    of :class:`NestedSpectralLayout` with ``k2_node`` read as
+    ``s_node``, which the in-place N-point cross transform turns into
+    the final spectrum order."""
 
 
 def distribute(values: Sequence[int], layout: Layout) -> list[list[int]]:

@@ -33,7 +33,6 @@ from repro.multigpu.base import (
 )
 from repro.multigpu.layout import CyclicLayout, Layout
 from repro.ntt.twiddle import bit_reverse, default_cache
-from repro.sim.trace import TraceEvent
 
 __all__ = ["BitrevSpectralLayout", "PairwiseExchangeEngine"]
 
@@ -89,7 +88,7 @@ class PairwiseExchangeEngine(DistributedNTTEngine):
         # Local M-point transforms + fused twiddle (as in UniNTT).
         local_step(cluster, m, pow(root, g, p),
                    post=twiddle_table(field, root, range(g), m))
-        self._charge_local(m, twiddle=True, detail="pairwise-local")
+        self._charge_local_ntt(m, detail="pairwise-local")
 
         # DIF butterfly stages over the GPU dimension, root w^M (order G).
         root_g = pow(root, m, p)
@@ -144,8 +143,8 @@ class PairwiseExchangeEngine(DistributedNTTEngine):
                 s = gpu.gpu_id
                 if s & half:
                     w = twiddles[(s & (half - 1)) * step]
+                    # Folded into the send prep: no extra charge.
                     payloads.append(vec_scale(field, gpu.shard, w))
-                    self._charge_stage_twiddle(m)
                 else:
                     payloads.append(gpu.shard)
             received = cluster.pairwise_exchange(
@@ -167,46 +166,27 @@ class PairwiseExchangeEngine(DistributedNTTEngine):
         local_step(cluster, m, pow(inv_root, g, p),
                    pre=twiddle_table(field, inv_root, range(g), m),
                    scale=field.inv(n % p))
-        self._charge_local(m, twiddle=True, scaled=True,
-                           detail="pairwise-inv-local")
+        self._charge_local_ntt(m, scaled=True,
+                               detail="pairwise-inv-local")
         return DistributedVector(cluster=cluster,
                                  layout=CyclicLayout(n=n, gpu_count=g))
 
     # -- accounting --------------------------------------------------------------
 
-    def _charge_local(self, m: int, twiddle: bool, detail: str,
-                      scaled: bool = False) -> None:
-        eb = self.cluster.element_bytes
-        muls = acct.local_ntt_muls(m)
-        if twiddle:
-            muls += acct.twiddle_muls(m)
+    def _charge_local_ntt(self, m: int, detail: str,
+                          scaled: bool = False) -> None:
+        muls = acct.local_ntt_muls(m) + acct.twiddle_muls(m)
         if scaled:
             muls += 2 * m  # the 1/G and 1/M scaling passes
-        mem = acct.local_ntt_mem_bytes(m, eb, self.tile)
-        for gpu in self.cluster.gpus:
-            gpu.charge_compute(muls, mem)
-        self.cluster.trace.record(TraceEvent(
-            kind="local-compute", level="gpu", max_bytes_per_gpu=mem,
-            total_bytes=mem * self.gpu_count,
-            field_muls=muls * self.gpu_count, detail=detail))
-        self.cluster.local_compute_hook(self._live_buffers(), detail)
+        self._charge_local(
+            muls, acct.local_ntt_mem_bytes(m, self.cluster.element_bytes,
+                                           self.tile), detail)
 
     def _charge_stage(self, m: int, detail: str) -> None:
         """One butterfly combine over the shard: <= m multiplies, one pass."""
-        eb = self.cluster.element_bytes
-        mem = acct.pointwise_mem_bytes(m, eb)
-        for gpu in self.cluster.gpus:
-            gpu.charge_compute(m, mem)
-        self.cluster.trace.record(TraceEvent(
-            kind="local-compute", level="gpu", max_bytes_per_gpu=mem,
-            total_bytes=mem * self.gpu_count,
-            field_muls=m * self.gpu_count, detail=detail))
-        self.cluster.local_compute_hook(self._live_buffers(), detail)
-
-    def _charge_stage_twiddle(self, m: int) -> None:
-        """Pre-send twiddle of the inverse stage (no extra memory pass)."""
-        # Charged on the sending GPU only; folded into the send prep.
-        pass
+        self._charge_local(
+            m, acct.pointwise_mem_bytes(m, self.cluster.element_bytes),
+            detail)
 
     # -- analytic ----------------------------------------------------------------
 

@@ -23,8 +23,10 @@ The second half of the module is the **symbolic schedule**: a
 :class:`CommSchedule` is the list of local passes and shard transfers of
 one engine run, with exact accounting but no data.  For UniNTT it is
 the program itself: :func:`build_unintt_schedule` is the only
-description of a run, which the engine executes and the packed path
-charges.  It is also the object the plan verifier
+description of a run at either level of the hierarchy (one exchange
+level on a flat cluster, an intra-node and an inter-node level on a
+node-structured one), which the engines execute and price and the
+packed path charges.  It is also the object the plan verifier
 (:mod:`repro.analysis.plancheck`) walks: every op declares which
 dataflow *tag* it consumes and produces, so read-before-write,
 lost/duplicated transfers and deadlocks are decidable without running
@@ -45,7 +47,9 @@ from typing import Union
 from repro.multigpu import accounting as acct
 from repro.multigpu.base import exchange_counts
 from repro.multigpu.layout import (
-    BlockLayout, Layout, SpectralLayout, UniNTTExchangeLayout,
+    BlockLayout, InterNodeExchangeLayout, IntraNodeExchangeLayout, Layout,
+    NestedSpectralLayout, NodeSpectralLayout, SpectralLayout,
+    UniNTTExchangeLayout,
 )
 from repro.ntt import radix4
 
@@ -139,6 +143,15 @@ class LocalOp:
     level: str = "gpu"
     field_muls_per_gpu: int = 0
     mem_bytes_per_gpu: int = 0
+    #: The fanout of the recursion level the kernel belongs to: the
+    #: size of a cross transform, the unit count of a twiddle.
+    fanout: int = 1
+    #: The layout a twiddle reads its spectrum index through (``None``:
+    #: the shard's own slots, as after the local transforms).
+    layout: Layout | None = None
+    #: See :attr:`ExchangeOp.pipelined`: overlap this kernel with the
+    #: collective that consumes its output.
+    pipelined: bool = False
 
 
 @dataclass(frozen=True)
@@ -287,52 +300,85 @@ def make_transfers(source: Layout, target: Layout,
 def build_unintt_schedule(n: int, gpu_count: int, element_bytes: int,
                           options: UniNTTOptions = ALL_ON,
                           tile: int = 4096, *, inverse: bool = False,
-                          coset: bool = False) -> CommSchedule:
+                          coset: bool = False, nodes: int = 1,
+                          pipelined: bool = False) -> CommSchedule:
     """The UniNTT program: every local pass and exchange of one run.
 
-    :class:`~repro.multigpu.unintt.UniNTTEngine` executes exactly this
-    op list (:func:`repro.analysis.interp.execute_schedule`), and the
-    packed polynomial path charges it op by op, so
+    The UniNTT engines execute exactly this op list
+    (:func:`repro.analysis.interp.execute_schedule`) and price it
+    (:func:`repro.hw.plancost.schedule_steps`), and the packed
+    polynomial path charges it op by op, so
     :meth:`CommSchedule.bytes_by_level` and
     :meth:`CommSchedule.total_field_muls` are the trace's own charges.
 
-    The forward run is the local M-point transforms (twiddle fused or
-    a separate ``twiddle-pass``), the one exchange, the cross
-    transforms, and the materializing relayout unless the output stays
-    permuted.  ``inverse`` runs it backwards: dematerialize, inverse
-    cross transforms with the 1/G scaling, the inverse exchange, then
-    the inverse twiddle and local transforms with the 1/M scaling.
-    ``coset`` adds the coset scaling ``x[j] *= shift^(+-j)`` over the
-    cyclic layout, first in the forward run and last in the inverse;
-    the shift itself is data, supplied when the program runs.
+    The recursion runs once per level: on ``nodes`` nodes of ``P``
+    GPUs, an intra-node level of fanout P, then (``nodes > 1``) an
+    inter-node level of fanout ``nodes``.  The forward run is the local
+    transforms (the first level's twiddle fused or a ``twiddle-pass``),
+    then per level its twiddle (from the second level on), its
+    exchange (``multi-gpu`` inside a node, rail-aligned ``multi-node``
+    across nodes) and its cross transforms; last the materializing
+    relayout unless the output stays permuted.  ``inverse`` runs it
+    backwards, scaling by 1/fanout in each cross transform and 1/M in
+    the local ones.  ``coset`` (one level only) adds the scaling
+    ``x[j] *= shift^(+-j)`` over the cyclic layout, first forward and
+    last inverse; the shift is data, supplied when the program runs.
+    ``pipelined`` marks the chains ``options.overlap`` overlaps: each
+    exchange with the cross transforms that consume it (forward) or
+    produce its input (inverse); off, as the pass framework's input.
     """
     g = gpu_count
-    if n < g * g:
-        raise ValueError(f"UniNTT needs n >= G^2 ({n} < {g}^2)")
+    if nodes < 1 or g % nodes:
+        raise ValueError(f"{g} GPUs do not split into {nodes} nodes")
+    p = g // nodes
+    if n < nodes * p * p or n < nodes * nodes * p:
+        raise ValueError(
+            f"UniNTT needs n >= G^2 ({n} < {g}^2)" if nodes == 1 else
+            f"UniNTT on {nodes} nodes of {p} needs n >= N*P^2 and "
+            f"N^2*P, got {n}")
+    if coset and nodes > 1:
+        raise ValueError("coset programs run on one level only")
     m = n // g
     eb = element_bytes
     fused = options.fused_twiddle
-    scale = m if inverse else 0  # the 1/M (local) and 1/G (cross) multiply
+    overlap = pipelined and options.overlap
+    scale = m if inverse else 0  # every 1/M, 1/P and 1/N multiply
     local_muls = (radix4.radix4_multiply_count(m) if options.radix_fusion
                   else acct.local_ntt_muls(m)) + scale
     if fused:
         local_muls += acct.twiddle_muls(m)
     pass_bytes = acct.pointwise_mem_bytes(m, eb)
     block = BlockLayout(n=n, gpu_count=g)
-    exchange = UniNTTExchangeLayout(n=n, gpu_count=g)
-    spectral = SpectralLayout(n=n, gpu_count=g)
+    # (fanout, name prefix, exchange level, source, exchanged layout)
+    if nodes == 1:
+        levels = [(g, "", "multi-gpu", block,
+                   UniNTTExchangeLayout(n=n, gpu_count=g))]
+        spectral: Layout = SpectralLayout(n=n, gpu_count=g)
+    else:
+        node_spectral = NodeSpectralLayout(n=n, gpu_count=g, nodes=nodes)
+        levels = [
+            (p, "", "multi-gpu", block,
+             IntraNodeExchangeLayout(n=n, gpu_count=g, nodes=nodes)),
+            (nodes, "inter-", "multi-node", node_spectral,
+             InterNodeExchangeLayout(n=n, gpu_count=g, nodes=nodes))]
+        spectral = NestedSpectralLayout(n=n, gpu_count=g, nodes=nodes)
 
     ops: list[ScheduleOp] = []
     tag = INPUT_TAG
 
-    def local(name: str, produces: str, muls: int, mem: int) -> None:
+    def local(name: str, produces: str, muls: int, mem: int,
+              fanout: int = p, layout: Layout | None = None,
+              chained: bool = False) -> None:
         nonlocal tag
         ops.append(LocalOp(name=name, consumes=tag, produces=produces,
-                           field_muls_per_gpu=muls, mem_bytes_per_gpu=mem))
+                           field_muls_per_gpu=muls, mem_bytes_per_gpu=mem,
+                           fanout=fanout, layout=layout,
+                           pipelined=chained))
         tag = produces
 
     def relayout(name: str, source: Layout, target: Layout,
-                 produces: str) -> None:
+                 produces: str, level: str = "multi-gpu",
+                 chained: bool = False) -> None:
         nonlocal tag
         transfers = make_transfers(source, target, eb)
         received = [0] * g
@@ -340,41 +386,60 @@ def build_unintt_schedule(n: int, gpu_count: int, element_bytes: int,
             received[t.dst] += t.nbytes
         ops.append(ExchangeOp(
             name=name, consumes=tag, produces=produces, transfers=transfers,
-            expected_in_bytes=tuple(received), source=source, target=target))
+            expected_in_bytes=tuple(received), level=level,
+            pipelined=chained, source=source, target=target))
         tag = produces
 
-    # Coset scaling: multiplications only (it rides the twiddle pass)
-    # when twiddles are fused, a standalone sweep otherwise.
-    coset_bytes = 0 if fused else pass_bytes
-    cross_muls = acct.small_batch_ntt_muls(m // g, g) + scale
-    cross_bytes = acct.small_batch_mem_bytes(m // g, g, eb)
+    # The coset scaling and the later levels' twiddles: multiplications
+    # only (they ride an adjacent kernel) when twiddles are fused, a
+    # standalone sweep otherwise.
+    fused_bytes = 0 if fused else pass_bytes
     local_bytes = acct.local_ntt_mem_bytes(m, eb, tile)
+
+    def cross_charge(fanout: int) -> tuple[int, int]:
+        return (acct.small_batch_ntt_muls(m // fanout, fanout) + scale,
+                acct.small_batch_mem_bytes(m // fanout, fanout, eb))
+
     if not inverse:
         if coset:
-            local("coset", "coset", 2 * m, coset_bytes)
+            local("coset", "coset", 2 * m, fused_bytes)
         local("local-ntt", "local", local_muls, local_bytes)
         if not fused:
             local("twiddle-pass", "twiddled", acct.twiddle_muls(m),
                   pass_bytes)
-        relayout("unintt-exchange", block, exchange, "exchanged")
-        local("cross-ntt", "spectral", cross_muls, cross_bytes)
+        for i, (fanout, pre, level, source, exchanged) in enumerate(levels):
+            if i:
+                local(f"{pre}twiddle-pass", f"{pre}twiddled",
+                      acct.twiddle_muls(m), fused_bytes, fanout, source)
+            relayout(f"unintt-{pre}exchange", source, exchanged,
+                     f"{pre}exchanged", level, chained=overlap)
+            local(f"{pre}cross-ntt", f"{pre}spectral",
+                  *cross_charge(fanout), fanout)
         if not options.keep_permuted_output:
             relayout("unintt-materialize", spectral, block, "natural")
     else:
         if not options.keep_permuted_output:
             relayout("unintt-dematerialize", block, spectral, "spectral")
-        local("inv-cross-ntt", "inv-cross", cross_muls, cross_bytes)
-        relayout("unintt-inv-exchange", exchange, block, "unit-major")
+        for i, (fanout, pre, level, source, exchanged) in \
+                reversed(list(enumerate(levels))):
+            local(f"inv-{pre}cross-ntt", f"inv-{pre}cross",
+                  *cross_charge(fanout), fanout, chained=overlap)
+            relayout(f"unintt-inv-{pre}exchange", exchanged, source,
+                     f"{pre}unit-major", level)
+            if i:
+                local(f"inv-{pre}twiddle-pass", f"inv-{pre}twiddled",
+                      acct.twiddle_muls(m), fused_bytes, fanout, source)
         if not fused:
             local("inv-twiddle-pass", "inv-twiddled",
                   acct.twiddle_muls(m), pass_bytes)
         local("inv-local-ntt", "cyclic", local_muls, local_bytes)
         if coset:
-            local("inv-coset", "inv-coset", 2 * m, coset_bytes)
+            local("inv-coset", "inv-coset", 2 * m, fused_bytes)
     kind = "unintt" + ("-inverse" if inverse else "") \
         + ("-coset" if coset else "")
-    return CommSchedule(name=f"{kind}[{options.label()}]", num_gpus=g,
-                        element_bytes=eb, ops=tuple(ops))
+    shape = f"@{nodes}x{p}" if nodes > 1 else ""
+    return CommSchedule(name=f"{kind}[{options.label()}]{shape}",
+                        num_gpus=g, element_bytes=eb, ops=tuple(ops))
 
 
 def build_pairwise_schedule(n: int, gpu_count: int, element_bytes: int,

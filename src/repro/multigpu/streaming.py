@@ -134,14 +134,9 @@ class StreamingHostEngine:
             + per_gpu  # butterflies + fused twiddle/scale
         mem = 2 * per_gpu * eb * acct.tile_passes(transform_size,
                                                   self.tile)
-        for gpu in self.cluster.gpus:
-            gpu.charge_compute(muls, mem)
-        self.cluster.trace.record(TraceEvent(
-            kind="local-compute", level="gpu", max_bytes_per_gpu=mem,
-            total_bytes=mem * g, field_muls=muls * g, detail=detail))
         # The working set is host-resident (out-of-core): the devices
         # never hold it, so the hook advances the step counter only.
-        self.cluster.local_compute_hook(None, detail)
+        self.cluster.charge_local(muls, mem, detail=detail, buffers=None)
         self.cluster.trace.record(TraceEvent(
             kind="host-staging", level="host",
             max_bytes_per_gpu=host_bytes // g, total_bytes=host_bytes,

@@ -21,10 +21,13 @@ the uniform optimizations of :mod:`repro.multigpu.schedule`:
   where the baseline pays six.
 
 The steps are written once, as the program
-:func:`~repro.multigpu.schedule.build_unintt_schedule` builds:
-:meth:`UniNTTEngine.forward` and :meth:`UniNTTEngine.inverse` run its
-verified form through :func:`repro.analysis.interp.execute_schedule`,
-and the packed polynomial path charges the same ops.
+:func:`~repro.multigpu.schedule.build_unintt_schedule` builds for one
+level here and for two in
+:class:`~repro.multigpu.hierarchical.HierarchicalUniNTTEngine`:
+:class:`ProgramEngine` runs its verified form through
+:func:`repro.analysis.interp.execute_schedule` and prices it as
+:func:`repro.hw.plancost.schedule_steps` of the same op list, and the
+packed polynomial path charges the same ops.
 
 The local transforms follow a hierarchical plan
 (:func:`repro.ntt.plan.hierarchical_plan` restricted to the intra-GPU
@@ -35,22 +38,87 @@ and the local kernel recursion repeats it per level.
 
 from __future__ import annotations
 
-from repro.analysis.interp import execute_schedule, unintt_program
+from repro.analysis.interp import (
+    execute_schedule, unintt_program, unintt_steps,
+)
 from repro.errors import PartitionError
-from repro.hw.cost import Phase, PipelinedGroup, Step
-from repro.multigpu import accounting as acct
+from repro.hw.cost import Step
 from repro.multigpu.base import DistributedNTTEngine, DistributedVector
 from repro.multigpu.layout import (
     BlockLayout, CyclicLayout, Layout, SpectralLayout,
 )
 from repro.multigpu.schedule import ALL_ON, CommSchedule, UniNTTOptions
-from repro.ntt import radix4
 from repro.sim.cluster import SimCluster
 
-__all__ = ["UniNTTEngine"]
+__all__ = ["ProgramEngine", "UniNTTEngine"]
 
 
-class UniNTTEngine(DistributedNTTEngine):
+class ProgramEngine(DistributedNTTEngine):
+    """An engine whose transforms and profiles are its UniNTT program,
+    recursed over ``nodes`` levels.  Subclasses supply the layouts and
+    the size check."""
+
+    options: UniNTTOptions = ALL_ON
+    #: Nodes the program recurses over (one: a single exchange level).
+    nodes: int = 1
+
+    def _key(self, n: int) -> tuple:
+        self._check_size(n)
+        return (n, self.gpu_count, self.cluster.element_bytes,
+                self.options, self.tile)
+
+    def program(self, n: int, *, inverse: bool = False,
+                coset: bool = False) -> CommSchedule:
+        """The verified schedule a size-``n`` run executes
+        (:func:`repro.analysis.interp.unintt_program`)."""
+        return unintt_program(*self._key(n), inverse, coset, self.nodes)
+
+    def _run(self, vec: DistributedVector, inverse: bool,
+             coset_shift: int | None) -> None:
+        n = vec.n
+        program = self.program(n, inverse=inverse,
+                               coset=coset_shift is not None)
+        self._check_input(vec, self.output_layout(n) if inverse
+                          else self.input_layout(n))
+        execute_schedule(program, self.cluster, coset_shift=coset_shift)
+
+    def forward(self, vec: DistributedVector,
+                coset_shift: int | None = None) -> DistributedVector:
+        """Forward transform; ``coset_shift`` evaluates on ``shift * H``.
+
+        The coset scaling ``x[j] *= shift^j`` decomposes along the
+        cyclic layout as ``shift^(q*G) * shift^s`` — a per-GPU constant
+        times a local geometric series — so it fuses into the local
+        twiddle pass at zero extra memory traffic (the distributed
+        instance of the coset-NTT fusion ZKP pipelines rely on).
+        """
+        self._run(vec, False, coset_shift)
+        return DistributedVector(cluster=self.cluster,
+                                 layout=self.output_layout(vec.n))
+
+    def inverse(self, vec: DistributedVector,
+                coset_shift: int | None = None) -> DistributedVector:
+        """Inverse transform; ``coset_shift`` interprets the spectrum as
+        evaluations on ``shift * H`` (undoing :meth:`forward`'s fused
+        scaling after the transform).  Accepts the forward output
+        layout: natural order is restored to the spectral layout first
+        unless the output stays permuted."""
+        self._run(vec, True, coset_shift)
+        return DistributedVector(cluster=self.cluster,
+                                 layout=self.input_layout(vec.n))
+
+    # -- analytic ----------------------------------------------------------------
+
+    def forward_profile(self, n: int) -> list[Step]:
+        """``schedule_steps(self.program(n))``, memoized apart from the
+        programs (:func:`repro.analysis.interp.unintt_steps`)."""
+        return list(unintt_steps(*self._key(n), False, self.nodes))
+
+    def inverse_profile(self, n: int) -> list[Step]:
+        return list(unintt_steps(*self._key(n), True, self.nodes))
+
+
+class UniNTTEngine(ProgramEngine):
     """Hierarchical one-exchange multi-GPU NTT."""
 
     name = "unintt"
@@ -76,117 +144,3 @@ class UniNTTEngine(DistributedNTTEngine):
         if n < g * g:
             raise PartitionError(
                 f"UniNTT needs n >= G^2 ({n} < {g}^2)")
-
-    # -- functional ------------------------------------------------------------
-
-    def program(self, n: int, *, inverse: bool = False,
-                coset: bool = False) -> CommSchedule:
-        """The verified schedule a size-``n`` run executes.
-
-        :func:`~repro.multigpu.schedule.build_unintt_schedule` is the
-        engine's only description of its phases;
-        :func:`repro.analysis.interp.unintt_program` verifies it once
-        per key and memoizes it.
-        """
-        self._check_size(n)
-        return unintt_program(n, self.gpu_count, self.cluster.element_bytes,
-                              self.options, self.tile, inverse, coset)
-
-    def _run(self, n: int, inverse: bool, coset_shift: int | None) -> None:
-        execute_schedule(
-            self.program(n, inverse=inverse, coset=coset_shift is not None),
-            self.cluster, coset_shift=coset_shift)
-
-    def forward(self, vec: DistributedVector,
-                coset_shift: int | None = None) -> DistributedVector:
-        """Forward transform; ``coset_shift`` evaluates on ``shift * H``.
-
-        The coset scaling ``x[j] *= shift^j`` decomposes along the
-        cyclic layout as ``shift^(q*G) * shift^s`` — a per-GPU constant
-        times a local geometric series — so it fuses into the local
-        twiddle pass at zero extra memory traffic (the distributed
-        instance of the coset-NTT fusion ZKP pipelines rely on).
-        """
-        n = vec.n
-        self._check_size(n)
-        self._check_input(vec, self.input_layout(n))
-        self._run(n, inverse=False, coset_shift=coset_shift)
-        return DistributedVector(cluster=self.cluster,
-                                 layout=self.output_layout(n))
-
-    def inverse(self, vec: DistributedVector,
-                coset_shift: int | None = None) -> DistributedVector:
-        """Inverse transform; ``coset_shift`` interprets the spectrum as
-        evaluations on ``shift * H`` (undoing :meth:`forward`'s fused
-        scaling after the transform).  Accepts the forward output
-        layout: natural order is restored to the spectral layout first
-        unless the output stays permuted."""
-        n = vec.n
-        self._check_size(n)
-        self._check_input(vec, self.output_layout(n))
-        self._run(n, inverse=True, coset_shift=coset_shift)
-        return DistributedVector(cluster=self.cluster,
-                                 layout=self.input_layout(n))
-
-    # -- analytic ----------------------------------------------------------------
-
-    def _local_ntt_muls(self, m: int) -> int:
-        if self.options.radix_fusion:
-            return radix4.radix4_multiply_count(m)
-        return acct.local_ntt_muls(m)
-
-    def _profile(self, n: int, inverse: bool) -> list[Step]:
-        self._check_size(n)
-        g = self.gpu_count
-        eb = self.cluster.element_bytes
-        m = n // g
-        opts = self.options
-
-        local_muls = self._local_ntt_muls(m)
-        if opts.fused_twiddle:
-            local_muls += acct.twiddle_muls(m)
-        local_mem = acct.local_ntt_mem_bytes(m, eb, self.tile)
-        if inverse:
-            local_muls += m  # 1/M scaling
-
-        cross_muls = acct.small_batch_ntt_muls(m // g, g)
-        if inverse:
-            cross_muls += m  # 1/G scaling
-        cross_mem = acct.small_batch_mem_bytes(m // g, g, eb)
-
-        local = Phase(name="local-ntt", field_muls=local_muls,
-                      mem_bytes=local_mem)
-        a2a = Phase(name="exchange",
-                    exchange_bytes=acct.alltoall_bytes_per_gpu(m, g, eb),
-                    messages=g - 1)
-        cross = Phase(name="cross-ntt", field_muls=cross_muls,
-                      mem_bytes=cross_mem)
-
-        local_steps: list[Step] = [local]
-        if not opts.fused_twiddle:
-            local_steps.append(Phase(
-                name="twiddle-pass", field_muls=acct.twiddle_muls(m),
-                mem_bytes=acct.pointwise_mem_bytes(m, eb)))
-        if opts.overlap:
-            core: list[Step] = local_steps + [
-                PipelinedGroup(name="exchange+cross", phases=(a2a, cross))]
-        else:
-            core = local_steps + [a2a, cross]
-        if inverse:
-            core.reverse()
-        if not opts.keep_permuted_output:
-            materialize = Phase(
-                name="materialize",
-                exchange_bytes=acct.alltoall_bytes_per_gpu(m, g, eb),
-                messages=g - 1)
-            if inverse:
-                core.insert(0, materialize)
-            else:
-                core.append(materialize)
-        return core
-
-    def forward_profile(self, n: int) -> list[Step]:
-        return self._profile(n, inverse=False)
-
-    def inverse_profile(self, n: int) -> list[Step]:
-        return self._profile(n, inverse=True)

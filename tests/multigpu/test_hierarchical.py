@@ -4,14 +4,14 @@ import pytest
 
 from repro.errors import PartitionError, SimulationError
 from repro.field import BLS12_381_FR, GOLDILOCKS, TEST_FIELD_7681
-from repro.hw import (
-    DGX_A100, MultiNodeMachine, PipelinedGroup, infiniband,
-)
+from repro.hw import DGX_A100, MultiNodeMachine, infiniband
+from repro.hw.plancost import schedule_steps
 from repro.multigpu import (
     BaselineFourStepEngine, DistributedVector, HierarchicalUniNTTEngine,
     InterNodeExchangeLayout, IntraNodeExchangeLayout, NestedCyclicLayout,
     NestedSpectralLayout, NodeSpectralLayout, UniNTTEngine,
 )
+from repro.multigpu.schedule import LocalOp
 from repro.ntt import ntt
 from repro.sim import SimCluster
 
@@ -140,15 +140,19 @@ class TestTrafficSplit:
         nodes, per_node, n = 2, 4, 256
         engine, _, out = run_forward(F, nodes, per_node, n, rng)
         engine.inverse(out)
+        programs = [engine.program(n), engine.program(n, inverse=True)]
         profile = engine.forward_profile(n) + engine.inverse_profile(n)
-        phases = [p for step in profile
-                  for p in (step.phases if isinstance(step, PipelinedGroup)
-                            else [step])]
+        assert profile == [step for program in programs
+                           for step in schedule_steps(program)]
+        ops = [op for program in programs for op in program.ops]
         counters = engine.cluster.gpus[0].counters
-        assert sum(p.exchange_bytes for p in phases) == counters.bytes_sent
-        assert sum(p.field_muls for p in phases) == counters.field_muls
-        assert sum(p.mem_bytes for p in phases) == \
-            counters.mem_traffic_bytes
+        assert counters.bytes_sent == sum(
+            op.sent_bytes_per_gpu(engine.gpu_count)[0] for op in ops
+            if not isinstance(op, LocalOp))
+        assert counters.field_muls == sum(
+            op.field_muls_per_gpu for op in ops if isinstance(op, LocalOp))
+        assert counters.mem_traffic_bytes == sum(
+            op.mem_bytes_per_gpu for op in ops if isinstance(op, LocalOp))
 
 
 class TestMultiNodeMachine:

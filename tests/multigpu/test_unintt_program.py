@@ -5,8 +5,8 @@ description of a UniNTT run.  These tests pin that the engine's trace
 *is* that program — one local-compute or all-to-all event per op, in
 order, with the op's name, bytes and multiplications — across every
 ablation arm, both directions, with and without a coset, on two fields
-and both list backends; that the program charges what the separately
-written closed-form profile prices; that the inverse and coset
+and both list backends; that the engine's profile is the program's own
+cost-model steps; that the inverse and coset
 programs pass the verifier and the rewrite gate; and that the
 interpreter, which shares the engine's executor, corrupts the same
 data under a compute fault.
@@ -22,6 +22,7 @@ from repro.analysis.plancheck import verify_schedule
 from repro.errors import SchedulePassError
 from repro.field import BN254_FR, GOLDILOCKS, use_backend
 from repro.field.backend import numpy_available
+from repro.hw.plancost import schedule_steps
 from repro.multigpu import (
     DistributedVector, UniNTTEngine, pointwise_mem_bytes,
 )
@@ -107,14 +108,15 @@ def test_programs_pass_the_verifier_and_the_passes(label, options,
 @pytest.mark.parametrize("coset", [False, True], ids=["plain", "coset"])
 def test_program_charges_match_the_closed_form_profile(label, options,
                                                        inverse, coset):
-    """The analytic profile is written separately; per GPU, the program
-    charges the same multiplications, sweeps and exchange bytes (plus
-    the coset scaling, which the profile leaves out)."""
+    """The profile is the program's own cost-model steps; per GPU, the
+    program charges what the profile prices (plus the coset scaling,
+    which the plain program the profile prices leaves out)."""
     gpus, eb = 4, 8
     engine = UniNTTEngine(SimCluster(GOLDILOCKS, gpus), options=options)
     program = engine.program(N, inverse=inverse, coset=coset)
     profile = engine.inverse_profile(N) if inverse \
         else engine.forward_profile(N)
+    assert profile == schedule_steps(engine.program(N, inverse=inverse))
     phases = [p for step in profile for p in getattr(step, "phases",
                                                      (step,))]
     m = N // gpus
