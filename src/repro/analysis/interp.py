@@ -1,23 +1,23 @@
-"""Schedule interpreter: the executor of every UniNTT run.
+"""Schedule interpreter: the executor of every multi-GPU program.
 
-A :class:`~repro.multigpu.schedule.CommSchedule` of the **unintt
-family** is the program of a UniNTT transform:
-:func:`~repro.multigpu.schedule.build_unintt_schedule` writes it once
-(forward or inverse, with or without a coset, over one level or over
-an intra-node and an inter-node level), and the pass framework and
-:mod:`repro.analysis.synth` rewrite it.  :func:`execute_schedule` is
-the one executor.  Both UniNTT engines run their memoized, verified
-program (:func:`unintt_program`) through it and price its steps
-(:func:`unintt_steps`), and :func:`interpret_schedule` stages a host
-vector and runs any verified one-level forward schedule of the family,
-rewritten or not.  The packed polynomial path charges the same program
+:mod:`repro.multigpu.schedule` writes each engine family's runs as a
+:class:`~repro.multigpu.schedule.CommSchedule`: UniNTT's over one or
+two levels (which the pass framework and :mod:`repro.analysis.synth`
+rewrite), the binary-exchange engine's and the baseline four-step's.
+:func:`execute_schedule` is the one executor.  Every
+:class:`~repro.multigpu.unintt.ProgramEngine` runs its memoized,
+verified program (:func:`verified_program`) through it and prices its
+steps (:func:`program_steps`); :func:`interpret_schedule` stages a
+host vector and runs any verified one-level forward UniNTT schedule,
+rewritten or not.  The packed polynomial path charges UniNTT's program
 op by op without moving data.
 
 The executor runs:
 
 * local kernels from one table keyed by op name — ``coset``,
-  ``local-ntt``, ``twiddle-pass``, ``cross-ntt``, each with an
-  ``inv-`` twin and an ``inter-`` form for the inter-node level — each
+  ``local-ntt``, ``twiddle-pass``, ``cross-ntt``, ``pairwise-combine``
+  (named ``-h<half>`` per stage), each with an ``inv-`` twin and an
+  ``inter-`` form for the inter-node level — each
   reading its level's fanout and twiddle layout from the op, with
   merged names (``a+b`` from the merge pass) split and applied in
   order, then charged once per :class:`LocalOp` through
@@ -26,6 +26,9 @@ The executor runs:
 * exchanges by the relayout each :class:`ExchangeOp` carries,
   executed by :func:`~repro.multigpu.base.redistribute` (the
   inter-node level's is rail-aligned by its layouts);
+* pairwise swaps (:class:`PairwiseOp`) of whole shards through
+  :meth:`~repro.sim.cluster.SimCluster.pairwise_exchange`, whose
+  delivered shards the following ``pairwise-combine`` kernel reads;
 * synthesized ``*-stage`` / ``*-rail`` pairs, executed as two chained
   ``all_to_all`` collectives with the data genuinely forwarded through
   the per-node scratch GPUs (:func:`~repro.multigpu.schedule.route_via`).
@@ -38,7 +41,9 @@ raises :class:`~repro.errors.SchedulePassError` before touching data.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from repro.analysis.plancheck import verify_schedule
 from repro.errors import PartitionError, SchedulePassError
@@ -50,15 +55,15 @@ from repro.multigpu.base import (
 from repro.multigpu.layout import (
     BlockLayout, CyclicLayout, Layout, SpectralLayout, collect, distribute,
 )
+from repro.field.vector import vec_add, vec_scale, vec_sub
 from repro.multigpu.schedule import (
-    CommSchedule, ExchangeOp, LocalOp, UniNTTOptions, build_unintt_schedule,
-    route_via,
+    CommSchedule, ExchangeOp, LocalOp, PairwiseOp, route_via,
 )
 from repro.ntt.batch import StepTable
 from repro.sim.cluster import SimCluster
 
-__all__ = ["execute_schedule", "interpret_schedule", "unintt_program",
-           "unintt_steps"]
+__all__ = ["execute_schedule", "interpret_schedule", "verified_program",
+           "program_steps"]
 
 
 def _step_root(cluster: SimCluster, inverse: bool) -> tuple[int, int, int]:
@@ -87,25 +92,35 @@ def _twiddles(cluster: SimCluster, op: LocalOp,
                          layout=op.layout)
 
 
+@dataclass
+class _Run:
+    """Kernel inputs besides the op; ``received``: what each GPU got
+    from the last pairwise swap."""
+
+    shift: int | None
+    fused: bool
+    received: list[list[int]] | None = None
+
+
 def _coset(cluster: SimCluster, op: LocalOp, inverse: bool,
-           shift: int | None, fused: bool) -> None:
+           run: _Run) -> None:
     """``x[j] *= shift^(+-j)`` over the cyclic layout: on GPU ``s``,
     ``shift^s`` times the local geometric series of ``shift^G``."""
     field = cluster.field
     n = len(cluster.gpus[0].shard) * cluster.gpu_count
     local_step(cluster, post=twiddle_table(
-        field, field.inv(shift) if inverse else shift, (1,), n,
+        field, field.inv(run.shift) if inverse else run.shift, (1,), n,
         layout=CyclicLayout(n=n, gpu_count=cluster.gpu_count)))
 
 
 def _local_ntt(cluster: SimCluster, op: LocalOp, inverse: bool,
-               shift: int | None, fused: bool) -> None:
+               run: _Run) -> None:
     """The M-point transforms; the first level's twiddle rides them
-    when ``fused`` (after them forward, before them inverse, which
-    also scales 1/M)."""
+    when fused (after them forward, before them inverse, which also
+    scales 1/M)."""
     n, m, root = _step_root(cluster, inverse)
     p = cluster.field.modulus
-    twiddles = _twiddles(cluster, op, inverse) if fused else None
+    twiddles = _twiddles(cluster, op, inverse) if run.fused else None
     if inverse:
         local_step(cluster, m, pow(root, n // m, p), pre=twiddles,
                    scale=cluster.field.inv(m % p))
@@ -114,13 +129,13 @@ def _local_ntt(cluster: SimCluster, op: LocalOp, inverse: bool,
 
 
 def _twiddle_pass(cluster: SimCluster, op: LocalOp, inverse: bool,
-                  shift: int | None, fused: bool) -> None:
+                  run: _Run) -> None:
     """A level's twiddle as its own step."""
     local_step(cluster, post=_twiddles(cluster, op, inverse))
 
 
 def _cross_ntt(cluster: SimCluster, op: LocalOp, inverse: bool,
-               shift: int | None, fused: bool) -> None:
+               run: _Run) -> None:
     """Every GPU's contiguous fanout-point transforms (inverse:
     1/fanout)."""
     n, _, root = _step_root(cluster, inverse)
@@ -130,18 +145,50 @@ def _cross_ntt(cluster: SimCluster, op: LocalOp, inverse: bool,
                scale=cluster.field.inv(f % p) if inverse else None)
 
 
-#: Local kernels by op name ``[inv-][inter-]kernel``: ``inv-`` runs the
-#: inverse twin; each kernel reads its level from the op.
+def _pairwise_combine(cluster: SimCluster, op: LocalOp, inverse: bool,
+                      run: _Run) -> None:
+    """One radix-2 butterfly stage over the GPU dimension, combining
+    each shard ``a`` with the partner's ``b`` the preceding swap
+    delivered.  The stage spans ``fanout`` GPUs; the GPU with the
+    ``half = fanout/2`` bit set holds the twiddled output, and the
+    pair's twiddle is ``w^(n/fanout * (s mod half))``.  Forward (DIF):
+    ``a + b`` and ``(b - a) * w``.  Inverse (DIT): ``a + b * w`` and
+    ``b - a * w``, halved, so the stages scale by 1/G in all."""
+    if run.received is None:
+        raise SchedulePassError(f"{op.name!r} follows no pairwise swap")
+    field = cluster.field
+    p = field.modulus
+    n, _, root = _step_root(cluster, inverse)
+    half = op.fanout // 2
+    step = pow(root, n // op.fanout, p)
+    for gpu, b in zip(cluster.gpus, run.received):
+        s, a = gpu.gpu_id, gpu.shard
+        w = pow(step, s % half, p)
+        if not inverse:
+            gpu.shard = (vec_scale(field, vec_sub(field, b, a), w)
+                         if s & half else vec_add(field, a, b))
+            continue
+        out = (vec_sub(field, b, vec_scale(field, a, w)) if s & half
+               else vec_add(field, a, vec_scale(field, b, w)))
+        gpu.shard = vec_scale(field, out, field.inv(2))
+    run.received = None
+
+
+#: Local kernels by op name ``[inv-][inter-]kernel[-h<half>]``: ``inv-``
+#: runs the inverse twin; each kernel reads its level from the op.
 _KERNELS = {
     "coset": _coset,
     "local-ntt": _local_ntt,
     "twiddle-pass": _twiddle_pass,
     "cross-ntt": _cross_ntt,
+    "pairwise-combine": _pairwise_combine,
 }
 
 
 def _kernel_name(part: str) -> str:
-    return part.removeprefix("inv-").removeprefix("inter-")
+    name = part.removeprefix("inv-").removeprefix("inter-")
+    stem, _, half = name.rpartition("-h")
+    return stem if half.isdigit() else name
 
 
 def _require_verified(schedule: CommSchedule) -> None:
@@ -153,34 +200,29 @@ def _require_verified(schedule: CommSchedule) -> None:
 
 
 @lru_cache(maxsize=64)
-def unintt_program(n: int, gpu_count: int, element_bytes: int,
-                   options: UniNTTOptions, tile: int, inverse: bool,
-                   coset: bool, nodes: int = 1) -> CommSchedule:
-    """The verified program of one UniNTT run, overlap marks included.
+def verified_program(builder: Callable[..., CommSchedule],
+                     *args) -> CommSchedule:
+    """The verified program ``builder(*args)`` writes.
 
-    Memoized (bounded LRU) on the run's full identity — n, G, element
-    size, options, tile, direction, coset and node count — so
-    :func:`verify_schedule` runs once per key; a finding raises
-    :class:`SchedulePassError`.
+    Memoized (bounded LRU) on the builder and its arguments — a run's
+    full identity, e.g. n, G, element size, options, tile, direction,
+    coset and node count for UniNTT — so :func:`verify_schedule` runs
+    once per key; a finding raises :class:`SchedulePassError`.
     """
-    schedule = build_unintt_schedule(
-        n, gpu_count, element_bytes, options, tile, inverse=inverse,
-        coset=coset, nodes=nodes, pipelined=True)
+    schedule = builder(*args)
     _require_verified(schedule)
     return schedule
 
 
 @lru_cache(maxsize=256)
-def unintt_steps(n: int, gpu_count: int, element_bytes: int,
-                 options: UniNTTOptions, tile: int, inverse: bool,
-                 nodes: int = 1) -> tuple[Step, ...]:
-    """:func:`~repro.hw.plancost.schedule_steps` of the plain program
-    :func:`unintt_program` returns, built and verified the same way
+def program_steps(builder: Callable[..., CommSchedule],
+                  *args) -> tuple[Step, ...]:
+    """:func:`~repro.hw.plancost.schedule_steps` of the program
+    :func:`verified_program` returns, built and verified the same way
     but memoized apart, so pricing sweeps (the tile autotuner prices
     every tile) never evict the programs transforms execute."""
-    return tuple(schedule_steps(unintt_program.__wrapped__(
-        n, gpu_count, element_bytes, options, tile, inverse, False,
-        nodes)))
+    return tuple(schedule_steps(verified_program.__wrapped__(
+        builder, *args)))
 
 
 def _base_exchange_name(op: ExchangeOp) -> str:
@@ -267,18 +309,21 @@ def _staged_redistribute(cluster: SimCluster, source: Layout,
 
 def execute_schedule(schedule: CommSchedule, cluster: SimCluster, *,
                      coset_shift: int | None = None) -> None:
-    """Run a unintt-family schedule on the cluster's current shards.
+    """Run a program on the cluster's current shards.
 
     Each :class:`LocalOp` runs its kernel(s) and is charged once with
     the live shards as the compute-fault buffers; each
     :class:`ExchangeOp` executes its relayout (a ``-stage``/``-rail``
-    pair as the staged form).  ``coset_shift`` is the shift the
-    ``coset`` / ``inv-coset`` ops scale by.  The caller verifies the
-    schedule (:func:`unintt_program`, :func:`interpret_schedule`); ops
-    this executor has no kernel or relayout for raise
+    pair as the staged form); each :class:`PairwiseOp` swaps whole
+    shards for the ``pairwise-combine`` kernel that follows it.
+    ``coset_shift`` is the shift the ``coset`` / ``inv-coset`` ops
+    scale by.  The caller verifies the schedule
+    (:func:`verified_program`, :func:`interpret_schedule`); ops this
+    executor has no kernel or relayout for raise
     :class:`SchedulePassError` before any data moves.
     """
-    n = len(cluster.gpus[0].shard) * cluster.gpu_count
+    m = len(cluster.gpus[0].shard)
+    n = m * cluster.gpu_count
     fused, coset = True, False
     for op in schedule.ops:
         if isinstance(op, LocalOp):
@@ -295,6 +340,11 @@ def execute_schedule(schedule: CommSchedule, cluster: SimCluster, *,
                 fused = fused and part.removeprefix("inv-") \
                     != "twiddle-pass"
                 coset = coset or kernel == "coset"
+        elif isinstance(op, PairwiseOp):
+            if op.bytes_per_gpu != m * cluster.element_bytes:
+                raise SchedulePassError(
+                    f"{schedule.name!r}: pairwise op {op.name!r} does "
+                    f"not swap whole {m}-element shards")
         elif not isinstance(op, ExchangeOp):
             raise SchedulePassError(
                 f"{schedule.name!r}: interpreter does not execute "
@@ -311,6 +361,7 @@ def execute_schedule(schedule: CommSchedule, cluster: SimCluster, *,
     if coset and coset_shift % cluster.field.modulus == 0:
         raise PartitionError("coset shift must be non-zero")
 
+    run = _Run(shift=coset_shift, fused=fused)
     ops = schedule.ops
     i = 0
     while i < len(ops):
@@ -318,12 +369,15 @@ def execute_schedule(schedule: CommSchedule, cluster: SimCluster, *,
         if isinstance(op, LocalOp):
             for part in op.name.split("+"):
                 _KERNELS[_kernel_name(part)](
-                    cluster, op, part.startswith("inv-"), coset_shift,
-                    fused)
+                    cluster, op, part.startswith("inv-"), run)
             cluster.charge_local(
                 op.field_muls_per_gpu, op.mem_bytes_per_gpu,
                 detail=op.name,
                 buffers={gpu.gpu_id: [gpu.shard] for gpu in cluster.gpus})
+        elif isinstance(op, PairwiseOp):
+            run.received = cluster.pairwise_exchange(
+                op.partner_of, [gpu.shard for gpu in cluster.gpus],
+                detail=op.name)
         elif op.name.endswith("-stage"):
             base = _base_exchange_name(op)
             rail = ops[i + 1] if i + 1 < len(ops) else None
@@ -367,12 +421,12 @@ def interpret_schedule(schedule: CommSchedule, cluster: SimCluster,
         raise SchedulePassError(
             f"{schedule.name!r} is an inverse program; it runs through "
             f"UniNTTEngine.inverse, which stages its spectral input")
-    if any(isinstance(op, LocalOp) and op.fanout != g
+    if any(isinstance(op, PairwiseOp)
+           or isinstance(op, LocalOp) and op.fanout != g
            for op in schedule.ops):
         raise SchedulePassError(
-            f"{schedule.name!r} recurses over more than one level; it "
-            f"runs through HierarchicalUniNTTEngine, which stages its "
-            f"nested input")
+            f"{schedule.name!r} is not a one-level UniNTT program; it "
+            f"runs through its engine, which stages its input")
 
     cluster.load_shards(distribute(values, CyclicLayout(n=n, gpu_count=g)))
     execute_schedule(schedule, cluster)

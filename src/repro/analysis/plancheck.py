@@ -26,12 +26,12 @@ uses it to prove every detector actually fires.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 
 from repro.analysis.findings import Check, Finding
 from repro.multigpu import accounting as acct
 from repro.multigpu.schedule import (
     ALL_ON, CommSchedule, ExchangeOp, LocalOp, PairwiseOp, UniNTTOptions,
-    build_pairwise_schedule, build_unintt_schedule,
 )
 
 __all__ = ["CHECKS", "SEED_BUGS", "verify_schedule", "check_cost",
@@ -374,25 +374,30 @@ def analyze_plan(n: int, gpu_count: int, field, engine: str = "unintt",
                  options: UniNTTOptions = ALL_ON, machine=None,
                  seed_bugs: tuple[str, ...] = (),
                  ) -> tuple[CommSchedule, list[Finding]]:
-    """Build, optionally corrupt, and verify one engine's schedule.
+    """Take, optionally corrupt, and verify one engine's program.
 
-    The one-call entry the CLI and tests use.  Returns the (possibly
-    corrupted) schedule together with every finding from the symbolic
-    walk and — when ``machine`` is given — the cost checks.
+    The one-call entry the CLI and tests use: ``engine`` (``unintt``
+    with ``options``, ``pairwise`` or ``baseline``) on ``gpu_count``
+    GPUs supplies its ``program(n)``.  Returns the (possibly corrupted)
+    schedule with every finding from the symbolic walk and — given a
+    ``machine``, for all-to-all programs — the cost checks.
     """
-    from repro.hw.cost import field_limbs
+    from repro.multigpu import (
+        BaselineFourStepEngine, PairwiseExchangeEngine, UniNTTEngine,
+    )
+    from repro.sim import SimCluster
 
-    eb = field_limbs(field) * 8
-    if engine == "unintt":
-        schedule = build_unintt_schedule(n, gpu_count, eb, options)
-    elif engine == "pairwise":
-        schedule = build_pairwise_schedule(n, gpu_count, eb)
-    else:
+    engines = {"unintt": partial(UniNTTEngine, options=options),
+               "pairwise": PairwiseExchangeEngine,
+               "baseline": BaselineFourStepEngine}
+    if engine not in engines:
         raise ValueError(f"unknown engine {engine!r}; "
-                         f"choose unintt or pairwise")
+                         f"choose from {', '.join(engines)}")
+    schedule = engines[engine](SimCluster(field, gpu_count)).program(n)
     for kind in seed_bugs:
         schedule = seed_bug(schedule, kind)
     findings = verify_schedule(schedule, machine=machine)
-    if machine is not None and engine == "unintt":
+    if machine is not None and not any(
+            isinstance(op, PairwiseOp) for op in schedule.ops):
         findings.extend(check_cost(machine, field, n, schedule=schedule))
     return schedule, findings

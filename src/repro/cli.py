@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = asub.add_parser("plan",
                          help="symbolically verify a multi-GPU schedule")
     ap.add_argument("--engine", default="unintt",
-                    choices=["unintt", "pairwise"])
+                    choices=["unintt", "pairwise", "baseline"])
     ap.add_argument("--field", default="Goldilocks")
     ap.add_argument("--gpus", type=int, default=8)
     ap.add_argument("--log-size", type=int, default=12)
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run an engine, race-check its trace "
                               "against the static schedule")
     at.add_argument("--engine", default="unintt",
-                    choices=["unintt", "pairwise"])
+                    choices=["unintt", "pairwise", "baseline"])
     at.add_argument("--field", default="Goldilocks")
     at.add_argument("--gpus", type=int, default=8)
     at.add_argument("--log-size", type=int, default=10)
@@ -435,10 +435,6 @@ def _cmd_estimate(machine_name: str, field_name: str, log_size: int,
                   machine_file: str | None = None) -> int:
     from repro.field import field_by_name
     from repro.hw import load_machine_file, machine_by_name
-    from repro.multigpu import (
-        BaselineFourStepEngine, PairwiseExchangeEngine, SingleGpuEngine,
-        UniNTTEngine,
-    )
     from repro.sim import SimCluster
 
     if machine_file is not None:
@@ -446,14 +442,8 @@ def _cmd_estimate(machine_name: str, field_name: str, log_size: int,
     else:
         machine = machine_by_name(machine_name)
     field = field_by_name(field_name)
-    cluster = SimCluster(field, machine.gpu_count)
-    engine_cls = {
-        "single": SingleGpuEngine,
-        "baseline": BaselineFourStepEngine,
-        "pairwise": PairwiseExchangeEngine,
-        "unintt": UniNTTEngine,
-    }[engine_name]
-    engine = engine_cls(cluster)
+    engine = _engine_class(engine_name)(SimCluster(field,
+                                                   machine.gpu_count))
     breakdown = engine.estimate(machine, 1 << log_size)
     print(f"{engine.name} on {machine.name}, {field.name}, n=2^{log_size}:")
     print(f"  total    {breakdown.total_s * 1e3:10.3f} ms "
@@ -608,9 +598,6 @@ def _cmd_analyze_trace(engine: str, field_name: str, gpus: int,
         render_findings
     from repro.field import field_by_name
     from repro.multigpu import DistributedVector
-    from repro.multigpu.schedule import (
-        build_pairwise_schedule, build_unintt_schedule,
-    )
     from repro.sim import SimCluster
 
     field = field_by_name(field_name)
@@ -621,12 +608,7 @@ def _cmd_analyze_trace(engine: str, field_name: str, gpus: int,
     vec = DistributedVector.from_values(cluster, values,
                                         eng.input_layout(n))
     eng.forward(vec)
-    if engine == "unintt":
-        schedule = build_unintt_schedule(n, gpus, cluster.element_bytes)
-    else:
-        schedule = build_pairwise_schedule(n, gpus,
-                                           cluster.element_bytes)
-    findings = check_trace(cluster.trace, schedule=schedule)
+    findings = check_trace(cluster.trace, schedule=eng.program(n))
     if as_json:
         print(findings_to_json(findings, tool="trace"))
     else:

@@ -17,8 +17,10 @@ only the bandwidth/latency constants change.
 
 Honesty contract: the functional simulator in :mod:`repro.sim` produces
 byte/op counters for the same algorithms at feasible sizes, and the test
-suite asserts the closed-form phase profiles match those counters
-exactly, so large-size estimates extrapolate *measured* structure.
+suite asserts the engines' phase profiles (their programs' steps, or a
+closed form for the single-GPU and streaming engines) match those
+counters exactly, so large-size estimates extrapolate *measured*
+structure.
 """
 
 from __future__ import annotations

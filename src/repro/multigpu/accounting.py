@@ -1,9 +1,12 @@
 """Shared resource-accounting formulas.
 
-Both the functional simulator (which *charges* counters while executing)
-and the closed-form phase profiles (which the cost model prices at any
-size) call these functions, so the two can never drift apart — the test
-suite asserts simulator counters == profile charges.
+The program builders of :mod:`repro.multigpu.schedule` charge every op
+from these functions; the executor charges the simulator what each op
+declares and the cost model prices the same ops, so an engine's
+counters and its profile cannot drift apart.  The single-GPU and
+streaming engines, which have no program, call them both while
+executing and in their closed-form profiles — the test suite asserts
+simulator counters == profile charges for every engine.
 
 All quantities are per GPU for one shard of ``m`` elements of
 ``element_bytes`` each.

@@ -353,7 +353,9 @@ class DistributedNTTEngine(ABC):
     """Interface shared by all multi-GPU NTT engines.
 
     An engine is bound to a cluster (the functional side) and exposes a
-    closed-form phase profile (the analytic side).  ``tile`` is the
+    phase profile (the analytic side): its program's steps for a
+    :class:`~repro.multigpu.unintt.ProgramEngine`, a closed form
+    otherwise.  ``tile`` is the
     fast-memory tile size for local transform passes — the number of
     elements a thread block can stage, which sets how many global-memory
     round trips a local transform needs.
@@ -399,7 +401,7 @@ class DistributedNTTEngine(ABC):
 
     @abstractmethod
     def forward_profile(self, n: int) -> list[Step]:
-        """Closed-form per-GPU phase profile of :meth:`forward`."""
+        """Per-GPU phase profile of :meth:`forward`."""
 
     def inverse_profile(self, n: int) -> list[Step]:
         """Profile of :meth:`inverse`; symmetric by default."""
@@ -419,12 +421,3 @@ class DistributedNTTEngine(ABC):
         if type(vec.layout) is not type(expected) or vec.layout != expected:
             raise PartitionError(
                 f"{self.name} expects {expected!r}, got {vec.layout!r}")
-
-    def _charge_local(self, muls: int, mem_bytes: int, detail: str) -> None:
-        """Charge one local kernel on every GPU
-        (:meth:`repro.sim.cluster.SimCluster.charge_local`), with the
-        live shards as its buffers so an injected compute fault
-        corrupts the data the kernel actually wrote."""
-        self.cluster.charge_local(
-            muls, mem_bytes, detail=detail,
-            buffers={gpu.gpu_id: [gpu.shard] for gpu in self.cluster.gpus})

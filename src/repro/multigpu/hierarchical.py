@@ -34,7 +34,7 @@ from repro.multigpu.layout import (
     NestedCyclicLayout, NestedSpectralLayout, NodeSpectralLayout,
 )
 from repro.multigpu.schedule import ALL_ON
-from repro.multigpu.unintt import ProgramEngine
+from repro.multigpu.unintt import UniNTTProgramEngine
 from repro.sim.cluster import SimCluster
 
 __all__ = [
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-class HierarchicalUniNTTEngine(ProgramEngine):
+class HierarchicalUniNTTEngine(UniNTTProgramEngine):
     """Two-level UniNTT: intra-node exchange + inter-node exchange."""
 
     name = "unintt-hierarchical"

@@ -13,8 +13,8 @@ story a production multi-GPU deployment needs:
   priced in fabric latency units;
 * **algebraic verification** — per-collective random-linear-probe
   checksums (enabled on the cluster) catch in-flight corruption with
-  certainty, and an end-to-end probe re-derives randomly chosen
-  spectral values from the checkpoint as defense in depth;
+  certainty, and an end-to-end probe checks the whole output against
+  the checkpoint at random points as defense in depth;
 * **ABFT leg verification** — with ``abft=True`` every transform leg is
   checked by an O(n) Freivalds probe (:mod:`repro.multigpu.abft`) that
   catches *silent compute corruption* the exchange checksums never see;
@@ -46,6 +46,9 @@ from repro.errors import (
     SimulationError, TransientCommError,
 )
 from repro.field.prime_field import PrimeField
+from repro.field.vector import (
+    vec_dot, vec_inv, vec_mul, vec_pow_series, vec_scale, vec_sub,
+)
 from repro.hw.cost import CostBreakdown, CostModel, Phase, Step
 from repro.hw.model import MachineModel
 from repro.hw.plancost import PlanCost
@@ -82,8 +85,9 @@ class RetryPolicy:
         doublings all wait ``backoff_messages * 2**cap`` units (the
         standard truncated-exponential-backoff shape).
     verify_probes:
-        Number of random spectral indices the end-to-end output probe
-        re-derives from the checkpoint (0 disables the probe).
+        Number of random points at which the end-to-end output probe
+        checks the whole output against the checkpoint (0 disables
+        the probe).
     """
 
     max_attempts: int = 3
@@ -412,18 +416,22 @@ class ResilientNTTEngine:
 
     def _probe(self, ckpt: VectorCheckpoint, out: DistributedVector,
                inverse: bool, coset_shift: int | None, n: int) -> None:
-        """Re-derive random spectral values straight from the checkpoint.
+        """Check the whole output against the checkpoint at random points.
 
-        Both directions check the same identity
-        ``Y[k] == sum_j x[j] * (shift * w^k)^j``: forward has ``x`` in
-        the checkpoint and ``Y`` in the output, inverse the other way
-        around.  A wrong output fails a probe with probability
-        ``1 - 1/n`` per probe even if the exchange checksums were
-        bypassed.
+        Both directions satisfy ``Y[k] == sum_j x[j] * (shift * w^k)^j``
+        (forward: ``x`` checkpointed, ``Y`` output; inverse: the other
+        way around).  A probe folds all n identities at a random ``z``
+        with ``z^n != 1`` (the geometric series over ``k``)::
+
+            sum_k z^k Y[k] == (z^n - 1) sum_j x[j] shift^j / (z w^j - 1)
+
+        by Horner on the left and one batch inversion on the right.
+        The sides differ by a polynomial of degree < n in ``z``, zero
+        only if every ``Y[k]`` is right, so a wrong output passes a
+        probe with probability about ``(n-1)/p`` at most.
         """
         fld = self.field
         p = fld.modulus
-        root = fld.root_of_unity(n)
         shift = 1 if coset_shift is None else coset_shift % p
         if inverse:
             coeffs, spectrum = out.to_values(), list(ckpt.values)
@@ -435,20 +443,35 @@ class ResilientNTTEngine:
         self.cluster.trace.record(TraceEvent(
             kind="verify", level="resilience",
             detail=f"output-probe x{self.policy.verify_probes}"))
-        muls = 0
+        roots = vec_pow_series(fld, fld.root_of_unity(n), n)
+        numerators = vec_mul(fld, coeffs, vec_pow_series(fld, shift, n))
+        ones = [1] * n
+        # Series and numerators once; per probe Horner, denominators,
+        # batch inversion (3n) and the dot product.
+        muls = 3 * n
         for _ in range(self.policy.verify_probes):
-            k = rng.randrange(n)
-            factor = (shift * pow(root, k, p)) % p
-            acc = 0
-            term = 1
-            for x in coeffs:
-                acc = (acc + x * term) % p
-                term = (term * factor) % p
-            muls += 2 * n
-            if acc != spectrum[k] % p:
+            z = rng.randrange(p)
+            while pow(z, n, p) == 1:
+                z = rng.randrange(p)
+            folded = 0
+            for y in reversed(spectrum):
+                folded = (folded * z + y) % p
+            denominators = vec_sub(fld, vec_scale(fld, roots, z), ones)
+            expected = (pow(z, n, p) - 1) * vec_dot(
+                fld, numerators, vec_inv(fld, denominators)) % p
+            muls += 6 * n
+            if folded != expected:
+                # One detection per fired compute fault, the pairing
+                # the trace audit (trace.undetected-corruption) checks.
+                claim = getattr(self.cluster.injector,
+                                "claim_compute_faults", None)
+                for label in claim() if claim else ():
+                    self.cluster.trace.record(TraceEvent(
+                        kind="abft-detect", level="resilience",
+                        detail=f"output-probe fault={label}"))
                 raise ShardCorruptionError(
-                    f"output probe failed at spectral index {k}: "
-                    f"expected {acc}, found {spectrum[k]}")
+                    f"output probe failed at z={z}: the output folds to "
+                    f"{folded}, the checkpoint to {expected}")
         self.report.add(Phase(name="resilience-verify", field_muls=muls))
 
     # -- pricing helpers -----------------------------------------------------

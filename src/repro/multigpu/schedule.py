@@ -21,12 +21,14 @@ set, as toggles the ablation benchmark flips:
 
 The second half of the module is the **symbolic schedule**: a
 :class:`CommSchedule` is the list of local passes and shard transfers of
-one engine run, with exact accounting but no data.  For UniNTT it is
-the program itself: :func:`build_unintt_schedule` is the only
-description of a run at either level of the hierarchy (one exchange
-level on a flat cluster, an intra-node and an inter-node level on a
-node-structured one), which the engines execute and price and the
-packed path charges.  It is also the object the plan verifier
+one engine run, with exact accounting but no data.  It is the program
+itself: :func:`build_unintt_schedule` is the only description of a
+UniNTT run at either level of the hierarchy (one exchange level on a
+flat cluster, an intra-node and an inter-node level on a
+node-structured one), and :func:`build_pairwise_schedule` and
+:func:`build_baseline_schedule` are those of the comparison engines;
+the engines execute and price them and the packed path charges
+UniNTT's.  It is also the object the plan verifier
 (:mod:`repro.analysis.plancheck`) walks: every op declares which
 dataflow *tag* it consumes and produces, so read-before-write,
 lost/duplicated transfers and deadlocks are decidable without running
@@ -47,17 +49,20 @@ from typing import Union
 from repro.multigpu import accounting as acct
 from repro.multigpu.base import exchange_counts
 from repro.multigpu.layout import (
-    BlockLayout, InterNodeExchangeLayout, IntraNodeExchangeLayout, Layout,
-    NestedSpectralLayout, NodeSpectralLayout, SpectralLayout,
+    BlockLayout, ColumnBlockLayout, InterNodeExchangeLayout,
+    IntraNodeExchangeLayout, Layout, NestedSpectralLayout,
+    NodeSpectralLayout, SpectralLayout, TransposedBlockLayout,
     UniNTTExchangeLayout,
 )
 from repro.ntt import radix4
+from repro.ntt.fourstep import split_size
 
 __all__ = [
     "UniNTTOptions", "ALL_ON", "ALL_OFF", "ablation_grid",
     "ShardTransfer", "LocalOp", "ExchangeOp", "PairwiseOp", "ScheduleOp",
     "CommSchedule", "make_transfers", "route_via",
     "build_unintt_schedule", "build_pairwise_schedule",
+    "build_baseline_schedule",
 ]
 
 
@@ -297,9 +302,48 @@ def make_transfers(source: Layout, target: Layout,
         if src != dst and counts[src][dst])
 
 
+class _Writer:
+    """Appends ops to a program, each consuming the tag the previous one
+    produced; local ops default to the first level's ``fanout``."""
+
+    def __init__(self, gpu_count: int, element_bytes: int, fanout: int):
+        self.gpu_count, self.element_bytes = gpu_count, element_bytes
+        self.fanout = fanout
+        self.ops: list[ScheduleOp] = []
+
+    def add(self, op_type: type, name: str, produces: str,
+            **fields) -> None:
+        consumes = self.ops[-1].produces if self.ops else INPUT_TAG
+        self.ops.append(op_type(name=name, consumes=consumes,
+                                produces=produces, **fields))
+
+    def local(self, name: str, produces: str, muls: int, mem: int,
+              fanout: int | None = None, layout: Layout | None = None,
+              chained: bool = False) -> None:
+        self.add(LocalOp, name, produces, field_muls_per_gpu=muls,
+                 mem_bytes_per_gpu=mem, fanout=fanout or self.fanout,
+                 layout=layout, pipelined=chained)
+
+    def relayout(self, name: str, source: Layout, target: Layout,
+                 produces: str, level: str = "multi-gpu",
+                 chained: bool = False) -> None:
+        transfers = make_transfers(source, target, self.element_bytes)
+        received = [0] * self.gpu_count
+        for t in transfers:
+            received[t.dst] += t.nbytes
+        self.add(ExchangeOp, name, produces, transfers=transfers,
+                 expected_in_bytes=tuple(received), level=level,
+                 pipelined=chained, source=source, target=target)
+
+    def schedule(self, name: str) -> CommSchedule:
+        return CommSchedule(name=name, num_gpus=self.gpu_count,
+                            element_bytes=self.element_bytes,
+                            ops=tuple(self.ops))
+
+
 def build_unintt_schedule(n: int, gpu_count: int, element_bytes: int,
                           options: UniNTTOptions = ALL_ON,
-                          tile: int = 4096, *, inverse: bool = False,
+                          tile: int = 4096, inverse: bool = False,
                           coset: bool = False, nodes: int = 1,
                           pipelined: bool = False) -> CommSchedule:
     """The UniNTT program: every local pass and exchange of one run.
@@ -363,32 +407,8 @@ def build_unintt_schedule(n: int, gpu_count: int, element_bytes: int,
              InterNodeExchangeLayout(n=n, gpu_count=g, nodes=nodes))]
         spectral = NestedSpectralLayout(n=n, gpu_count=g, nodes=nodes)
 
-    ops: list[ScheduleOp] = []
-    tag = INPUT_TAG
-
-    def local(name: str, produces: str, muls: int, mem: int,
-              fanout: int = p, layout: Layout | None = None,
-              chained: bool = False) -> None:
-        nonlocal tag
-        ops.append(LocalOp(name=name, consumes=tag, produces=produces,
-                           field_muls_per_gpu=muls, mem_bytes_per_gpu=mem,
-                           fanout=fanout, layout=layout,
-                           pipelined=chained))
-        tag = produces
-
-    def relayout(name: str, source: Layout, target: Layout,
-                 produces: str, level: str = "multi-gpu",
-                 chained: bool = False) -> None:
-        nonlocal tag
-        transfers = make_transfers(source, target, eb)
-        received = [0] * g
-        for t in transfers:
-            received[t.dst] += t.nbytes
-        ops.append(ExchangeOp(
-            name=name, consumes=tag, produces=produces, transfers=transfers,
-            expected_in_bytes=tuple(received), level=level,
-            pipelined=chained, source=source, target=target))
-        tag = produces
+    w = _Writer(g, eb, p)
+    local, relayout = w.local, w.relayout
 
     # The coset scaling and the later levels' twiddles: multiplications
     # only (they ride an adjacent kernel) when twiddles are fused, a
@@ -438,44 +458,88 @@ def build_unintt_schedule(n: int, gpu_count: int, element_bytes: int,
     kind = "unintt" + ("-inverse" if inverse else "") \
         + ("-coset" if coset else "")
     shape = f"@{nodes}x{p}" if nodes > 1 else ""
-    return CommSchedule(name=f"{kind}[{options.label()}]{shape}",
-                        num_gpus=g, element_bytes=eb, ops=tuple(ops))
+    return w.schedule(f"{kind}[{options.label()}]{shape}")
 
 
 def build_pairwise_schedule(n: int, gpu_count: int, element_bytes: int,
-                            tile: int = 4096) -> CommSchedule:
-    """The symbolic forward binary-exchange run.
+                            tile: int = 4096,
+                            inverse: bool = False) -> CommSchedule:
+    """The binary-exchange program: every pass and swap of one run.
 
-    Mirrors
-    :meth:`repro.multigpu.pairwise.PairwiseExchangeEngine.forward`:
-    a local transform with fused twiddle, then ``log2(G)`` DIF butterfly
-    stages, each one disjoint-pair exchange of the whole shard followed
-    by a combine pass.
+    :class:`~repro.multigpu.pairwise.PairwiseExchangeEngine` executes
+    and prices exactly this op list.  Forward: the M-point local
+    transforms with the twiddle fused (``local-ntt``, fanout G), then
+    ``log2(G)`` DIF butterfly stages over the GPU dimension, ``half``
+    from G/2 down to 1, each a disjoint-pair swap of the whole shard
+    (``pairwise-stage-h<half>``) and a combine pass
+    (``pairwise-combine-h<half>``, fanout ``2*half``: the span of the
+    stage's butterflies).  The inverse runs the DIT stages, ``half``
+    from 1 up to G/2 (``pairwise-inv-h<half>``,
+    ``inv-pairwise-combine-h<half>``), then ``inv-local-ntt``, which
+    is charged the 1/G and 1/M scalings as two passes.
     """
     g = gpu_count
     if n < 2 * g:
         raise ValueError(f"pairwise engine needs n >= 2*G ({n} < {2 * g})")
     m = n // g
     eb = element_bytes
+    w = _Writer(g, eb, g)
+    local_muls = acct.local_ntt_muls(m) + acct.twiddle_muls(m)
+    local_bytes = acct.local_ntt_mem_bytes(m, eb, tile)
+    halves = [g >> i for i in range(1, g.bit_length())]
+    pre = "inv-" if inverse else ""
+    if not inverse:
+        w.local("local-ntt", "local", local_muls, local_bytes)
+    for half in reversed(halves) if inverse else halves:
+        w.add(PairwiseOp, f"pairwise-{'inv' if inverse else 'stage'}-h{half}",
+              f"{pre}stage-h{half}-recv", bytes_per_gpu=m * eb,
+              partner_of=tuple(s ^ half for s in range(g)))
+        w.local(f"{pre}pairwise-combine-h{half}", f"{pre}stage-h{half}-out",
+                m, acct.pointwise_mem_bytes(m, eb), 2 * half)
+    if inverse:
+        w.local("inv-local-ntt", "cyclic", local_muls + 2 * m, local_bytes)
+    return w.schedule("pairwise-exchange" + ("-inverse" if inverse else ""))
 
-    ops: list[ScheduleOp] = [LocalOp(
-        name="local-ntt", consumes=INPUT_TAG, produces="local",
-        field_muls_per_gpu=acct.local_ntt_muls(m) + acct.twiddle_muls(m),
-        mem_bytes_per_gpu=acct.local_ntt_mem_bytes(m, eb, tile))]
-    tag = "local"
-    half = g // 2
-    while half >= 1:
-        sent = f"stage-h{half}-recv"
-        combined = f"stage-h{half}-out"
-        ops.append(PairwiseOp(
-            name=f"pairwise-stage-h{half}", consumes=tag, produces=sent,
-            partner_of=tuple(s ^ half for s in range(g)),
-            bytes_per_gpu=m * eb))
-        ops.append(LocalOp(
-            name=f"pairwise-combine-h{half}", consumes=sent,
-            produces=combined, field_muls_per_gpu=m,
-            mem_bytes_per_gpu=acct.pointwise_mem_bytes(m, eb)))
-        tag = combined
-        half //= 2
-    return CommSchedule(name="pairwise-exchange", num_gpus=g,
-                        element_bytes=eb, ops=tuple(ops))
+
+def build_baseline_schedule(n: int, gpu_count: int, element_bytes: int,
+                            tile: int = 4096,
+                            inverse: bool = False) -> CommSchedule:
+    """The distributed four-step program: every pass and transpose.
+
+    :class:`~repro.multigpu.baseline.BaselineFourStepEngine` executes
+    and prices exactly this op list.  With ``n = rows * cols``
+    (:func:`repro.ntt.fourstep.split_size`, both divisible by G): the
+    transpose Block -> ColumnBlock (``baseline-T1``), the ``rows``-point
+    column transforms (``cross-ntt``, fanout ``rows``), a standalone
+    twiddle sweep read through the block layout (``twiddle-pass``,
+    fanout ``cols``), the transpose back (``baseline-T2``), the
+    ``cols``-point row transforms (``cross-ntt``) and the final
+    transpose into natural block order (``baseline-T3``).  The inverse
+    runs the ``inv-`` kernels in the same order; its two transforms
+    scale by 1/rows and 1/cols, which is 1/n.
+    """
+    g = gpu_count
+    rows, cols = split_size(n)
+    if rows % g or cols % g:
+        raise ValueError(
+            f"baseline needs both factors of {n} = {rows}x{cols} "
+            f"divisible by {g} GPUs (n >= {g * g * 4} suffices)")
+    m = n // g
+    eb = element_bytes
+    block = BlockLayout(n=n, gpu_count=g)
+    col_block = ColumnBlockLayout(n=n, gpu_count=g, rows=rows, cols=cols)
+    w = _Writer(g, eb, g)
+    pre = "inv-" if inverse else ""
+    w.relayout("baseline-T1", block, col_block, "columns")
+    w.local(f"{pre}cross-ntt", "column-ntt",
+            acct.small_batch_ntt_muls(cols // g, rows),
+            2 * m * eb * acct.tile_passes(rows, tile), rows)
+    w.local(f"{pre}twiddle-pass", "twiddled", acct.twiddle_muls(m),
+            acct.pointwise_mem_bytes(m, eb), cols, block)
+    w.relayout("baseline-T2", col_block, block, "rows")
+    w.local(f"{pre}cross-ntt", "row-ntt",
+            acct.small_batch_ntt_muls(rows // g, cols),
+            2 * m * eb * acct.tile_passes(cols, tile), cols)
+    w.relayout("baseline-T3", block, TransposedBlockLayout(
+        n=n, gpu_count=g, rows=rows, cols=cols), "natural")
+    return w.schedule("baseline-fourstep" + ("-inverse" if inverse else ""))

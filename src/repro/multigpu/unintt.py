@@ -20,14 +20,21 @@ the uniform optimizations of :mod:`repro.multigpu.schedule`:
   NTT -> pointwise -> INTT round trip pays exactly **two** all-to-alls
   where the baseline pays six.
 
+A coset forward's scaling ``x[j] *= shift^j`` decomposes along the
+cyclic layout as ``shift^(q*G) * shift^s`` — a per-GPU constant times a
+local geometric series — so it fuses into the local twiddle pass at
+zero extra memory traffic.
+
 The steps are written once, as the program
 :func:`~repro.multigpu.schedule.build_unintt_schedule` builds for one
 level here and for two in
-:class:`~repro.multigpu.hierarchical.HierarchicalUniNTTEngine`:
-:class:`ProgramEngine` runs its verified form through
+:class:`~repro.multigpu.hierarchical.HierarchicalUniNTTEngine`.
+:class:`ProgramEngine`, the base of every multi-GPU engine but the
+single-GPU and streaming ones (the pairwise and baseline engines run
+their own programs), runs its verified form through
 :func:`repro.analysis.interp.execute_schedule` and prices it as
-:func:`repro.hw.plancost.schedule_steps` of the same op list, and the
-packed polynomial path charges the same ops.
+:func:`repro.hw.plancost.schedule_steps` of the same op list; the
+packed polynomial path charges UniNTT's ops.
 
 The local transforms follow a hierarchical plan
 (:func:`repro.ntt.plan.hierarchical_plan` restricted to the intra-GPU
@@ -38,8 +45,10 @@ and the local kernel recursion repeats it per level.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.analysis.interp import (
-    execute_schedule, unintt_program, unintt_steps,
+    execute_schedule, program_steps, verified_program,
 )
 from repro.errors import PartitionError
 from repro.hw.cost import Step
@@ -47,31 +56,41 @@ from repro.multigpu.base import DistributedNTTEngine, DistributedVector
 from repro.multigpu.layout import (
     BlockLayout, CyclicLayout, Layout, SpectralLayout,
 )
-from repro.multigpu.schedule import ALL_ON, CommSchedule, UniNTTOptions
+from repro.multigpu.schedule import (
+    ALL_ON, CommSchedule, UniNTTOptions, build_unintt_schedule,
+)
 from repro.sim.cluster import SimCluster
 
-__all__ = ["ProgramEngine", "UniNTTEngine"]
+__all__ = ["ProgramEngine", "UniNTTProgramEngine", "UniNTTEngine"]
 
 
 class ProgramEngine(DistributedNTTEngine):
-    """An engine whose transforms and profiles are its UniNTT program,
-    recursed over ``nodes`` levels.  Subclasses supply the layouts and
-    the size check."""
+    """An engine whose transforms and profiles are its program.
 
-    options: UniNTTOptions = ALL_ON
-    #: Nodes the program recurses over (one: a single exchange level).
-    nodes: int = 1
+    ``builder`` (a :mod:`repro.multigpu.schedule` function) writes the
+    program of a size-``n`` run from the arguments :meth:`_key` gives;
+    :func:`~repro.analysis.interp.verified_program` memoizes it
+    verified, :func:`~repro.analysis.interp.execute_schedule` runs it
+    and :func:`~repro.analysis.interp.program_steps` prices it.
+    Subclasses supply the builder, the layouts and the size check.
+    """
 
-    def _key(self, n: int) -> tuple:
+    builder: Callable[..., CommSchedule]
+
+    def _key(self, n: int, inverse: bool, coset: bool) -> tuple:
+        """The builder's arguments: n, G, element size, tile and the
+        direction; no coset form."""
         self._check_size(n)
-        return (n, self.gpu_count, self.cluster.element_bytes,
-                self.options, self.tile)
+        if coset:
+            raise PartitionError(f"{self.name} has no coset transform")
+        return (n, self.gpu_count, self.cluster.element_bytes, self.tile,
+                inverse)
 
     def program(self, n: int, *, inverse: bool = False,
                 coset: bool = False) -> CommSchedule:
-        """The verified schedule a size-``n`` run executes
-        (:func:`repro.analysis.interp.unintt_program`)."""
-        return unintt_program(*self._key(n), inverse, coset, self.nodes)
+        """The verified schedule a size-``n`` run executes."""
+        return verified_program(self.builder,
+                                *self._key(n, inverse, coset))
 
     def _run(self, vec: DistributedVector, inverse: bool,
              coset_shift: int | None) -> None:
@@ -84,25 +103,18 @@ class ProgramEngine(DistributedNTTEngine):
 
     def forward(self, vec: DistributedVector,
                 coset_shift: int | None = None) -> DistributedVector:
-        """Forward transform; ``coset_shift`` evaluates on ``shift * H``.
-
-        The coset scaling ``x[j] *= shift^j`` decomposes along the
-        cyclic layout as ``shift^(q*G) * shift^s`` — a per-GPU constant
-        times a local geometric series — so it fuses into the local
-        twiddle pass at zero extra memory traffic (the distributed
-        instance of the coset-NTT fusion ZKP pipelines rely on).
-        """
+        """Forward transform from :meth:`input_layout` to
+        :meth:`output_layout`; ``coset_shift`` (programs with a coset
+        form) evaluates on ``shift * H``."""
         self._run(vec, False, coset_shift)
         return DistributedVector(cluster=self.cluster,
                                  layout=self.output_layout(vec.n))
 
     def inverse(self, vec: DistributedVector,
                 coset_shift: int | None = None) -> DistributedVector:
-        """Inverse transform; ``coset_shift`` interprets the spectrum as
-        evaluations on ``shift * H`` (undoing :meth:`forward`'s fused
-        scaling after the transform).  Accepts the forward output
-        layout: natural order is restored to the spectral layout first
-        unless the output stays permuted."""
+        """Inverse transform from the forward output layout back to
+        :meth:`input_layout`; ``coset_shift`` interprets the spectrum
+        as evaluations on ``shift * H``."""
         self._run(vec, True, coset_shift)
         return DistributedVector(cluster=self.cluster,
                                  layout=self.input_layout(vec.n))
@@ -111,14 +123,28 @@ class ProgramEngine(DistributedNTTEngine):
 
     def forward_profile(self, n: int) -> list[Step]:
         """``schedule_steps(self.program(n))``, memoized apart from the
-        programs (:func:`repro.analysis.interp.unintt_steps`)."""
-        return list(unintt_steps(*self._key(n), False, self.nodes))
+        programs (:func:`repro.analysis.interp.program_steps`)."""
+        return list(program_steps(self.builder, *self._key(n, False, False)))
 
     def inverse_profile(self, n: int) -> list[Step]:
-        return list(unintt_steps(*self._key(n), True, self.nodes))
+        return list(program_steps(self.builder, *self._key(n, True, False)))
 
 
-class UniNTTEngine(ProgramEngine):
+class UniNTTProgramEngine(ProgramEngine):
+    """The UniNTT recursion over ``nodes`` levels with ``options``."""
+
+    builder = staticmethod(build_unintt_schedule)
+    options: UniNTTOptions = ALL_ON
+    #: Nodes the program recurses over (one: a single exchange level).
+    nodes: int = 1
+
+    def _key(self, n: int, inverse: bool, coset: bool) -> tuple:
+        self._check_size(n)
+        return (n, self.gpu_count, self.cluster.element_bytes,
+                self.options, self.tile, inverse, coset, self.nodes, True)
+
+
+class UniNTTEngine(UniNTTProgramEngine):
     """Hierarchical one-exchange multi-GPU NTT."""
 
     name = "unintt"

@@ -26,6 +26,12 @@ class TestAnalyzePlan:
                      "--gpus", "4", "--log-size", "10"]) == 0
         assert "clean" in capsys.readouterr().out
 
+    def test_baseline_engine(self, capsys):
+        assert main(["analyze", "plan", "--engine", "baseline",
+                     "--gpus", "4", "--log-size", "10"]) == 0
+        out = capsys.readouterr().out
+        assert "baseline-fourstep" in out and "clean" in out
+
     def test_seeded_drop_transfer_fails(self, capsys):
         # Acceptance criterion: the corrupted schedule is caught (both
         # the lost transfer and the stale read) and the exit code is
@@ -74,6 +80,11 @@ class TestAnalyzeTrace:
 
     def test_pairwise_trace(self, capsys):
         assert main(["analyze", "trace", "--engine", "pairwise",
+                     "--gpus", "4", "--log-size", "9"]) == 0
+        assert "clean" in capsys.readouterr().out
+
+    def test_baseline_trace(self, capsys):
+        assert main(["analyze", "trace", "--engine", "baseline",
                      "--gpus", "4", "--log-size", "9"]) == 0
         assert "clean" in capsys.readouterr().out
 

@@ -135,6 +135,13 @@ class TestAnalyzePlan:
                                        seed_bugs=(kind,))
             assert findings, f"seed bug {kind!r} went undetected"
 
+    @pytest.mark.parametrize("engine", ["unintt", "pairwise", "baseline"])
+    def test_every_program_engine_verifies_clean(self, engine):
+        schedule, findings = analyze_plan(256, 4, GOLDILOCKS, engine=engine,
+                                          machine=MACHINE)
+        assert schedule.num_gpus == 4
+        assert findings == []
+
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             analyze_plan(256, 4, GOLDILOCKS, engine="warp9")

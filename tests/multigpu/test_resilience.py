@@ -318,3 +318,58 @@ class TestPackedBigFieldBoundary:
         packed = NumPyBackend().pack(BN254_FR, BN254_FR.random_vector(8, rng))
         with use_backend("multilimb"):
             validate_vector(BN254_FR, packed)  # does not raise
+
+
+class TestOutputProbe:
+    """The end-to-end probe checks the whole output at random points,
+    so a corruption confined to a few outputs cannot slip past it."""
+
+    CASES = [("flat", 0)] + [("hierarchical", step) for step in range(4)]
+
+    @pytest.mark.parametrize("shape,step", CASES,
+                             ids=[f"{s}-step{t}" for s, t in CASES])
+    def test_confined_compute_fault_is_detected_without_abft(self, shape,
+                                                             step):
+        import random
+
+        from repro.field import GOLDILOCKS
+        from repro.multigpu import HierarchicalUniNTTEngine
+
+        field, n = GOLDILOCKS, 1 << 8
+        values = field.random_vector(n, random.Random(step))
+        plan = FaultPlan.from_specs(
+            [f"compute-bitflip@{step}:gpu=1,delta=9"], seed=5)
+        injector = FaultInjector(plan, field.modulus)
+        if shape == "flat":
+            cluster = SimCluster(field, 4, injector=injector)
+            engine_cls = UniNTTEngine
+        else:
+            cluster = SimCluster(field, 4, node_size=2, injector=injector)
+            engine_cls = HierarchicalUniNTTEngine
+        engine = ResilientNTTEngine(cluster, engine_cls, abft=False)
+        out = engine.forward(DistributedVector.from_values(
+            cluster, values, engine.input_layout(n)))
+        assert out.to_values() == ntt(field, values)
+        assert engine.report.retries == 1
+        assert check_trace(cluster.trace) == []
+
+    @pytest.mark.parametrize("shift", [None, 3], ids=["plain", "coset"])
+    @pytest.mark.parametrize("inverse", [False, True], ids=["fwd", "inv"])
+    def test_one_wrong_output_fails_the_probe(self, inverse, shift, rng):
+        from repro.errors import ShardCorruptionError
+
+        n = 256
+        engine = ResilientNTTEngine(SimCluster(F, 4), UniNTTEngine)
+        vec = DistributedVector.from_values(
+            engine.cluster, F.random_vector(n, rng),
+            engine.input_layout(n))
+        ckpt = vec.checkpoint()
+        out = engine.engine.forward(vec, coset_shift=shift)
+        if inverse:
+            ckpt = out.checkpoint()
+            out = engine.engine.inverse(out, coset_shift=shift)
+        engine._probe(ckpt, out, inverse, shift, n)  # the true output
+        out.cluster.gpus[2].shard[5] = (out.cluster.gpus[2].shard[5] + 1) \
+            % F.modulus
+        with pytest.raises(ShardCorruptionError, match="output probe"):
+            engine._probe(ckpt, out, inverse, shift, n)
