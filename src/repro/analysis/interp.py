@@ -15,7 +15,8 @@ op by op without moving data.
 The executor runs:
 
 * local kernels from one table keyed by op name — ``coset``,
-  ``local-ntt``, ``twiddle-pass``, ``cross-ntt``, ``pairwise-combine``
+  ``local-ntt``, ``twiddle-pass``, ``cross-ntt`` (also under the
+  baseline's names ``col-ntt`` and ``row-ntt``), ``pairwise-combine``
   (named ``-h<half>`` per stage), each with an ``inv-`` twin and an
   ``inter-`` form for the inter-node level — each
   reading its level's fanout and twiddle layout from the op, with
@@ -175,12 +176,16 @@ def _pairwise_combine(cluster: SimCluster, op: LocalOp, inverse: bool,
 
 
 #: Local kernels by op name ``[inv-][inter-]kernel[-h<half>]``: ``inv-``
-#: runs the inverse twin; each kernel reads its level from the op.
+#: runs the inverse twin; each kernel reads its level from the op.  The
+#: baseline's column and row transforms are cross transforms named apart
+#: so their modeled seconds stay separate phases.
 _KERNELS = {
     "coset": _coset,
     "local-ntt": _local_ntt,
     "twiddle-pass": _twiddle_pass,
     "cross-ntt": _cross_ntt,
+    "col-ntt": _cross_ntt,
+    "row-ntt": _cross_ntt,
     "pairwise-combine": _pairwise_combine,
 }
 

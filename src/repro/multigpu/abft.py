@@ -67,7 +67,8 @@ from repro.hw.cost import Phase, Step
 from repro.multigpu.layout import Layout
 from repro.sim.trace import TraceEvent
 
-__all__ = ["ProbeVector", "ProbeLedger", "AbftVerdict", "AbftChecker"]
+__all__ = ["ProbeVector", "ProbeLedger", "AbftVerdict", "AbftChecker",
+           "geometric_probe"]
 
 
 @dataclass(frozen=True)
@@ -112,14 +113,27 @@ def _memo_probe(field: PrimeField, name: str, w: int, n: int,
         # errors; p >> n so rejection is essentially free.
         if pow(t, n, p) != 1:
             break
-    r = vec_pow_series(field, t, n)
+    r, weights = geometric_probe(field, t, w, n)
+    return ProbeVector(field_name=name, n=n, direction=direction,
+                       t=t, r_powers=tuple(r), weights=tuple(weights))
+
+
+def geometric_probe(field: PrimeField, t: int, w: int,
+                    n: int) -> tuple[list[int], list[int]]:
+    """The geometric Freivalds probe at ``t`` (``t^n != 1``), unmemoized.
+
+    Returns the powers ``t^k`` and the weights ``(t^n - 1) / (t w^j -
+    1)`` for a size-``n`` transform with root ``w``, so that ``sum_k
+    t^k Y[k] == sum_j weights[j] x[j]`` whenever ``Y[k] = sum_j x[j]
+    w^(kj)``.
+    """
+    p = field.modulus
     # Denominators d[j] = t * w^j - 1, inverted with one batch inversion
     # (Montgomery's trick inside vec_inv: one field inversion total).
     d = vec_sub(field, vec_pow_series(field, w, n, start=t), [1] * n)
     tn = (pow(t, n, p) - 1) % p
-    weights = vec_scale(field, vec_inv(field, d), tn)
-    return ProbeVector(field_name=name, n=n, direction=direction,
-                       t=t, r_powers=tuple(r), weights=tuple(weights))
+    return (vec_pow_series(field, t, n),
+            vec_scale(field, vec_inv(field, d), tn))
 
 
 class ProbeLedger:

@@ -127,8 +127,7 @@ class BatchedDistributedNTT:
             kind="local-compute", level="gpu",
             max_bytes_per_gpu=-(-len(out) // g) * mem,
             total_bytes=len(out) * mem,
-            field_muls=len(out) * acct.local_ntt_muls(n),
-            detail=detail))
+            field_muls=len(out) * muls, detail=detail))
         self.cluster.local_compute_hook(per_gpu_buffers, detail)
         return out
 

@@ -46,13 +46,11 @@ from repro.errors import (
     SimulationError, TransientCommError,
 )
 from repro.field.prime_field import PrimeField
-from repro.field.vector import (
-    vec_dot, vec_inv, vec_mul, vec_pow_series, vec_scale, vec_sub,
-)
+from repro.field.vector import vec_dot, vec_mul, vec_pow_series
 from repro.hw.cost import CostBreakdown, CostModel, Phase, Step
 from repro.hw.model import MachineModel
 from repro.hw.plancost import PlanCost
-from repro.multigpu.abft import AbftChecker
+from repro.multigpu.abft import AbftChecker, geometric_probe
 from repro.multigpu.base import (
     DistributedNTTEngine, DistributedVector, VectorCheckpoint,
 )
@@ -425,10 +423,12 @@ class ResilientNTTEngine:
 
             sum_k z^k Y[k] == (z^n - 1) sum_j x[j] shift^j / (z w^j - 1)
 
-        by Horner on the left and one batch inversion on the right.
-        The sides differ by a polynomial of degree < n in ``z``, zero
-        only if every ``Y[k]`` is right, so a wrong output passes a
-        probe with probability about ``(n-1)/p`` at most.
+        which is ABFT's geometric Freivalds probe at ``t = z``
+        (:func:`repro.multigpu.abft.geometric_probe`), two dot products
+        over the powers of ``z`` and the weights.  The sides differ by
+        a polynomial of degree < n in ``z``, zero only if every ``Y[k]``
+        is right, so a wrong output passes a probe with probability
+        about ``(n-1)/p`` at most.
         """
         fld = self.field
         p = fld.modulus
@@ -443,22 +443,19 @@ class ResilientNTTEngine:
         self.cluster.trace.record(TraceEvent(
             kind="verify", level="resilience",
             detail=f"output-probe x{self.policy.verify_probes}"))
-        roots = vec_pow_series(fld, fld.root_of_unity(n), n)
+        root = fld.root_of_unity(n)
         numerators = vec_mul(fld, coeffs, vec_pow_series(fld, shift, n))
-        ones = [1] * n
-        # Series and numerators once; per probe Horner, denominators,
-        # batch inversion (3n) and the dot product.
+        # Priced as series and numerators once (3n), then per probe the
+        # fold of the output, the denominators, one batch inversion
+        # and the dot product (6n).
         muls = 3 * n
         for _ in range(self.policy.verify_probes):
             z = rng.randrange(p)
             while pow(z, n, p) == 1:
                 z = rng.randrange(p)
-            folded = 0
-            for y in reversed(spectrum):
-                folded = (folded * z + y) % p
-            denominators = vec_sub(fld, vec_scale(fld, roots, z), ones)
-            expected = (pow(z, n, p) - 1) * vec_dot(
-                fld, numerators, vec_inv(fld, denominators)) % p
+            powers, weights = geometric_probe(fld, z, root, n)
+            folded = vec_dot(fld, powers, spectrum)
+            expected = vec_dot(fld, weights, numerators)
             muls += 6 * n
             if folded != expected:
                 # One detection per fired compute fault, the pairing

@@ -510,10 +510,10 @@ def build_baseline_schedule(n: int, gpu_count: int, element_bytes: int,
     and prices exactly this op list.  With ``n = rows * cols``
     (:func:`repro.ntt.fourstep.split_size`, both divisible by G): the
     transpose Block -> ColumnBlock (``baseline-T1``), the ``rows``-point
-    column transforms (``cross-ntt``, fanout ``rows``), a standalone
+    column transforms (``col-ntt``, fanout ``rows``), a standalone
     twiddle sweep read through the block layout (``twiddle-pass``,
     fanout ``cols``), the transpose back (``baseline-T2``), the
-    ``cols``-point row transforms (``cross-ntt``) and the final
+    ``cols``-point row transforms (``row-ntt``) and the final
     transpose into natural block order (``baseline-T3``).  The inverse
     runs the ``inv-`` kernels in the same order; its two transforms
     scale by 1/rows and 1/cols, which is 1/n.
@@ -531,13 +531,13 @@ def build_baseline_schedule(n: int, gpu_count: int, element_bytes: int,
     w = _Writer(g, eb, g)
     pre = "inv-" if inverse else ""
     w.relayout("baseline-T1", block, col_block, "columns")
-    w.local(f"{pre}cross-ntt", "column-ntt",
+    w.local(f"{pre}col-ntt", "column-ntt",
             acct.small_batch_ntt_muls(cols // g, rows),
             2 * m * eb * acct.tile_passes(rows, tile), rows)
     w.local(f"{pre}twiddle-pass", "twiddled", acct.twiddle_muls(m),
             acct.pointwise_mem_bytes(m, eb), cols, block)
     w.relayout("baseline-T2", col_block, block, "rows")
-    w.local(f"{pre}cross-ntt", "row-ntt",
+    w.local(f"{pre}row-ntt", "row-ntt",
             acct.small_batch_ntt_muls(rows // g, cols),
             2 * m * eb * acct.tile_passes(cols, tile), cols)
     w.relayout("baseline-T3", block, TransposedBlockLayout(

@@ -9,13 +9,20 @@ primitives the distributed NTT engines use:
   butterfly stage of a cross-GPU NTT);
 * :meth:`SimCluster.gather_to` / :meth:`SimCluster.scatter_from` — used
   by the single-GPU engine (and by the end-to-end pipeline when a stage
-  insists on one device).
+  insists on one device);
+* :meth:`SimCluster.charge_all_to_all` — an all-to-all charged by
+  element counts alone, for the packed path whose data the devices
+  never hold.
 
-Every primitive updates per-GPU counters and appends a trace event.
-Reading data *without* charging (for verification) goes through
+Each is an adapter: it checks its shape, lists its messages as
+``(src, dst, payload)`` sends, and hands them to one exchange core,
+:meth:`SimCluster._exchange`, which moves, charges and traces them.
+The core updates per-GPU counters and appends the trace events, so
+every byte ``bytes_by_level`` sees is charged in one place.  Reading
+data *without* charging (for verification) goes through
 :meth:`SimCluster.peek_shards`.
 
-Fault injection hooks into every collective: when an injector from
+Fault injection hooks into the core: when an injector from
 :mod:`repro.sim.faults` is installed, each collective is *gated* on it
 (transient failures and device deaths raise before any bytes move, so
 an aborted collective charges nothing) and in-flight messages pass
@@ -24,7 +31,9 @@ enabled, every cross-device message is additionally covered by a seeded
 random-linear-probe checksum computed on the sender's data and checked
 against the delivered data — an injected corruption then surfaces as
 :class:`~repro.errors.ShardCorruptionError` instead of silently wrong
-output.
+output.  Count payloads skip both hooks.  ``gather_to`` and
+``scatter_from`` trace all their bytes at "multi-gpu", also on a
+node-structured cluster.
 """
 
 from __future__ import annotations
@@ -105,56 +114,6 @@ class SimCluster:
     def _precondition_proven(self, key: tuple) -> None:
         self._precondition_cache.add(key)
 
-    # -- fault/verification plumbing ------------------------------------------
-
-    def _gate(self, kind: str, detail: str) -> None:
-        """Let the injector veto one collective before any bytes move."""
-        self._collective_seq += 1
-        if self.injector is not None:
-            self.injector.on_collective_start(self, kind, detail)
-
-    def _corrupt_inflight(self, gpu_id: int, values: list[int]) -> None:
-        if self.injector is not None:
-            self.injector.corrupt_inflight(self, gpu_id, values)
-
-    def _finish(self, kind: str, total_bytes: int) -> None:
-        if self.injector is not None:
-            self.injector.on_collective_end(self, kind, total_bytes)
-
-    def _probe_sum(self, key: tuple, values: Sequence[int]) -> int:
-        """Seeded random-linear probe: sum of w_i * v_i mod p.
-
-        The weights are drawn from ``random.Random(key)``; sender and
-        receiver derive the same key, so any additive corruption of a
-        single slot shifts the sum by ``w * delta != 0`` and is caught
-        with certainty (weights are non-zero mod p).
-        """
-        rng = random.Random(repr((self.checksum_seed,) + key))
-        p = self.field.modulus
-        total = 0
-        for v in values:
-            total = (total + rng.randrange(1, p) * v) % p
-        return total
-
-    def _check_transfer(self, kind: str, src: int, dst: int,
-                        original: Sequence[int],
-                        delivered: Sequence[int]) -> None:
-        """Compare sender/receiver probe sums for one message."""
-        if not self.checksum_exchanges or src == dst:
-            return
-        key = (kind, self._collective_seq, src, dst)
-        if self._probe_sum(key, original) != self._probe_sum(key, delivered):
-            raise ShardCorruptionError(
-                f"random-linear probe mismatch on {kind} message "
-                f"{src}->{dst} (collective {self._collective_seq}): "
-                "in-flight data was corrupted")
-
-    def _record_verify(self, kind: str) -> None:
-        if self.checksum_exchanges:
-            self.trace.record(TraceEvent(
-                kind="verify", level="resilience",
-                detail=f"checksum:{kind}"))
-
     @property
     def node_count(self) -> int:
         """Number of nodes (1 when node structure is not modeled)."""
@@ -194,6 +153,87 @@ class SimCluster:
 
     # -- collectives ----------------------------------------------------------
 
+    def _exchange(self, kind: str, sends: Sequence[tuple], detail: str, *,
+                  by_node: bool = True) -> list[list[int]]:
+        """Move, charge and trace one collective: the one exchange core.
+
+        ``sends`` lists ``(src, dst, payload)`` in delivery order.  A
+        payload is either a sequence of field values -- copied, passed
+        through the injector's corruption hook and, with
+        :attr:`checksum_exchanges`, a seeded random-linear probe sum
+        compared between the sender's and the delivered copy -- or an
+        element count, which is only charged.  The injector gates the
+        collective first, so an aborted one charges nothing.  Messages
+        a GPU sends itself move no bytes; every other message charges
+        its receiver, and each sender is charged its total.  Bytes
+        between GPUs of one node (every byte unless ``by_node``) trace
+        at "multi-gpu", the rest at "multi-node".  Returns the delivered
+        copies in send order (empty when the payloads are counts).
+        """
+        self._collective_seq += 1
+        seq = self._collective_seq
+        injector = self.injector
+        if injector is not None:
+            injector.on_collective_start(self, kind, detail)
+        moved = not sends or hasattr(sends[0][2], "__len__")
+        delivered: list[list[int]] = []
+        if moved:
+            check = self.checksum_exchanges
+            p = self.field.modulus
+            for src, dst, payload in sends:
+                message = list(payload)
+                if injector is not None:
+                    injector.corrupt_inflight(self, dst, message)
+                if check and src != dst:
+                    # Sender and receiver weigh their copies with the
+                    # same non-zero weights, so any corrupted slot shows.
+                    rng = random.Random(repr(
+                        (self.checksum_seed, kind, seq, src, dst)))
+                    sent = got = 0
+                    for v, w in zip(payload, message):
+                        weight = rng.randrange(1, p)
+                        sent = (sent + weight * v) % p
+                        got = (got + weight * w) % p
+                    if sent != got:
+                        raise ShardCorruptionError(
+                            f"random-linear probe mismatch on {kind} "
+                            f"message {src}->{dst} (collective {seq}): "
+                            "in-flight data was corrupted")
+                delivered.append(message)
+            # From here on every payload is its element count.
+            sends = [(src, dst, len(message))
+                     for (src, dst, _), message in zip(sends, delivered)]
+        g = self.gpu_count
+        eb = self.element_bytes
+        gpus = self.gpus
+        node_size = self.node_size if by_node else None
+        intra = [0] * g
+        inter = [0] * g
+        for src, dst, count in sends:
+            if src != dst:
+                nbytes = count * eb
+                if node_size is None or src // node_size == dst // node_size:
+                    intra[src] += nbytes
+                else:
+                    inter[src] += nbytes
+                gpus[dst].charge_receive(nbytes)
+        for gpu, sent_near, sent_far in zip(gpus, intra, inter):
+            gpu.charge_send(sent_near + sent_far)
+        near, far = sum(intra), sum(inter)
+        self.trace.record(TraceEvent(
+            kind=kind, level="multi-gpu", max_bytes_per_gpu=max(intra),
+            total_bytes=near, detail=detail))
+        if far:
+            self.trace.record(TraceEvent(
+                kind=kind, level="multi-node", max_bytes_per_gpu=max(inter),
+                total_bytes=far, detail=detail))
+        if moved and self.checksum_exchanges:
+            self.trace.record(TraceEvent(
+                kind="verify", level="resilience", detail=f"checksum:{kind}"))
+        if injector is not None:
+            injector.on_collective_end(self, kind, near + far)
+        return delivered
+
     def all_to_all(self, outboxes: Sequence[Sequence[Sequence[int]]],
                    detail: str = "") -> list[list[list[int]]]:
         """Personalized all-to-all.
@@ -204,55 +244,12 @@ class SimCluster:
         no bytes.
         """
         g = self.gpu_count
-        shape_key = ("all-to-all", len(outboxes),
-                     tuple(len(row) for row in outboxes))
-        if not self._precondition_cached(shape_key):
-            if len(outboxes) != g:
-                raise SimulationError(
-                    f"all_to_all needs a {g}x{g} outbox matrix, "
-                    f"got {len(outboxes)} rows")
-            for src, row in enumerate(outboxes):
-                if len(row) != g:
-                    raise SimulationError(
-                        f"all_to_all: GPU {src} outbox has {len(row)} "
-                        f"destinations, expected {g}")
-            self._precondition_proven(shape_key)
-        self._gate("all-to-all", detail)
-        eb = self.element_bytes
-        inboxes: list[list[list[int]]] = [[[] for _ in range(g)]
-                                          for _ in range(g)]
-        intra_sent = [0] * g
-        inter_sent = [0] * g
-        for src in range(g):
-            for dst in range(g):
-                message = list(outboxes[src][dst])
-                self._corrupt_inflight(dst, message)
-                self._check_transfer("all-to-all", src, dst,
-                                     outboxes[src][dst], message)
-                inboxes[dst][src] = message
-        for src in range(g):
-            for dst in range(g):
-                if src != dst:
-                    nbytes = len(inboxes[dst][src]) * eb
-                    if self.node_of(src) == self.node_of(dst):
-                        intra_sent[src] += nbytes
-                    else:
-                        inter_sent[src] += nbytes
-                    self.gpus[dst].charge_receive(nbytes)
-        for src in range(g):
-            self.gpus[src].charge_send(intra_sent[src] + inter_sent[src])
-        self.trace.record(TraceEvent(
-            kind="all-to-all", level="multi-gpu",
-            max_bytes_per_gpu=max(intra_sent), total_bytes=sum(intra_sent),
-            detail=detail))
-        if self.node_size is not None and sum(inter_sent):
-            self.trace.record(TraceEvent(
-                kind="all-to-all", level="multi-node",
-                max_bytes_per_gpu=max(inter_sent),
-                total_bytes=sum(inter_sent), detail=detail))
-        self._record_verify("all-to-all")
-        self._finish("all-to-all", sum(intra_sent) + sum(inter_sent))
-        return inboxes
+        self._check_matrix("all_to_all", outboxes, "outbox matrix", "outbox")
+        delivered = self._exchange(
+            "all-to-all", [(src, dst, message)
+                           for src, row in enumerate(outboxes)
+                           for dst, message in enumerate(row)], detail)
+        return [delivered[dst::g] for dst in range(g)]
 
     def charge_all_to_all(self, counts: Sequence[Sequence[int]],
                           detail: str = "") -> None:
@@ -269,45 +266,28 @@ class SimCluster:
         advances identically), but no per-message hooks fire: callers
         needing corruption or checksum coverage must materialize.
         """
+        self._check_matrix("charge_all_to_all", counts, "count matrix", "row")
+        self._exchange("all-to-all", [(src, dst, count)
+                                      for src, row in enumerate(counts)
+                                      for dst, count in enumerate(row)],
+                       detail)
+
+    def _check_matrix(self, name: str, matrix: Sequence[Sequence],
+                      what: str, row_name: str) -> None:
+        """Require a G x G matrix (memoized per shape)."""
         g = self.gpu_count
-        shape_key = ("charge-all-to-all", len(counts),
-                     tuple(len(row) for row in counts))
-        if not self._precondition_cached(shape_key):
-            if len(counts) != g:
+        shape_key = (name, len(matrix), tuple(len(row) for row in matrix))
+        if self._precondition_cached(shape_key):
+            return
+        if len(matrix) != g:
+            raise SimulationError(
+                f"{name} needs a {g}x{g} {what}, got {len(matrix)} rows")
+        for src, row in enumerate(matrix):
+            if len(row) != g:
                 raise SimulationError(
-                    f"charge_all_to_all needs a {g}x{g} count matrix, "
-                    f"got {len(counts)} rows")
-            for src, row in enumerate(counts):
-                if len(row) != g:
-                    raise SimulationError(
-                        f"charge_all_to_all: GPU {src} row has "
-                        f"{len(row)} destinations, expected {g}")
-            self._precondition_proven(shape_key)
-        self._gate("all-to-all", detail)
-        eb = self.element_bytes
-        intra_sent = [0] * g
-        inter_sent = [0] * g
-        for src in range(g):
-            for dst in range(g):
-                if src != dst:
-                    nbytes = counts[src][dst] * eb
-                    if self.node_of(src) == self.node_of(dst):
-                        intra_sent[src] += nbytes
-                    else:
-                        inter_sent[src] += nbytes
-                    self.gpus[dst].charge_receive(nbytes)
-        for src in range(g):
-            self.gpus[src].charge_send(intra_sent[src] + inter_sent[src])
-        self.trace.record(TraceEvent(
-            kind="all-to-all", level="multi-gpu",
-            max_bytes_per_gpu=max(intra_sent), total_bytes=sum(intra_sent),
-            detail=detail))
-        if self.node_size is not None and sum(inter_sent):
-            self.trace.record(TraceEvent(
-                kind="all-to-all", level="multi-node",
-                max_bytes_per_gpu=max(inter_sent),
-                total_bytes=sum(inter_sent), detail=detail))
-        self._finish("all-to-all", sum(intra_sent) + sum(inter_sent))
+                    f"{name}: GPU {src} {row_name} has {len(row)} "
+                    f"destinations, expected {g}")
+        self._precondition_proven(shape_key)
 
     def pairwise_exchange(self, partner_of: Sequence[int],
                           payloads: Sequence[Sequence[int]],
@@ -338,104 +318,40 @@ class SimCluster:
                     raise SimulationError(
                         f"partner map is not an involution at GPU {i}")
             self._precondition_proven(shape_key)
-        self._gate("pairwise", detail)
-        eb = self.element_bytes
-        received: list[list[int]] = [[] for _ in range(g)]
-        intra = {"max": 0, "total": 0}
-        inter = {"max": 0, "total": 0}
-        for i, j in enumerate(partner_of):
-            payload = list(payloads[i])
-            self._corrupt_inflight(j, payload)
-            self._check_transfer("pairwise", i, j, payloads[i], payload)
-            received[j] = payload
-        for i, j in enumerate(partner_of):
-            if i != j:
-                nbytes = len(received[j]) * eb
-                self.gpus[i].charge_send(nbytes)
-                self.gpus[j].charge_receive(nbytes)
-                bucket = intra if self.node_of(i) == self.node_of(j) \
-                    else inter
-                bucket["max"] = max(bucket["max"], nbytes)
-                bucket["total"] += nbytes
-        self.trace.record(TraceEvent(
-            kind="pairwise", level="multi-gpu",
-            max_bytes_per_gpu=intra["max"], total_bytes=intra["total"],
-            detail=detail))
-        if self.node_size is not None and inter["total"]:
-            self.trace.record(TraceEvent(
-                kind="pairwise", level="multi-node",
-                max_bytes_per_gpu=inter["max"], total_bytes=inter["total"],
-                detail=detail))
-        self._record_verify("pairwise")
-        self._finish("pairwise", intra["total"] + inter["total"])
-        return received
+        delivered = self._exchange(
+            "pairwise",
+            [(i, j, payloads[i]) for i, j in enumerate(partner_of)], detail)
+        return [delivered[i] for i in partner_of]
 
     def gather_to(self, root: int, detail: str = "") -> list[list[int]]:
         """Collect every shard on GPU ``root``; returns the shard list."""
-        if not 0 <= root < self.gpu_count:
-            raise SimulationError(
-                f"gather_to: invalid root GPU {root} "
-                f"(cluster has GPUs 0..{self.gpu_count - 1})")
-        self._gate("gather", detail)
-        eb = self.element_bytes
-        shards = []
-        for gpu in self.gpus:
-            shard = list(gpu.shard)
-            if gpu.gpu_id != root:
-                self._corrupt_inflight(root, shard)
-                self._check_transfer("gather", gpu.gpu_id, root,
-                                     gpu.shard, shard)
-            shards.append(shard)
-        total = 0
-        max_sent = 0
-        for gpu, shard in zip(self.gpus, shards):
-            if gpu.gpu_id != root:
-                nbytes = len(shard) * eb
-                gpu.charge_send(nbytes)
-                self.gpus[root].charge_receive(nbytes)
-                total += nbytes
-                max_sent = max(max_sent, nbytes)
-        self.trace.record(TraceEvent(
-            kind="gather", level="multi-gpu",
-            max_bytes_per_gpu=max_sent, total_bytes=total, detail=detail))
-        self._record_verify("gather")
-        self._finish("gather", total)
+        self._check_root("gather_to", root)
+        shards = self._exchange(
+            "gather", [(gpu.gpu_id, root, gpu.shard) for gpu in self.gpus
+                       if gpu.gpu_id != root], detail, by_node=False)
+        shards.insert(root, list(self.gpus[root].shard))
         return shards
 
     def scatter_from(self, root: int, shards: Sequence[Sequence[int]],
                      detail: str = "") -> None:
         """Distribute ``shards[i]`` to GPU ``i`` from GPU ``root``."""
-        if not 0 <= root < self.gpu_count:
-            raise SimulationError(
-                f"scatter_from: invalid root GPU {root} "
-                f"(cluster has GPUs 0..{self.gpu_count - 1})")
+        self._check_root("scatter_from", root)
         if len(shards) != self.gpu_count:
             raise SimulationError(
                 f"scatter_from: expected {self.gpu_count} shards, "
                 f"got {len(shards)}")
-        self._gate("scatter", detail)
-        eb = self.element_bytes
-        staged = []
-        for gpu, shard in zip(self.gpus, shards):
-            copy = list(shard)
-            if gpu.gpu_id != root:
-                self._corrupt_inflight(gpu.gpu_id, copy)
-                self._check_transfer("scatter", root, gpu.gpu_id,
-                                     shard, copy)
-            staged.append(copy)
-        sent = 0
+        staged = self._exchange(
+            "scatter", [(root, dst, shard) for dst, shard in enumerate(shards)
+                        if dst != root], detail, by_node=False)
+        staged.insert(root, list(shards[root]))
         for gpu, shard in zip(self.gpus, staged):
             gpu.load(shard)
-            if gpu.gpu_id != root:
-                nbytes = len(shard) * eb
-                gpu.charge_receive(nbytes)
-                sent += nbytes
-        self.gpus[root].charge_send(sent)
-        self.trace.record(TraceEvent(
-            kind="scatter", level="multi-gpu",
-            max_bytes_per_gpu=sent, total_bytes=sent, detail=detail))
-        self._record_verify("scatter")
-        self._finish("scatter", sent)
+
+    def _check_root(self, name: str, root: int) -> None:
+        if not 0 <= root < self.gpu_count:
+            raise SimulationError(
+                f"{name}: invalid root GPU {root} "
+                f"(cluster has GPUs 0..{self.gpu_count - 1})")
 
     # -- local accounting shared by engines ---------------------------------------
 

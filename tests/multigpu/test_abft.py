@@ -27,7 +27,7 @@ from repro.multigpu import (
     DistributedPolynomial, DistributedVector, ResilientNTTEngine,
     RetryPolicy, UniNTTEngine,
 )
-from repro.multigpu.abft import AbftChecker, ProbeLedger
+from repro.multigpu.abft import AbftChecker, ProbeLedger, geometric_probe
 from repro.ntt import coset_ntt, intt, ntt
 from repro.sim import FaultInjector, FaultPlan, SimCluster
 
@@ -82,6 +82,20 @@ class TestProbeLedger:
         lhs = sum(r * v for r, v in zip(probe.r_powers, y)) % p
         rhs = sum(a * v for a, v in zip(probe.weights, x)) % p
         assert lhs == rhs
+
+    @pytest.mark.parametrize("t", [0, 2, 1234])
+    def test_geometric_probe_holds_at_any_admissible_point(self, t, rng):
+        """The unmemoized build the resilient output probe shares: the
+        identity holds at every ``t`` with ``t^n != 1``, ``t = 0``
+        included (it checks ``Y[0] == sum x``)."""
+        n = 32
+        assert pow(t, n, F.modulus) != 1
+        powers, weights = geometric_probe(F, t, F.root_of_unity(n), n)
+        x = F.random_vector(n, rng)
+        y = ntt(F, x)
+        p = F.modulus
+        assert sum(r * v for r, v in zip(powers, y)) % p \
+            == sum(a * v for a, v in zip(weights, x)) % p
 
 
 class TestVerifyLeg:

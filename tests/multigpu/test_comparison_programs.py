@@ -25,6 +25,7 @@ import pytest
 from repro.analysis.tracecheck import check_trace
 from repro.field import BN254_FR, GOLDILOCKS, use_backend
 from repro.field.backend import numpy_available
+from repro.hw.machines import DGX_A100
 from repro.multigpu import (
     BaselineFourStepEngine, DistributedVector, PairwiseExchangeEngine,
 )
@@ -128,13 +129,27 @@ def test_baseline_program_shape(inverse):
     program = build_baseline_schedule(1 << 9, 4, 8, inverse=inverse)
     pre = "inv-" if inverse else ""
     assert [op.name for op in program.ops] == [
-        "baseline-T1", f"{pre}cross-ntt", f"{pre}twiddle-pass",
-        "baseline-T2", f"{pre}cross-ntt", "baseline-T3"]
+        "baseline-T1", f"{pre}col-ntt", f"{pre}twiddle-pass",
+        "baseline-T2", f"{pre}row-ntt", "baseline-T3"]
     fanouts = [op.fanout for op in program.ops if isinstance(op, LocalOp)]
     assert fanouts == [16, 32, 32]  # rows, cols, cols of 16 x 32
     assert [type(op.target).__name__ for op in program.ops
             if isinstance(op, ExchangeOp)] == [
         "ColumnBlockLayout", "BlockLayout", "TransposedBlockLayout"]
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["fwd", "inv"])
+def test_baseline_prices_column_and_row_transforms_apart(inverse):
+    """``per_phase`` keeps the column and the row transforms as two
+    rows (they used to share one ``cross-ntt`` name and so one row)."""
+    engine = BaselineFourStepEngine(SimCluster(GOLDILOCKS, 8))
+    estimate = engine.estimate(DGX_A100, 1 << 24, inverse=inverse)
+    pre = "inv-" if inverse else ""
+    assert list(estimate.per_phase) == [
+        "baseline-T1", f"{pre}col-ntt", f"{pre}twiddle-pass",
+        "baseline-T2", f"{pre}row-ntt", "baseline-T3"]
+    assert estimate.per_phase[f"{pre}col-ntt"] > 0
+    assert estimate.per_phase[f"{pre}row-ntt"] > 0
 
 
 def local_steps(engine_name, gpus, n):

@@ -37,6 +37,7 @@ def per_vector_replicate(engine, batch, inverse):
     n = len(batch[0])
     g = cluster.gpu_count
     mem = acct.local_ntt_mem_bytes(n, cluster.element_bytes, engine.tile)
+    muls = acct.local_ntt_muls(n) + (n if inverse else 0)
     transform = radix2.intt if inverse else radix2.ntt
     out, per_gpu_count, buffers = [], [0] * g, {}
     for index, vec in enumerate(batch):
@@ -46,15 +47,14 @@ def per_vector_replicate(engine, batch, inverse):
         result = list(gpu.shard)
         out.append(result)
         buffers.setdefault(gpu.gpu_id, []).append(result)
-        gpu.charge_compute(acct.local_ntt_muls(n) + (n if inverse else 0),
-                           mem)
+        gpu.charge_compute(muls, mem)
         per_gpu_count[index % g] += 1
     detail = f"{engine.name}-{'intt' if inverse else 'ntt'}"
     cluster.trace.record(TraceEvent(
         kind="local-compute", level="gpu",
         max_bytes_per_gpu=max(per_gpu_count) * mem,
         total_bytes=len(batch) * mem,
-        field_muls=len(batch) * acct.local_ntt_muls(n), detail=detail))
+        field_muls=len(batch) * muls, detail=detail))
     cluster.local_compute_hook(buffers, detail)
     return out
 
@@ -121,6 +121,25 @@ def replicate_case(draw):
 def test_batched_route_matches_per_vector_loop(case, backend):
     field, vectors, inverse = case
     assert_same_run(field, vectors, inverse, backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("inverse", [False, True], ids=["fwd", "inv"])
+def test_trace_muls_equal_device_counters(backend, inverse):
+    """The ``local-compute`` event records the multiplications the
+    devices are charged, the inverse's 1/n scale included: six 64-point
+    Goldilocks vectors on four GPUs charge 6 * 192 forward and
+    6 * (192 + 64) inverse."""
+    rng = random.Random(6)
+    vectors = [GOLDILOCKS.random_vector(64, rng) for _ in range(6)]
+    with use_backend(backend):
+        engine = BatchedDistributedNTT(SimCluster(GOLDILOCKS, GPUS),
+                                       strategy="replicate")
+        engine.inverse(vectors) if inverse else engine.forward(vectors)
+    cluster = engine.cluster
+    charged = sum(gpu.counters.field_muls for gpu in cluster.gpus)
+    assert sum(event.field_muls for event in cluster.trace) == charged
+    assert charged == (1536 if inverse else 1152)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
