@@ -8,13 +8,13 @@ substrate those helpers run on *pluggable*:
 * :class:`PythonBackend` — the reference semantics: list comprehensions
   over arbitrary-precision Python integers.  Always available, always
   correct, the oracle the others are tested against.
-* :class:`NumPyBackend` — vectorized ``uint64`` lane arithmetic using
-  32-bit limb splitting with Montgomery-style multi-word reduction, so
-  64-bit fields like Goldilocks never overflow a ``uint64`` product
-  (see ``docs/BACKENDS.md`` for the overflow analysis), and limb-plane
-  CIOS Montgomery kernels (:mod:`repro.field.multilimb`) for odd
-  moduli above 64 bits such as BN254-Fr and BLS12-381-Fr (see
-  ``docs/FIELDS.md``).
+* :class:`NumPyBackend` — vectorized arithmetic with a kernel for
+  every :class:`PrimeField`: one ``uint64`` lane op per element below
+  2^32, the hand-written 32-bit-limb reduction for Goldilocks (see
+  ``docs/BACKENDS.md`` for the overflow analysis), and limb-plane
+  CIOS Montgomery kernels (:mod:`repro.field.multilimb`) for every
+  other modulus, from 33-bit primes up to BN254-Fr and BLS12-381-Fr
+  (see ``docs/FIELDS.md``).
 
 The active backend is process-global.  Select it with the
 ``REPRO_BACKEND`` environment variable (``python`` | ``numpy`` |
@@ -40,6 +40,7 @@ explicitly but is unavailable).
 from __future__ import annotations
 
 import abc
+import functools
 import os
 import warnings
 from typing import TYPE_CHECKING, Any, Sequence
@@ -154,11 +155,11 @@ class FieldBackend(abc.ABC):
     def lane_ops(self, field: "PrimeField"):
         """A :class:`repro.field.simd.LaneOps` bundle, or ``None``.
 
-        Non-``None`` means this backend can run whole NTT stages on
-        packed arrays for ``field``; the radix-2 core uses this to
-        transform without per-element Python work.  The base
-        implementation (and any field the backend cannot accelerate)
-        returns ``None``.
+        Non-``None`` means this backend runs whole NTT stages on packed
+        arrays for ``field``; the radix-2 core uses this to transform
+        without per-element Python work.  A lane backend returns lane
+        ops for every field; only the base implementation (the Python
+        backend) returns ``None``.
         """
         return None
 
@@ -249,19 +250,16 @@ class PythonBackend(FieldBackend):
 
 
 # ---------------------------------------------------------------------------
-# NumPy backend: uint64 lanes, 32-bit limb splitting
+# NumPy backend: uint64 lanes and limb planes
 # ---------------------------------------------------------------------------
 #
 # Three per-modulus regimes (chosen once and cached per field):
 #
-#   p < 2^32        direct:    a*b fits in 64 bits, one np.uint64 `%`.
-#   p == Goldilocks special:   the repo's hand-written 2^64-2^32+1
-#                              kernel (repro.field.goldilocks).
-#   p < 2^64        Montgomery: two 32-bit limbs, SOS product + REDC
-#                              with R = 2^64.  See docs/BACKENDS.md.
-#   p >= 2^64, odd  limb planes: lazy-carry CIOS Montgomery over (L, n)
-#                              arrays (repro.field.multilimb).
-#   p >= 2^64, even none:      fall back to PythonBackend semantics.
+#   p < 2^32        direct:      a*b fits in 64 bits, one np.uint64 `%`.
+#   p == Goldilocks special:     the repo's hand-written 2^64-2^32+1
+#                                kernel (repro.field.goldilocks).
+#   any other p     limb planes: lazy-carry CIOS Montgomery over (L, n)
+#                                arrays (repro.field.multilimb).
 
 
 class _Kernel:
@@ -281,8 +279,8 @@ class _Kernel:
 
         Values in ``[0, 2^64)`` are accepted and canonicalized with one
         vectorized ``%``; anything unrepresentable (negative ints,
-        >= 2^64) returns ``None`` so the caller can fall back to the
-        Python path, whose semantics allow arbitrary integers.
+        >= 2^64) returns ``None`` so the caller can retry with every
+        entry reduced mod p, the Python semantics for arbitrary ints.
         """
         np = self.np
         try:
@@ -337,106 +335,6 @@ class _DirectKernel(_Kernel):
         return (a * self.np.uint64(s)) % self.p64
 
 
-class _MontgomeryKernel(_Kernel):
-    """2^32 <= p < 2^64: 32-bit limb SOS product + Montgomery REDC.
-
-    A 64x64 product needs 128 bits, which uint64 lanes cannot hold, so
-    operands are split into 32-bit limbs and the four 32x32->64 partial
-    products are assembled with explicit carry recovery.  Reduction is
-    Montgomery REDC with R = 2^64 = two 32-bit words: each round adds
-    ``m * p`` (with ``m = t_i * (-p^-1 mod 2^32) mod 2^32``) to clear
-    one low limb; after two rounds the low 64 bits are zero and the
-    high half is < 2p, fixed by one conditional subtraction.
-    """
-
-    def __init__(self, p: int):
-        super().__init__(p)
-        np = self.np
-        self.mask32 = np.uint64(0xFFFFFFFF)
-        self.sh32 = np.uint64(32)
-        self.n0 = np.uint64(p & 0xFFFFFFFF)
-        self.n1 = np.uint64(p >> 32)
-        self.nprime = np.uint64((-pow(p, -1, 1 << 32)) % (1 << 32))
-        self.r2 = np.uint64((1 << 128) % p)      # R^2 mod p
-        self.eps = np.uint64((1 << 64) - p)      # 2^64 - p, for add/sub
-
-    def add(self, a, b):
-        np = self.np
-        s = a + b  # wraps mod 2^64
-        # Wrapped: true sum >= 2^64 > p, so add back 2^64 - p once.
-        # Unwrapped: one conditional subtraction.
-        return np.where(s < a, s + self.eps,
-                        np.where(s >= self.p64, s - self.p64, s))
-
-    def sub(self, a, b):
-        np = self.np
-        d = a - b  # wraps
-        return np.where(a < b, d - self.eps, d)
-
-    def neg(self, a):
-        np = self.np
-        return np.where(a == 0, a, self.p64 - a)
-
-    def _montmul(self, a, b):
-        """REDC(a * b) = a * b * R^-1 mod p, canonical in/out."""
-        np = self.np
-        m32, s32 = self.mask32, self.sh32
-        a0 = a & m32
-        a1 = a >> s32
-        b0 = b & m32
-        b1 = b >> s32
-
-        # SOS product: t = a*b as limbs t0..t3 (each < 2^32 in uint64).
-        p00 = a0 * b0
-        p01 = a0 * b1
-        p10 = a1 * b0
-        p11 = a1 * b1
-        t0 = p00 & m32
-        s = (p00 >> s32) + (p01 & m32) + (p10 & m32)
-        t1 = s & m32
-        s = (s >> s32) + (p01 >> s32) + (p10 >> s32) + (p11 & m32)
-        t2 = s & m32
-        t3 = (s >> s32) + (p11 >> s32)
-        t4 = np.zeros_like(t3)
-
-        # REDC round 0: clear t0.
-        m = (t0 * self.nprime) & m32
-        mn0 = m * self.n0
-        mn1 = m * self.n1
-        c = (t0 + (mn0 & m32)) >> s32
-        s = t1 + (mn0 >> s32) + (mn1 & m32) + c
-        t1 = s & m32
-        s = t2 + (mn1 >> s32) + (s >> s32)
-        t2 = s & m32
-        s = t3 + (s >> s32)
-        t3 = s & m32
-        t4 = t4 + (s >> s32)
-
-        # REDC round 1: clear t1.
-        m = (t1 * self.nprime) & m32
-        mn0 = m * self.n0
-        mn1 = m * self.n1
-        c = (t1 + (mn0 & m32)) >> s32
-        s = t2 + (mn0 >> s32) + (mn1 & m32) + c
-        t2 = s & m32
-        s = t3 + (mn1 >> s32) + (s >> s32)
-        t3 = s & m32
-        t4 = t4 + (s >> s32)
-
-        # u = t4*2^64 + t3*2^32 + t2 < 2p: one conditional subtraction.
-        u = (t3 << s32) | t2
-        return np.where((t4 > 0) | (u >= self.p64), u - self.p64, u)
-
-    def mul(self, a, b):
-        # montmul(a, R^2) = a*R; montmul(a*R, b) = a*b.
-        return self._montmul(self._montmul(a, self.r2), b)
-
-    def mul_scalar(self, a, s: int):
-        # Lift the scalar into Montgomery form with Python ints: one pass.
-        s_mont = self.np.uint64((s << 64) % self.p)
-        return self._montmul(a, s_mont)
-
-
 class _GoldilocksKernel(_Kernel):
     """p = 2^64 - 2^32 + 1: the repo's specialized reduction kernel."""
 
@@ -463,12 +361,12 @@ class _GoldilocksKernel(_Kernel):
 
 
 class NumPyBackend(FieldBackend):
-    """Vectorized backend: uint64 lanes below 2^64, limb planes above.
+    """Vectorized backend: a lane kernel for every prime field.
 
-    Moduli below 2^64 run on 1-D ``uint64`` lanes (32-bit limb
-    multi-word arithmetic); odd moduli above it (BN254-Fr,
-    BLS12-381-Fr) run on ``(L, n)`` limb planes, whose lane ops also
-    carry the limb NTT core and the fused prover kernels.
+    Moduli below 2^32 and Goldilocks run on 1-D ``uint64`` lanes; every
+    other modulus (33-bit primes through BN254-Fr and BLS12-381-Fr)
+    runs on ``(L, n)`` limb planes, whose lane ops also carry the limb
+    NTT core and the fused prover kernels.
     """
 
     name = "numpy"
@@ -476,21 +374,19 @@ class NumPyBackend(FieldBackend):
     def __init__(self):
         import numpy  # noqa: F401 - fail fast if unavailable
 
-        self._kernels: dict[int, _Kernel | None] = {}
+        self._kernels: dict[int, _Kernel | _MultiLimbKernel] = {}
         self._python = PythonBackend()
 
-    def _kernel(self, field) -> _Kernel | _MultiLimbKernel | None:
+    def _kernel(self, field) -> _Kernel | _MultiLimbKernel:
         p = field.modulus
-        kernel = self._kernels.get(p, _MISSING)
-        if kernel is _MISSING:
-            if p >= 1 << 64:
-                kernel = _MultiLimbKernel(p) if p % 2 else None
+        kernel = self._kernels.get(p)
+        if kernel is None:
+            if p < 1 << 32:
+                kernel = _DirectKernel(p)
             elif p == (1 << 64) - (1 << 32) + 1:
                 kernel = _GoldilocksKernel(p)
-            elif p < 1 << 32:
-                kernel = _DirectKernel(p)
             else:
-                kernel = _MontgomeryKernel(p)
+                kernel = _MultiLimbKernel(p)
             self._kernels[p] = kernel
         return kernel
 
@@ -498,38 +394,28 @@ class NumPyBackend(FieldBackend):
 
     def pack(self, field, values):
         kernel = self._kernel(field)
-        if kernel is None:
-            return list(values)
         arr = kernel.pack(values)
         if arr is None:  # unrepresentable entries: Python semantics
-            p = field.modulus
-            arr = kernel.pack([v % p for v in values])
+            arr = kernel.pack([v % kernel.p for v in values])
         return arr
 
     def unpack(self, field, data):
-        if isinstance(data, list):
+        if isinstance(data, list):  # pow_series below 8 terms
             return list(data)
         return self._kernel(field).unpack(data)
 
-    def _pair(self, field, a, b):
-        """Normalize two operands to a common representation."""
-        kernel = self._kernel(field)
-        if kernel is None:
-            return None, list(a), list(b)
-        np = kernel.np
-        if not isinstance(a, np.ndarray):
-            a = self.pack(field, a)
-        if not isinstance(b, np.ndarray):
-            b = self.pack(field, b)
-        return kernel, a, b
-
     def _one(self, field, a):
+        """The field's kernel and ``a`` packed (if it was not already)."""
         kernel = self._kernel(field)
-        if kernel is None:
-            return None, list(a)
         if not isinstance(a, kernel.np.ndarray):
             a = self.pack(field, a)
         return kernel, a
+
+    def _pair(self, field, a, b):
+        """The field's kernel and both operands packed."""
+        self._check_lengths(a, b)
+        kernel, a = self._one(field, a)
+        return kernel, a, self._one(field, b)[1]
 
     @staticmethod
     def _length(a) -> int:
@@ -549,46 +435,33 @@ class NumPyBackend(FieldBackend):
     # -- element-wise ---------------------------------------------------------
 
     def add(self, field, a, b):
-        self._check_lengths(a, b)
         kernel, a, b = self._pair(field, a, b)
-        if kernel is None:
-            return self._python.add(field, a, b)
         return kernel.add(a, b)
 
     def sub(self, field, a, b):
-        self._check_lengths(a, b)
         kernel, a, b = self._pair(field, a, b)
-        if kernel is None:
-            return self._python.sub(field, a, b)
         return kernel.sub(a, b)
 
     def mul(self, field, a, b):
-        self._check_lengths(a, b)
         kernel, a, b = self._pair(field, a, b)
-        if kernel is None:
-            return self._python.mul(field, a, b)
         return kernel.mul(a, b)
 
     def neg(self, field, a):
         kernel, a = self._one(field, a)
-        if kernel is None:
-            return self._python.neg(field, a)
         return kernel.neg(a)
 
     def scale(self, field, a, s):
         kernel, a = self._one(field, a)
-        if kernel is None:
-            return self._python.scale(field, a, s)
         return kernel.mul_scalar(a, s % field.modulus)
 
     # -- batched/structured ---------------------------------------------------
 
     def pow_series(self, field, base, n, start=1):
-        kernel = self._kernel(field)
-        if kernel is None or n < 8:
+        if n < 8:
             return self._python.pow_series(field, base, n, start)
         # Doubling construction: out[:2k] done => out[k:2k] = out[:k]*b^k,
         # log2(n) vectorized multiplies instead of n sequential ones.
+        kernel = self._kernel(field)
         np = kernel.np
         p = field.modulus
         base %= p
@@ -611,8 +484,6 @@ class NumPyBackend(FieldBackend):
 
     def inv(self, field, a):
         kernel, a = self._one(field, a)
-        if kernel is None:
-            return self._python.inv(field, a)
         np = kernel.np
         if kernel.lanes(a) == 0:
             return a
@@ -639,39 +510,27 @@ class NumPyBackend(FieldBackend):
         return kernel.lane_int(arr, 0) if kernel.lanes(arr) else 0
 
     def dot(self, field, a, b):
-        self._check_lengths(a, b)
         kernel = self._kernel(field)
         if isinstance(kernel, _MultiLimbKernel) and not (
                 isinstance(a, kernel.np.ndarray)
                 or isinstance(b, kernel.np.ndarray)):
             # Two plain lists of a wide field: one big-int sum of
             # products beats packing both operands for a limb tree-sum.
+            self._check_lengths(a, b)
             return self._python.dot(field, a, b)
         kernel, a, b = self._pair(field, a, b)
-        if kernel is None:
-            return self._python.dot(field, a, b)
         return self._tree_sum(kernel, kernel.mul(a, b))
 
     def sum(self, field, a):
         kernel, a = self._one(field, a)
-        if kernel is None:
-            return self._python.sum(field, a)
         return self._tree_sum(kernel, a)
 
     # -- acceleration hooks ---------------------------------------------------
 
     def lane_ops(self, field):
-        kernel = self._kernel(field)
-        if kernel is None:
-            return None
         from repro.field.simd import LaneOps
 
-        def pack(vals):
-            arr = kernel.pack(vals)
-            if arr is None:
-                arr = kernel.pack([v % kernel.p for v in vals])
-            return arr
-
+        kernel = self._kernel(field)
         hooks = {}
         if isinstance(kernel, _MultiLimbKernel):
             hooks = dict(
@@ -681,16 +540,14 @@ class NumPyBackend(FieldBackend):
                 fused_quotient=kernel.fused_quotient,
                 gather_dot=kernel.gather_dot)
         return LaneOps(field=field, add=kernel.add, sub=kernel.sub,
-                       mul=kernel.mul, scale=kernel.mul_scalar, pack=pack,
-                       **hooks)
+                       mul=kernel.mul, scale=kernel.mul_scalar,
+                       pack=functools.partial(self.pack, field), **hooks)
 
     def describe(self) -> str:
-        return ("numpy (uint64 lanes; 32-bit limb Montgomery reduction "
-                "for 33..64-bit moduli; lazy-carry CIOS limb planes for "
-                "BN254-Fr/BLS12-381-Fr-class moduli)")
+        return ("numpy (uint64 lanes below 2^32 and for Goldilocks; "
+                "lazy-carry CIOS limb planes for every other modulus, "
+                "33-bit primes through BN254-Fr/BLS12-381-Fr)")
 
-
-_MISSING = object()
 
 
 # ---------------------------------------------------------------------------
@@ -756,8 +613,8 @@ def sized_lane_ops(field: "PrimeField", lanes: int):
     """The active backend's lane ops for a ``lanes``-element job, or None.
 
     The one crossover every lane route shares: ``None`` below
-    :data:`LANE_MIN_SIZE` lanes or when the backend has no lane
-    arithmetic for ``field``; the caller then runs its scalar code.
+    :data:`LANE_MIN_SIZE` lanes or when the active backend is the
+    Python one; the caller then runs its scalar code.
     """
     if lanes < LANE_MIN_SIZE:
         return None

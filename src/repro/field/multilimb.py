@@ -20,8 +20,9 @@ whole-plane numpy ufuncs:
   premultiplied by ``R`` (``montmul(x, tw*R) = x*tw``), so transforms
   pay no Montgomery domain entry/exit.
 
-``NumPyBackend`` picks this kernel for every odd modulus at or above
-2^64; the backend name ``multilimb`` is kept as another name for
+``NumPyBackend`` picks this kernel for every modulus at or above 2^32
+except Goldilocks (33- to 64-bit primes get two or three limbs); the
+backend name ``multilimb`` is kept as another name for
 ``numpy``.  See ``docs/FIELDS.md`` for the limb layout and a worked
 CIOS example.
 """
@@ -38,7 +39,7 @@ __all__: list[str] = []
 
 
 class _MultiLimbKernel:
-    """Limb-plane arithmetic for one modulus p >= 2^64.
+    """Limb-plane arithmetic for one odd modulus p >= 2^32.
 
     Mirrors the duck-typed interface of ``backend._Kernel`` (pack,
     unpack, add/sub/neg/mul/mul_scalar plus the lane-shape hooks) but
@@ -76,8 +77,10 @@ class _MultiLimbKernel:
         # p < (p_top+1) 2^s) and
         #   x - q*p < x/(p_top+1) + p(1 + 1/(p_top+1)) < 2p
         # for any x < R, since p_top has ~50 bits and x/(p_top+1) is
-        # then ~2^211 << p.  One conditional subtraction lands
-        # canonical.
+        # then ~2^211 << p.  The 33..64-bit schedules hold it too: two
+        # limbs give s = 0 and x/(p+1) < 2^28; three (59+ bits, k = 29)
+        # give x/(p_top+1) + p/(p_top+1) < 2^58 + 1 <= p.  One
+        # conditional subtraction lands canonical.
         self.p_top1 = np.uint64((p >> (k * (L - 2))) + 1)
         self._montmul = compile_montmul(s)
         self._scratch: dict[int, dict[str, Any]] = {}

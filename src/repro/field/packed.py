@@ -108,8 +108,8 @@ def packed_disabled():
 def packed_ops(field: PrimeField, n: int):
     """The active backend's :class:`LaneOps` for ``field``, or ``None``.
 
-    ``None`` means the caller must take the list path: the backend has
-    no lane kernels for this field, the problem size ``n`` is below the
+    ``None`` means the caller must take the list path: the active
+    backend is the Python one, the problem size ``n`` is below the
     shared lane crossover or not a power of two, or packed execution is
     disabled via :func:`packed_disabled`.
     """

@@ -115,7 +115,7 @@ class BatchedDistributedNTT:
                        for base in range(0, len(flat), n))
         mem = acct.local_ntt_mem_bytes(n, self.cluster.element_bytes,
                                        self.tile)
-        muls = acct.local_ntt_muls(n) + (n if inverse else 0)
+        muls = _vector_muls(n, inverse)
         for index in range(len(out)):
             gpus[index % g].charge_compute(muls, mem)
         per_gpu_buffers: dict[int, list[list[int]]] = {}
@@ -151,7 +151,14 @@ class BatchedDistributedNTT:
     # -- analytic ----------------------------------------------------------------
 
     def forward_profile(self, n: int, batch: int) -> list[Step]:
-        """Per-GPU phases for a whole batch."""
+        """Per-GPU phases for a whole batch of forward transforms."""
+        return self._profile(n, batch, inverse=False)
+
+    def inverse_profile(self, n: int, batch: int) -> list[Step]:
+        """Per-GPU phases for a whole batch of inverse transforms."""
+        return self._profile(n, batch, inverse=True)
+
+    def _profile(self, n: int, batch: int, inverse: bool) -> list[Step]:
         if batch < 1:
             raise PartitionError(f"batch must be >= 1, got {batch}")
         g = self.cluster.gpu_count
@@ -160,14 +167,13 @@ class BatchedDistributedNTT:
             per_gpu = -(-batch // g)  # ceil: the busiest GPU's share
             return [Phase(
                 name="replicated-ntt",
-                field_muls=per_gpu * acct.local_ntt_muls(n),
+                field_muls=per_gpu * _vector_muls(n, inverse),
                 mem_bytes=per_gpu * acct.local_ntt_mem_bytes(n, eb,
                                                              self.tile),
             )]
-        steps: list[Step] = []
-        for _ in range(batch):
-            steps.extend(self.inner.forward_profile(n))
-        return steps
+        profile = self.inner.inverse_profile(n) if inverse \
+            else self.inner.forward_profile(n)
+        return profile * batch
 
     def estimate(self, machine: MachineModel, n: int,
                  batch: int) -> CostBreakdown:
@@ -195,3 +201,8 @@ class BatchedDistributedNTT:
                 return b
             b *= 2
         return None
+
+
+def _vector_muls(n: int, inverse: bool) -> int:
+    """Multiplies one replicated transform charges (inverse: the 1/n scale)."""
+    return acct.local_ntt_muls(n) + (n if inverse else 0)

@@ -93,7 +93,9 @@ from repro.serve.durability import (
     REPLAY_MESSAGES_PER_RECORD, WriteAheadJournal, replay_journal,
 )
 from repro.serve.qos import WeightedFairQueue
-from repro.serve.report import ServeReport, percentile
+from repro.serve.report import (
+    ServeReport, latency_percentiles, tenant_breakdown,
+)
 from repro.serve.request import ProofRequest, RequestResult
 from repro.serve.scheduler import REJECT_MESSAGES, ProofServer
 from repro.sim.faults import (
@@ -355,6 +357,12 @@ class _Replica:
         """Does the control plane still count this replica?"""
         return not self.fenced
 
+    @property
+    def busy(self) -> bool:
+        """Does work or an open suspicion still hang on this replica?"""
+        return bool(self.inflight is not None or len(self.queue)
+                    or self.stalled or self.suspected or self.orphaned)
+
     def void_inflight(self, loop: EventLoop) -> None:
         """Drop the in-flight batch (crash/partition/fence) unseen."""
         if self.completion_event is not None:
@@ -454,20 +462,10 @@ class FleetReport:
         return self.completed / self.makespan_s
 
     def latency_percentiles_s(self) -> dict[str, float]:
-        lats = sorted(r.latency_s for r in self.results)
-        return {
-            "max": lats[-1] if lats else 0.0,
-            "p50": percentile(lats, 0.50),
-            "p90": percentile(lats, 0.90),
-            "p99": percentile(lats, 0.99),
-        }
+        return latency_percentiles(self.results)
 
     def tenant_breakdown(self) -> dict[str, dict[str, object]]:
         """Fleet-wide per-tenant accounting (merged across replicas)."""
-        by_tenant: dict[str, list[RequestResult]] = {}
-        for result in self.results:
-            by_tenant.setdefault(
-                result.request.tenant_id, []).append(result)
         rejected: dict[str, int] = {}
         shed: dict[str, int] = {}
         for report in self.replica_reports:
@@ -475,21 +473,7 @@ class FleetReport:
                 rejected[tenant] = rejected.get(tenant, 0) + count
             for tenant, count in report.shed_by_tenant.items():
                 shed[tenant] = shed.get(tenant, 0) + count
-        breakdown: dict[str, dict[str, object]] = {}
-        for tenant in sorted(set(by_tenant) | set(rejected) | set(shed)):
-            results = by_tenant.get(tenant, [])
-            lats = sorted(r.latency_s for r in results)
-            breakdown[tenant] = {
-                "completed": len(results),
-                "deadline_misses": sum(
-                    1 for r in results if not r.deadline_met),
-                "p50_latency_s": percentile(lats, 0.50),
-                "p99_latency_s": percentile(lats, 0.99),
-                "rejected": rejected.get(tenant, 0),
-                "shed": shed.get(tenant, 0),
-                "vectors": sum(r.request.batch for r in results),
-            }
-        return breakdown
+        return tenant_breakdown(self.results, rejected, shed)
 
     # -- pricing -------------------------------------------------------------
 
@@ -612,8 +596,6 @@ class FleetServer:
                  abft: bool = False) -> None:
         self.policy = policy if policy is not None else FleetPolicy()
         self.machine = machine
-        self.max_batch_requests = max_batch_requests
-        self.batching = batching
         self.queue_capacity = queue_capacity
         self._fault_ticks: dict[int, list[FaultSpec]] = {}
         compute_plans: list[FaultPlan | None] = [
@@ -805,35 +787,10 @@ class FleetServer:
             f"tenant={request.tenant_id} "
             f"key={request.field_name}/{request.log_size}"
             f"/{request.direction}")
-        self._admit(target, request, clock)
+        target.report.offered += 1
+        target.server._admit(request, target.queue, clock, target.report,
+                             target.handled)
         self._pump(target, clock, loop)
-
-    def _admit(self, replica: _Replica, request: ProofRequest,
-               clock: VirtualClock) -> None:
-        """Mirror the single server's admission step on one replica."""
-        server, report = replica.server, replica.report
-        report.offered += 1
-        if replica.queue.offer(request):
-            report.accepted += 1
-            server._serve_event(
-                "serve-accept",
-                f"request={request.request_id} "
-                f"queue={len(replica.queue)}/{replica.queue.capacity}")
-            server._journal_append(
-                "admit", {"request": request.to_record()}, clock, report)
-        else:
-            report.rejected += 1
-            report.note_rejected(request.tenant_id)
-            report.rejection_s += server._rejection_seconds(request)
-            replica.handled.add(request.request_id)
-            server._serve_event(
-                "serve-reject",
-                f"request={request.request_id} queue-full "
-                f"capacity={replica.queue.capacity}")
-            server._journal_append(
-                "reject",
-                {"request_id": request.request_id,
-                 "reason": "queue-full"}, clock, report)
 
     # -- dispatch / completion ----------------------------------------------
 
@@ -844,10 +801,8 @@ class FleetServer:
             return
         if replica.queue.empty:
             return
-        group = replica.queue.take_batch(self.max_batch_requests,
-                                         batching=self.batching)
-        inflight = replica.server._dispatch_begin(group, clock,
-                                                  replica.report)
+        inflight = replica.server._begin_next(replica.queue, clock,
+                                              replica.report)
         replica.inflight = inflight
         replica.completion_event = loop.schedule(
             clock.now_s + inflight.duration_s, "complete",
@@ -863,10 +818,8 @@ class FleetServer:
         inflight = replica.inflight
         replica.inflight = None
         replica.completion_event = None
-        replica.server._dispatch_commit(inflight, clock, replica.report,
-                                        replica.handled)
-        replica.server._maybe_snapshot(replica.queue, clock,
-                                       replica.report, replica.handled)
+        replica.server._finish(inflight, replica.queue, clock,
+                               replica.report, replica.handled)
         self._pump(replica, clock, loop)
         if (replica.serving and replica.inflight is None
                 and self.policy.steal_enabled):
@@ -1014,9 +967,7 @@ class FleetServer:
             return
         if (self._parked and not self._revival_possible(tick)
                 and not any(t > tick for t in self._fault_ticks)
-                and not any(r.inflight is not None or len(r.queue)
-                            or r.stalled or r.suspected or r.orphaned
-                            for r in self.replicas)):
+                and not any(r.busy for r in self.replicas)):
             # Everything left is parked, no replica can ever serve
             # again, and no scheduled fault could change that: further
             # ticks are no-ops.  Stop beating; once the arrival events
@@ -1047,14 +998,8 @@ class FleetServer:
                       priority=_PRI_HEARTBEAT)
 
     def _work_remaining(self) -> bool:
-        if self._arrivals_pending > 0 or self._parked:
-            return True
-        for replica in self.replicas:
-            if (replica.inflight is not None or len(replica.queue)
-                    or replica.stalled or replica.suspected
-                    or replica.orphaned):
-                return True
-        return False
+        return bool(self._arrivals_pending > 0 or self._parked
+                    or any(r.busy for r in self.replicas))
 
     def _revival_possible(self, tick: int) -> bool:
         """Could any replica serve now or re-enter service later?
@@ -1081,9 +1026,7 @@ class FleetServer:
     def _fleet_idle(self) -> bool:
         """True when only future arrivals/faults could need a tick."""
         for replica in self.replicas:
-            if (replica.inflight is not None or len(replica.queue)
-                    or replica.stalled or replica.suspected
-                    or replica.orphaned):
+            if replica.busy:
                 return False
             if replica.member and not (replica.alive
                                        and not replica.partitioned

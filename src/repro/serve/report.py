@@ -23,7 +23,8 @@ from repro.hw.model import MachineModel
 from repro.hw.plancost import PlanCost
 from repro.serve.request import RequestResult
 
-__all__ = ["DispatchRecord", "ServeReport", "percentile"]
+__all__ = ["DispatchRecord", "ServeReport", "latency_percentiles",
+           "percentile", "tenant_breakdown"]
 
 
 def percentile(sorted_values: list[float], q: float) -> float:
@@ -37,6 +38,43 @@ def percentile(sorted_values: list[float], q: float) -> float:
         raise ServeError(f"percentile q must be in [0, 1], got {q}")
     rank = max(1, math.ceil(q * len(sorted_values)))
     return sorted_values[rank - 1]
+
+
+def latency_percentiles(results: list[RequestResult]) -> dict[str, float]:
+    """Max, p50, p90 and p99 latency of completed requests."""
+    lats = sorted(r.latency_s for r in results)
+    return {
+        "max": lats[-1] if lats else 0.0,
+        "p50": percentile(lats, 0.50),
+        "p90": percentile(lats, 0.90),
+        "p99": percentile(lats, 0.99),
+    }
+
+
+def tenant_breakdown(results: list[RequestResult], rejected: dict[str, int],
+                     shed: dict[str, int]) -> dict[str, dict[str, object]]:
+    """Per-tenant completion/latency/shed accounting (sorted keys).
+
+    Tenants appear if they completed, were rejected, or were shed;
+    ``rejected`` and ``shed`` map tenant ids to request counts.
+    """
+    by_tenant: dict[str, list[RequestResult]] = {}
+    for result in results:
+        by_tenant.setdefault(result.request.tenant_id, []).append(result)
+    breakdown: dict[str, dict[str, object]] = {}
+    for tenant in sorted(set(by_tenant) | set(rejected) | set(shed)):
+        done = by_tenant.get(tenant, [])
+        lats = sorted(r.latency_s for r in done)
+        breakdown[tenant] = {
+            "completed": len(done),
+            "deadline_misses": sum(1 for r in done if not r.deadline_met),
+            "p50_latency_s": percentile(lats, 0.50),
+            "p99_latency_s": percentile(lats, 0.99),
+            "rejected": rejected.get(tenant, 0),
+            "shed": shed.get(tenant, 0),
+            "vectors": sum(r.request.batch for r in done),
+        }
+    return breakdown
 
 
 @dataclass(frozen=True)
@@ -123,13 +161,7 @@ class ServeReport:
         return sorted(r.latency_s for r in self.results)
 
     def latency_percentiles_s(self) -> dict[str, float]:
-        lats = self.latencies_s()
-        return {
-            "max": lats[-1] if lats else 0.0,
-            "p50": percentile(lats, 0.50),
-            "p90": percentile(lats, 0.90),
-            "p99": percentile(lats, 0.99),
-        }
+        return latency_percentiles(self.results)
 
     def throughput_rps(self) -> float:
         """Completed requests per virtual second of makespan."""
@@ -148,34 +180,9 @@ class ServeReport:
             self.shed_by_tenant.get(tenant_id, 0) + 1
 
     def tenant_breakdown(self) -> dict[str, dict[str, object]]:
-        """Per-tenant completion/latency/shed accounting (sorted keys).
-
-        Tenants appear if they completed, were rejected, or were shed;
-        the QoS layer's fairness tests and the fleet report's
-        per-tenant summary both read this.
-        """
-        by_tenant: dict[str, list[RequestResult]] = {}
-        for result in self.results:
-            by_tenant.setdefault(
-                result.request.tenant_id, []).append(result)
-        tenants = sorted(set(by_tenant)
-                         | set(self.rejected_by_tenant)
-                         | set(self.shed_by_tenant))
-        breakdown: dict[str, dict[str, object]] = {}
-        for tenant in tenants:
-            results = by_tenant.get(tenant, [])
-            lats = sorted(r.latency_s for r in results)
-            breakdown[tenant] = {
-                "completed": len(results),
-                "deadline_misses": sum(
-                    1 for r in results if not r.deadline_met),
-                "p50_latency_s": percentile(lats, 0.50),
-                "p99_latency_s": percentile(lats, 0.99),
-                "rejected": self.rejected_by_tenant.get(tenant, 0),
-                "shed": self.shed_by_tenant.get(tenant, 0),
-                "vectors": sum(r.request.batch for r in results),
-            }
-        return breakdown
+        """Per-tenant accounting of this run (see :func:`tenant_breakdown`)."""
+        return tenant_breakdown(self.results, self.rejected_by_tenant,
+                                self.shed_by_tenant)
 
     # -- cost-model folding --------------------------------------------------
 

@@ -456,30 +456,9 @@ class ProofServer:
             # 1. admit everything that has arrived by now.
             while (next_arrival < len(pending)
                    and pending[next_arrival].arrival_s <= clock.now_s):
-                request = pending[next_arrival]
+                self._admit(pending[next_arrival], queue, clock, report,
+                            handled)
                 next_arrival += 1
-                if queue.offer(request):
-                    report.accepted += 1
-                    self._serve_event(
-                        "serve-accept",
-                        f"request={request.request_id} "
-                        f"queue={len(queue)}/{queue.capacity}")
-                    self._journal_append(
-                        "admit", {"request": request.to_record()},
-                        clock, report)
-                else:
-                    report.rejected += 1
-                    report.note_rejected(request.tenant_id)
-                    report.rejection_s += self._rejection_seconds(request)
-                    handled.add(request.request_id)
-                    self._serve_event(
-                        "serve-reject",
-                        f"request={request.request_id} queue-full "
-                        f"capacity={queue.capacity}")
-                    self._journal_append(
-                        "reject",
-                        {"request_id": request.request_id,
-                         "reason": "queue-full"}, clock, report)
 
             # 1b. degraded mode: shed the least-urgent backlog when the
             # fabric is faulting faster than retries absorb.
@@ -492,14 +471,40 @@ class ProofServer:
                 clock.advance_to(pending[next_arrival].arrival_s)
                 continue
 
-            # 2. pull the next dispatch group (EDF head + compatible).
-            group = queue.take_batch(self.max_batch_requests,
-                                     batching=self.batching)
-            self._dispatch(group, clock, report, handled)
-            self._maybe_snapshot(queue, clock, report, handled)
+            # 2. dispatch the next group; it completes after its
+            # modeled duration.
+            inflight = self._begin_next(queue, clock, report)
+            clock.advance_by(inflight.duration_s)
+            self._finish(inflight, queue, clock, report, handled)
 
         report.makespan_s = clock.now_s
         return report
+
+    def _admit(self, request: ProofRequest, queue: AdmissionQueue,
+               clock: VirtualClock, report: ServeReport,
+               handled: set[int]) -> None:
+        """Queue one arrival and journal it, or refuse it when full."""
+        if queue.offer(request):
+            report.accepted += 1
+            self._serve_event(
+                "serve-accept",
+                f"request={request.request_id} "
+                f"queue={len(queue)}/{queue.capacity}")
+            self._journal_append(
+                "admit", {"request": request.to_record()}, clock, report)
+            return
+        report.rejected += 1
+        report.note_rejected(request.tenant_id)
+        report.rejection_s += self._rejection_seconds(request)
+        handled.add(request.request_id)
+        self._serve_event(
+            "serve-reject",
+            f"request={request.request_id} queue-full "
+            f"capacity={queue.capacity}")
+        self._journal_append(
+            "reject",
+            {"request_id": request.request_id, "reason": "queue-full"},
+            clock, report)
 
     def _rejection_seconds(self, request: ProofRequest) -> float:
         model = CostModel(self.machine, request.field)
@@ -620,12 +625,19 @@ class ProofServer:
 
     # -- dispatch ------------------------------------------------------------
 
-    def _dispatch(self, group: list[ProofRequest], clock: VirtualClock,
-                  report: ServeReport, handled: set[int]) -> None:
-        """Begin, advance the clock by the modeled duration, commit."""
-        inflight = self._dispatch_begin(group, clock, report)
-        clock.advance_by(inflight.duration_s)
+    def _begin_next(self, queue: AdmissionQueue, clock: VirtualClock,
+                    report: ServeReport) -> InflightBatch:
+        """Take the next group (EDF head + compatible) and begin it."""
+        group = queue.take_batch(self.max_batch_requests,
+                                 batching=self.batching)
+        return self._dispatch_begin(group, clock, report)
+
+    def _finish(self, inflight: InflightBatch, queue: AdmissionQueue,
+                clock: VirtualClock, report: ServeReport,
+                handled: set[int]) -> None:
+        """Commit a batch at its completion time, then maybe checkpoint."""
         self._dispatch_commit(inflight, clock, report, handled)
+        self._maybe_snapshot(queue, clock, report, handled)
 
     def _dispatch_begin(self, group: list[ProofRequest],
                         clock: VirtualClock,
@@ -754,19 +766,19 @@ class ProofServer:
         max_attempts = 1 if (probing or sdc_probing) else self.max_attempts
         retryable = _RETRYABLE + (DeviceLostError,) \
             if self.degrade is not None else _RETRYABLE
+        inverse = head.direction == "inverse"
         if not use_fallback:
             engine = BatchedDistributedNTT(
                 self._cluster(field), strategy=entry.strategy,
                 tile=entry.tile)
-            profile = list(engine.forward_profile(n, total_vectors))
+            profile = (engine.inverse_profile if inverse
+                       else engine.forward_profile)(n, total_vectors)
             steps.extend(profile)
             while outputs is None:
                 attempts += 1
                 try:
-                    if head.direction == "inverse":
-                        outputs = engine.inverse(batch_inputs)
-                    else:
-                        outputs = engine.forward(batch_inputs)
+                    outputs = (engine.inverse if inverse
+                               else engine.forward)(batch_inputs)
                     if self.abft:
                         # Verify-before-emit: every lane is Freivalds-
                         # checked against its input; a mismatch raises
@@ -849,12 +861,11 @@ class ProofServer:
             strategy_label = "single-gpu"
             fallback = BatchedDistributedNTT(
                 self._fallback_cluster(field), strategy="replicate")
-            steps.extend(fallback.forward_profile(n, total_vectors))
+            steps.extend((fallback.inverse_profile if inverse
+                          else fallback.forward_profile)(n, total_vectors))
             attempts += 1
-            if head.direction == "inverse":
-                outputs = fallback.inverse(batch_inputs)
-            else:
-                outputs = fallback.forward(batch_inputs)
+            outputs = (fallback.inverse if inverse
+                       else fallback.forward)(batch_inputs)
             report.fallback_dispatches += 1
             self._serve_event(
                 "serve-breaker",

@@ -2,9 +2,10 @@
 
 Every operation of :class:`repro.field.NumPyBackend` must agree
 bit-for-bit with :class:`repro.field.PythonBackend` — the reference
-semantics — on every preset field plus two extra primes chosen to land
-in the 33..64-bit Montgomery kernel regime.  The randomized vectors mix
-in the edge values (0, 1, p-1) that stress carry/borrow paths.
+semantics — on every preset field plus five extra 33..64-bit primes,
+which run on the two- and three-limb planes of the multi-limb kernel.
+The randomized vectors mix in the edge values (0, 1, p-1, 2^32-1,
+2^32) that stress carry/borrow paths.
 """
 
 import random
@@ -22,12 +23,17 @@ from repro.field.prime_field import PrimeField
 pytestmark = pytest.mark.skipif(not numpy_available(),
                                 reason="numpy backend unavailable")
 
-#: 43 * 2^32 + 1 — 38 bits, exercises the generic Montgomery kernel.
+#: 43 * 2^32 + 1 — 38 bits, two 30-bit limb planes (limb30x2).
 MONT38 = PrimeField(43 * (1 << 32) + 1, generator=3, name="Mont38")
-#: 27 * 2^56 + 1 — 61 bits, near the top of the uint64 lane regime.
+#: 27 * 2^56 + 1 — 61 bits, three 29-bit limb planes (limb29x3).
 MONT61 = PrimeField(27 * (1 << 56) + 1, generator=5, name="Mont61")
+#: The smallest prime above 2^32: the first modulus past the direct kernel.
+P33 = PrimeField((1 << 32) + 15, name="P33")
+#: The largest primes below 2^63 and 2^64 (limb29x3).
+P63 = PrimeField((1 << 63) - 25, name="P63")
+P64 = PrimeField((1 << 64) - 59, name="P64")
 
-FIELDS = list(ALL_FIELDS) + [MONT38, MONT61]
+FIELDS = list(ALL_FIELDS) + [MONT38, MONT61, P33, P63, P64]
 
 
 def _vectors(field, rng, size=64):
@@ -42,6 +48,12 @@ def _vectors(field, rng, size=64):
 @pytest.fixture
 def backends():
     return PythonBackend(), NumPyBackend()
+
+
+def test_numpy_backend_has_lane_ops_for_every_field():
+    backend = NumPyBackend()
+    for field in FIELDS:
+        assert backend.lane_ops(field) is not None, field.name
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
@@ -285,8 +297,8 @@ class TestMultiLimbSelection:
 class TestMultiLimbEquivalence:
     """NumPyBackend agrees with PythonBackend on EVERY preset.
 
-    Below 64 bits it runs uint64 lanes; at 254/255 bits it switches to
-    limb planes — either way the answers must be the reference
+    Fields below 2^32 and Goldilocks run on uint64 lanes, every other
+    field on limb planes — either way the answers must be the reference
     answers, on the same edge-heavy vectors as the equivalence matrix
     above.
     """

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import PartitionError, SimulationError
 from repro.field import BLS12_381_FR, TEST_FIELD_7681
-from repro.hw import DGX_A100
+from repro.hw import DGX_A100, PipelinedGroup
 from repro.multigpu import BatchedDistributedNTT, UniNTTEngine
 from repro.ntt import intt, ntt
 from repro.sim import SimCluster
@@ -98,3 +98,21 @@ class TestEstimates:
                                        inner=inner)
         batch = [F.random_vector(64, rng)]
         assert engine.forward(batch) == [ntt(F, batch[0])]
+
+    @pytest.mark.parametrize("strategy", ["replicate", "split"])
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    @pytest.mark.parametrize("batch_size", [3, 6, 9])
+    def test_profile_muls_equal_busiest_gpu(self, strategy, direction,
+                                            batch_size, rng):
+        # The profile a dispatch is priced with must charge what the
+        # run charges: an inverse pays its 1/n scale on every vector.
+        engine = make(strategy)
+        batch = [F.random_vector(64, rng) for _ in range(batch_size)]
+        getattr(engine, direction)(batch)
+        profile = getattr(engine, f"{direction}_profile")(64, batch_size)
+        phases = [phase for step in profile
+                  for phase in (step.phases
+                                if isinstance(step, PipelinedGroup)
+                                else (step,))]
+        busiest = max(g.counters.field_muls for g in engine.cluster.gpus)
+        assert sum(phase.field_muls for phase in phases) == busiest

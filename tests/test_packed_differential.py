@@ -20,7 +20,7 @@ Runs under the seeded "repro"/"ci" hypothesis profiles from
 """
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from repro.field import (
     BLS12_381_FR, BN254_FR, GOLDILOCKS, numpy_available, use_backend,
@@ -34,6 +34,7 @@ from repro.zkp import (
     SquareAffineAir, StarkProver, StarkVerifier, groth16_self_check,
     groth16_setup, random_circuit, square_chain, trusted_setup,
 )
+from tests.field.test_backend import MONT38, MONT61
 
 pytestmark = pytest.mark.skipif(
     not numpy_available(),
@@ -41,6 +42,8 @@ pytestmark = pytest.mark.skipif(
 
 #: Big fields whose packed path runs on the multi-limb backend.
 BIG_FIELDS = (BN254_FR, BLS12_381_FR)
+#: 33..64-bit fields, which run on two- and three-limb planes.
+MID_FIELDS = (MONT38, MONT61)
 
 TRAPDOOR = Groth16Trapdoor(alpha=11, beta=13, gamma=17, delta=19,
                            tau=0xFEEDFACE)
@@ -82,7 +85,8 @@ def test_qap_pipeline_packed_matches_list(field, log_n, seed):
     assert qap.check_divisibility(packed)
 
 
-@pytest.mark.parametrize("field", BIG_FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("field", BIG_FIELDS + MID_FIELDS,
+                         ids=lambda f: f.name)
 def test_qap_pipeline_packed_matches_pure_python(field):
     """The packed multilimb pipeline against the limbless oracle."""
     r1cs, witness = square_chain(field, steps=31)
@@ -194,6 +198,8 @@ def test_stark_proof_packed_matches_list(field, length):
        seed=st.integers(0, 2**16),
        coset=st.booleans(),
        gpus=st.sampled_from([2, 4]))
+@example(field=MONT38, seed=0, coset=True, gpus=4)
+@example(field=MONT61, seed=1, coset=True, gpus=2)
 def test_distributed_polynomial_packed_matches_list(field, seed, coset,
                                                     gpus):
     """forward -> pointwise square -> inverse, packed shards vs lists.
