@@ -60,9 +60,11 @@ def gl_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Element-wise multiplication mod p — the Goldilocks kernel.
 
     Four 32x32->64 partial products, carry assembly of the 128-bit
-    result, then the ``2^64 = 2^32 - 1`` reduction.  Buffers from the
-    limb split are reused in place (this kernel dominates transform
-    time, and the temporaries are the measured cost).
+    result, then the ``2^64 = 2^32 - 1`` reduction.  ``b`` may be a
+    ``uint64`` scalar.  After the partial products every intermediate
+    lands in the two limb buffers of ``a`` and one carry mask (this
+    kernel dominates transform time, and the temporaries are the
+    measured cost).
     """
     a0 = a & _MASK32
     a1 = a >> _SHIFT32
@@ -74,22 +76,29 @@ def gl_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a0 *= b1          # lh: low*high partial (a0 buffer reused)
     a1 *= b0          # hl: high*low partial
     a0 += a1          # mid = lh + hl, wraps mod 2^64
-    carry_mid = a0 < a1
-    mid_shifted = a0 << _SHIFT32
-    lo += mid_shifted
-    carry_lo = lo < mid_shifted
-    hi += a0 >> _SHIFT32
-    hi += carry_mid * _C32
-    hi += carry_lo
+    carry = a0 < a1
+    np.multiply(carry, _C32, out=a1)
+    hi += a1
+    np.left_shift(a0, _SHIFT32, out=a1)     # mid << 32
+    lo += a1
+    np.less(lo, a1, out=carry)
+    hi += carry
+    a0 >>= _SHIFT32
+    hi += a0
 
     # Reduce lo + hi*2^64 with 2^64 = 2^32 - 1, 2^96 = -1.
-    hi_lo = hi & _MASK32
-    hi >>= _SHIFT32                 # hi is now hi_hi
-    borrow = lo < hi
+    np.bitwise_and(hi, _MASK32, out=a1)     # hi_lo
+    hi >>= _SHIFT32                         # hi is now hi_hi
+    np.less(lo, hi, out=carry)
     lo -= hi
-    lo -= borrow * _EPS             # borrow: -2^64 = -eps mod p
-    t1 = hi_lo << _SHIFT32
-    t1 -= hi_lo                     # hi_lo * (2^32 - 1) < 2^64
-    lo += t1
-    lo += (lo < t1) * _EPS
-    return _canonical(_canonical(lo))
+    np.multiply(carry, _EPS, out=a0)
+    lo -= a0                                # borrow: -2^64 = -eps mod p
+    np.left_shift(a1, _SHIFT32, out=a0)
+    a0 -= a1                                # hi_lo * (2^32 - 1) < 2^64
+    lo += a0
+    np.less(lo, a0, out=carry)
+    np.multiply(carry, _EPS, out=a0)
+    lo += a0
+    np.subtract(lo, _P, out=lo, where=lo >= _P)
+    np.subtract(lo, _P, out=lo, where=lo >= _P)
+    return lo

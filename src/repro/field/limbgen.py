@@ -43,21 +43,45 @@ def pick_limb_bits(p: int) -> tuple[int, int]:
 
         2k + 1 + ceil_log2(2L + 2) <= 64
 
-    while still covering the modulus with headroom (``k*L`` must exceed
-    ``p.bit_length() + 1`` so that ``R = 2^(k*L) > 4p``, the bound the
-    semi-lazy butterfly chain relies on).
+    while still covering the modulus with headroom.  The radix
+    ``R = 2^(k*L)`` (``L`` the fewest limbs that hold ``p``) must
+    exceed ``4p`` (``k*L > p.bit_length() + 1``); the semi-lazy
+    butterfly chain, whose values reach ``(2s+1)p`` after ``s``
+    stages, must fit the field's deepest transform: with ``2^v`` the
+    largest power of two dividing ``p - 1``, ``(2v+1)p < R``; and the
+    Barrett exit must land every value below ``R`` under ``2p``
+    (:func:`_barrett_exit_fits`).
 
     >>> pick_limb_bits(
     ...     21888242871839275222246405745257275088548364400416034343698204186575808495617)
     (29, 9)
     """
+    bits = p.bit_length()
+    two_adicity = ((p - 1) & (1 - p)).bit_length() - 1
     for k in range(32, 8, -1):
-        limbs = -(-p.bit_length() // k)
+        limbs = -(-bits // k)
         need = 2 * k + 1 + (2 * limbs + 2).bit_length()
-        if need <= 64 and k * limbs > p.bit_length() + 1:
+        r = 1 << (k * limbs)
+        if (need <= 64 and k * limbs > bits + 1
+                and (2 * two_adicity + 1) * p < r
+                and _barrett_exit_fits(p, r, k * (limbs - 2))):
             return k, limbs
     raise ValueError(f"no viable limb schedule for a "
                      f"{p.bit_length()}-bit modulus")
+
+
+def _barrett_exit_fits(p: int, r: int, shift: int) -> bool:
+    """Does the kernel's Barrett exit take every ``x < R`` below ``2p``?
+
+    The exit estimates ``q = (x >> shift) // (p_top + 1)`` from the top
+    two limbs, ``p_top = p >> shift``.  ``q*p <= x`` and
+    ``x - q*p < R/(p_top + 1) + p + 2^shift``, so one conditional
+    subtraction lands canonical when ``R/(p_top + 1) + 2^shift <= p``.
+    A one-limb schedule has no such exit (the kernel needs two limbs).
+    """
+    if shift < 0:
+        return True
+    return -(-r // ((p >> shift) + 1)) + (1 << shift) <= p
 
 
 @dataclasses.dataclass(frozen=True)

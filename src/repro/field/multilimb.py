@@ -77,10 +77,10 @@ class _MultiLimbKernel:
         # p < (p_top+1) 2^s) and
         #   x - q*p < x/(p_top+1) + p(1 + 1/(p_top+1)) < 2p
         # for any x < R, since p_top has ~50 bits and x/(p_top+1) is
-        # then ~2^211 << p.  The 33..64-bit schedules hold it too: two
-        # limbs give s = 0 and x/(p+1) < 2^28; three (59+ bits, k = 29)
-        # give x/(p_top+1) + p/(p_top+1) < 2^58 + 1 <= p.  One
-        # conditional subtraction lands canonical.
+        # then ~2^211 << p.  ``pick_limb_bits`` admits only schedules
+        # that keep x - q*p < 2p (``limbgen._barrett_exit_fits``), so
+        # the two- and three-limb schedules of 33..64-bit primes hold
+        # it too.  One conditional subtraction lands canonical.
         self.p_top1 = np.uint64((p >> (k * (L - 2))) + 1)
         self._montmul = compile_montmul(s)
         self._scratch: dict[int, dict[str, Any]] = {}
@@ -241,8 +241,12 @@ class _MultiLimbKernel:
         and values at or above ``R`` would silently truncate, so both
         return ``None`` — the caller retries with ``[v % p, ...]``,
         matching the uint64 kernels' fallback protocol.  Values in
-        ``[p, R)`` are accepted and Barrett-reduced vectorized.
+        ``[p, R)`` are accepted and Barrett-reduced vectorized.  A
+        modulus below 2^64 packs through one ``uint64`` word per element
+        instead (:meth:`_pack_word`).
         """
+        if self.p < 1 << 64:
+            return self._pack_word(values)
         np, k, L, W = self.np, self.k, self.L, self.W
         step = W * 8
         try:
@@ -267,6 +271,26 @@ class _MultiLimbKernel:
             out = self.reduce_canonical(out)
         return out
 
+    def _pack_word(self, values: Sequence[int]):
+        """:meth:`pack` for ``p < 2^64``: split one uint64 word per value.
+
+        Values in ``[0, 2^64)`` are canonicalized with one vectorized
+        ``%``; others return ``None``, as in :meth:`pack`.
+        """
+        np = self.np
+        try:
+            word = np.array(values, dtype=np.uint64)
+        except (OverflowError, TypeError, ValueError):
+            return None
+        p = np.uint64(self.p)
+        if word.size and bool((word >= p).any()):
+            word %= p
+        out = np.empty((self.L, word.size), dtype=np.uint64)
+        for j in range(self.L):
+            np.right_shift(word, np.uint64(self.k * j), out=out[j])
+            out[j] &= self.mask
+        return out
+
     def _any_ge_p(self, arr) -> bool:
         """Vectorized lexicographic test: does any column reach p?"""
         np = self.np
@@ -282,6 +306,11 @@ class _MultiLimbKernel:
     def unpack(self, arr) -> list[int]:
         """Canonical packed ``(L, n)`` (value < p) -> list of ints."""
         np, k, L, W = self.np, self.k, self.L, self.W
+        if self.p < 1 << 64:  # every value fits one uint64 word
+            word = arr[0].copy()
+            for j in range(1, L):
+                word |= arr[j] << np.uint64(k * j)
+            return word.tolist()
         n = arr.shape[-1]
         words = np.zeros((n, W), dtype=np.uint64)
         for j in range(L):

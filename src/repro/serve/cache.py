@@ -31,11 +31,10 @@ from dataclasses import dataclass
 
 from repro.errors import ServeError
 from repro.field.prime_field import PrimeField
-from repro.hw.cost import CostModel, Phase
+from repro.hw.cost import Phase
 from repro.hw.model import MachineModel
-from repro.multigpu import accounting as acct
 from repro.multigpu.autotune import autotune_tile
-from repro.multigpu.unintt import UniNTTEngine
+from repro.multigpu.batch_engine import BatchedDistributedNTT
 from repro.ntt.twiddle import TwiddleCache
 from repro.sim.cluster import SimCluster
 
@@ -158,22 +157,13 @@ def _memo_plan(machine: MachineModel, field: PrimeField, field_name: str,
     n = 1 << log_size
     g = machine.gpu_count
     tile, _ = autotune_tile(machine, field, n)
-    if strategy == "replicate":
-        model = CostModel(machine, field)
-        eb = model.element_bytes
-        unit = model.estimate([Phase(
-            name="replicated-ntt",
-            field_muls=acct.local_ntt_muls(n),
-            mem_bytes=acct.local_ntt_mem_bytes(n, eb, tile),
-        )]).total_s
-        return PlanEntry(machine.name, field_name, log_size,
-                         strategy, tile, g, unit)
-    if n < g * g:  # UniNTT needs n >= G^2; split is unavailable
+    if strategy == "split" and n < g * g:  # UniNTT needs n >= G^2
         return PlanEntry(machine.name, field_name, log_size,
                          strategy, tile, g, float("inf"),
                          available=False)
-    scratch = SimCluster(field, g)
-    unit = UniNTTEngine(scratch, tile=tile).estimate(machine, n).total_s
+    engine = BatchedDistributedNTT(SimCluster(field, g), strategy,
+                                   tile=tile)
+    unit = engine.estimate(machine, n, 1).total_s
     return PlanEntry(machine.name, field_name, log_size, strategy,
                      tile, g, unit)
 

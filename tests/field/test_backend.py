@@ -2,7 +2,7 @@
 
 Every operation of :class:`repro.field.NumPyBackend` must agree
 bit-for-bit with :class:`repro.field.PythonBackend` — the reference
-semantics — on every preset field plus five extra 33..64-bit primes,
+semantics — on every preset field plus six extra 33..64-bit primes,
 which run on the two- and three-limb planes of the multi-limb kernel.
 The randomized vectors mix in the edge values (0, 1, p-1, 2^32-1,
 2^32) that stress carry/borrow paths.
@@ -15,8 +15,8 @@ import pytest
 from repro.errors import FieldError
 from repro.field import (
     ALL_FIELDS, BACKEND_ENV_VAR, NumPyBackend, PythonBackend,
-    available_backends, get_backend, numpy_available, set_backend,
-    use_backend,
+    available_backends, generate_schedule, get_backend, numpy_available,
+    set_backend, use_backend,
 )
 from repro.field.prime_field import PrimeField
 
@@ -32,8 +32,12 @@ P33 = PrimeField((1 << 32) + 15, name="P33")
 #: The largest primes below 2^63 and 2^64 (limb29x3).
 P63 = PrimeField((1 << 63) - 25, name="P63")
 P64 = PrimeField((1 << 64) - 59, name="P64")
+#: 67108821 * 2^32 + 1 — 58 bits and 2^32-two-adic: two 30-bit limbs
+#: leave R/p < 4, too little for its transforms' lazy butterfly chain,
+#: so it takes three 28-bit limb planes (limb28x3).
+P58 = PrimeField(67108821 * (1 << 32) + 1, name="P58")
 
-FIELDS = list(ALL_FIELDS) + [MONT38, MONT61, P33, P63, P64]
+FIELDS = list(ALL_FIELDS) + [MONT38, MONT61, P33, P58, P63, P64]
 
 
 def _vectors(field, rng, size=64):
@@ -54,6 +58,16 @@ def test_numpy_backend_has_lane_ops_for_every_field():
     backend = NumPyBackend()
     for field in FIELDS:
         assert backend.lane_ops(field) is not None, field.name
+
+
+def test_limb_schedules_fit_every_transform_size():
+    # The limb NTT core's values reach (2s+1)p after s butterfly
+    # stages, so every schedule must hold the field's deepest
+    # transform (2^two_adicity points) below R.
+    for field in FIELDS:
+        schedule = generate_schedule(field.modulus)
+        assert schedule.max_lazy_stages >= field.two_adicity, field.name
+    assert generate_schedule(P58.modulus).fmt == "limb28x3"
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
@@ -133,6 +147,17 @@ def test_ntt_round_trip_matches_python(field, rng):
     with use_backend("numpy"):
         assert ntt(field, values) == ref
         assert intt(field, ref) == values
+
+
+def test_deep_ntt_on_a_58_bit_prime_matches_python(rng):
+    from repro.ntt import intt, ntt
+
+    values = P58.random_vector(1 << 13, rng)
+    with use_backend("python"):
+        ref = ntt(P58, values)
+    with use_backend("numpy"):
+        assert ntt(P58, values) == ref
+        assert intt(P58, ref) == values
 
 
 @pytest.mark.parametrize("engine", ["radix2", "radix4", "stockham",

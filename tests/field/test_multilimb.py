@@ -20,8 +20,19 @@ from repro.field import (
 )
 from repro.field.backend import LANE_MIN_SIZE
 from repro.field.limbgen import emit_montmul_source, pick_limb_bits
+from repro.field.prime_field import PrimeField
 
 BIG_FIELDS = (BN254_FR, BLS12_381_FR)
+#: 33..64-bit primes on two or three limb planes: limb30x2, limb29x3,
+#: and two two-adic primes whose transforms outgrow limb30x2's radix.
+#: On limb29x3 the 55-bit one would break the Barrett exit's bound,
+#: so it takes limb27x3; the 58-bit one takes limb28x3.
+MID_FIELDS = (
+    PrimeField(43 * (1 << 32) + 1, name="Mont38"),
+    PrimeField(27 * (1 << 56) + 1, name="Mont61"),
+    PrimeField(34359738351 * (1 << 20) + 1, name="P55"),
+    PrimeField(67108821 * (1 << 32) + 1, name="P58"),
+)
 
 
 # -- schedule derivation (stdlib-only; no numpy needed) -----------------------
@@ -65,6 +76,11 @@ def test_pick_limb_bits_maximizes_width_within_headroom():
     # 66-bit accumulator.
     for field in BIG_FIELDS:
         assert pick_limb_bits(field.modulus) == (29, 9)
+
+
+def test_mid_field_schedules():
+    formats = [generate_schedule(f.modulus).fmt for f in MID_FIELDS]
+    assert formats == ["limb30x2", "limb29x3", "limb27x3", "limb28x3"]
 
 
 def test_schedule_requires_odd_modulus():
@@ -171,7 +187,8 @@ class TestMontmul:
 
 
 @needs_numpy
-@pytest.mark.parametrize("field", BIG_FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("field", BIG_FIELDS + MID_FIELDS,
+                         ids=lambda f: f.name)
 class TestBarrettExit:
     def test_reduces_extremes(self, field):
         import numpy as np
@@ -247,6 +264,20 @@ class TestPackUnpack:
         want = py.unpack(field, py.mul(
             field, py.pack(field, vals), py.pack(field, ones)))
         assert got == want
+
+
+@needs_numpy
+@pytest.mark.parametrize("field", MID_FIELDS, ids=lambda f: f.name)
+def test_word_pack_reduces_and_refuses_like_uint64_lanes(field):
+    # Below 2^64 a value packs through one uint64 word: anything in
+    # [0, 2^64) is reduced mod p, anything else is refused.
+    kern = _kernel(field)
+    p = field.modulus
+    vals = [0, 1, p - 1, p, 2 * p - 1, (1 << 64) - 1]
+    assert kern.unpack(kern.pack(vals)) == [v % p for v in vals]
+    assert kern.pack([]).shape == (kern.L, 0)
+    assert kern.pack([-1]) is None
+    assert kern.pack([1 << 64, 1]) is None
 
 
 @needs_numpy
