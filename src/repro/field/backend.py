@@ -538,7 +538,7 @@ class NumPyBackend(FieldBackend):
                 ntt_core=kernel.ntt_core, fmt=kernel.schedule.fmt,
                 mul_mont=kernel.mul_mont,
                 fused_quotient=kernel.fused_quotient,
-                gather_dot=kernel.gather_dot)
+                gather_dot=kernel.gather_dot, words=kernel.words)
         return LaneOps(field=field, add=kernel.add, sub=kernel.sub,
                        mul=kernel.mul, scale=kernel.mul_scalar,
                        pack=functools.partial(self.pack, field), **hooks)

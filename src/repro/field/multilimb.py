@@ -29,7 +29,6 @@ CIOS example.
 
 from __future__ import annotations
 
-import struct
 from typing import Any, Sequence
 
 from repro.errors import FieldError
@@ -57,8 +56,9 @@ class _MultiLimbKernel:
         s = self.schedule
         k, L = s.limb_bits, s.limbs
         self.k, self.L, self.W = k, L, s.words
-        #: One element's little-endian words as a bytes chunk (unpack).
-        self._element = struct.Struct(f"{8 * s.words}s")
+        #: 64-bit words a canonical value needs (``ceil(bits(p) / 64)``);
+        #: :meth:`words` lays each value out in this many.
+        self.V = (p.bit_length() + 63) // 64
         self.mask = np.uint64(s.mask)
         self.sh = np.uint64(k)
         self.m64 = np.int64(s.mask)
@@ -305,23 +305,33 @@ class _MultiLimbKernel:
 
     def unpack(self, arr) -> list[int]:
         """Canonical packed ``(L, n)`` (value < p) -> list of ints."""
-        np, k, L, W = self.np, self.k, self.L, self.W
-        if self.p < 1 << 64:  # every value fits one uint64 word
-            word = arr[0].copy()
+        from repro.field.packed import decode_words
+
+        return decode_words(self.words(arr))
+
+    def words(self, arr):
+        """Canonical packed ``(L, n)`` -> each value's little-endian words.
+
+        A ``<u8`` array of ``V = ceil(bits(p) / 64)`` words per value,
+        shape ``(n, V)`` (``(n,)`` when ``V`` is 1): the buffer
+        :meth:`unpack` decodes, and the values' fixed-width bytes.
+        """
+        np, k, L, V = self.np, self.k, self.L, self.V
+        if V == 1:  # every value fits one uint64 word
+            word = arr[0].astype("<u8")
             for j in range(1, L):
                 word |= arr[j] << np.uint64(k * j)
-            return word.tolist()
-        n = arr.shape[-1]
-        words = np.zeros((n, W), dtype=np.uint64)
+            return word
+        words = np.zeros((arr.shape[-1], V), dtype="<u8")
         for j in range(L):
             bit = k * j
             w, off = bit >> 6, bit & 63
+            if w >= V:  # limbs above bits(p) are zero in canonical values
+                break
             words[:, w] |= arr[j] << np.uint64(off)
-            if off + k > 64 and w + 1 < W:
+            if off + k > 64 and w + 1 < V:
                 words[:, w + 1] |= arr[j] >> np.uint64(64 - off)
-        from_bytes = int.from_bytes
-        return [from_bytes(chunk, "little")
-                for (chunk,) in self._element.iter_unpack(words.tobytes())]
+        return words
 
     # -- lane-shape hooks (see backend._Kernel) ------------------------------
 

@@ -23,7 +23,11 @@ what lives here is:
   section" marker.  A pipeline wraps its resident legs in
   ``with pack_stats.hot():``; any unpack inside bumps
   ``hot_unpacks``, so "zero intermediate unpacks" is an *asserted*
-  property of a run (see experiment F26), not a code-reading claim.
+  property of a run (see experiment F26), not a code-reading claim;
+* the fixed-width word form of packed values (:func:`lane_words`,
+  :func:`decode_words`) and :class:`RowDotTable`, exact dot products of
+  many same-size rows with one constant table (the serve's batched
+  Freivalds check).
 
 Every helper is bit-exact against the pure-Python reference: the packed
 transforms dispatch to the same vectorized cores the list wrappers use,
@@ -47,7 +51,8 @@ __all__ = [
     "packed_intt",
     "packed_coset_ntt", "packed_coset_intt", "packed_pad",
     "fused_mul_sub_scale", "pack_coefficients", "table_format",
-    "table_mul", "gather_dot",
+    "table_mul", "gather_dot", "RowDotTable", "value_words", "lane_words",
+    "decode_words",
 ]
 
 _ENABLED = True
@@ -299,3 +304,128 @@ def gather_dot(ops, x, slots):
             term = mul(term, table)
         acc = term if acc is None else ops.add(acc, term)
     return acc
+
+
+#: Lanes :class:`RowDotTable` widens and sums per step (at most
+#: ``2^13``, which keeps every sum exact; smaller keeps each step's
+#: ``float64`` copies small).
+ROW_DOT_BLOCK = 1 << 11
+
+
+class RowDotTable:
+    """A constant table of field values, kept for exact row dot products.
+
+    The values are held as their fixed-width little-endian words
+    (:func:`value_words` 64-bit words per value, as ``bytes``: about
+    half the memory of a tuple of wide ints), and decoded to
+    :attr:`values` only when a list path asks.  :meth:`dots` reads the
+    table and the rows as 32-bit limbs; per step of at most
+    :data:`ROW_DOT_BLOCK` lanes it cuts the table's limbs into four
+    8-bit chunks and widens them and the rows' limbs to ``float64``;
+    one matrix product per chunk sums every row's limb-by-chunk
+    products, ``int64`` adds group them by weight, and each row's
+    groups fold into an int in Python.  Exact: a product is below
+    ``2^40`` and a step sums at most ``2^13`` of them per row, so every
+    matrix-product sum is an integer below ``2^53``, which ``float64``
+    holds in any summation order; a weight groups at most
+    ``ceil(bits(p)/32)`` such sums, far inside ``int64``.
+    """
+
+    __slots__ = ("field", "lanes", "_words", "_values")
+
+    def __init__(self, field: PrimeField, values: Sequence[int]) -> None:
+        width = 8 * value_words(field)
+        self.field = field
+        self.lanes = len(values)
+        self._words = b"".join(v.to_bytes(width, "little") for v in values)
+        self._values: tuple[int, ...] | None = None
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        """The table's canonical ints (decoded once, on first use)."""
+        if self._values is None:
+            width = 8 * value_words(self.field)
+            data = self._words
+            self._values = tuple(
+                int.from_bytes(data[i:i + width], "little")
+                for i in range(0, len(data), width))
+        return self._values
+
+    def dots(self, words) -> list[int]:
+        """``sum_j row[j] * table[j] mod p`` for every ``n``-value row
+        of ``words`` (:func:`lane_words` form)."""
+        import numpy as np
+
+        n = self.lanes
+        rows, rest = divmod(len(words), n)
+        if rest:
+            raise NTTError(f"{len(words)} lanes are not whole {n}-lane rows")
+        table = _word_limbs(self.field, np.frombuffer(self._words, "<u8")
+                            .reshape(n, -1))
+        x = _word_limbs(self.field, words)
+        d = len(x)
+        x = x.reshape(d, rows, n)
+        width = min(n, ROW_DOT_BLOCK)
+        span = ROW_DOT_BLOCK // width  # rows per step
+        mask = np.uint32(0xFF)
+        shifts = [32 * i + 8 * j for i in range(2 * d - 1) for j in range(4)]
+        dots = [0] * rows
+        for lo in range(0, n, width):
+            limbs = table[:, lo:lo + width]
+            for first in range(0, rows, span):
+                part = x[:, first:first + span, lo:lo + width]
+                count = part.shape[1]
+                part = part.astype(np.float64).reshape(d * count, width)
+                sums = np.stack([
+                    part @ ((limbs >> np.uint32(8 * j)) & mask)
+                    .astype(np.float64).T for j in range(4)], axis=-1) \
+                    .astype(np.int64).reshape(d, count, d, 4)
+                grouped = np.zeros((count, 2 * d - 1, 4), dtype=np.int64)
+                for i in range(d):  # limb i times limb j weighs 2^(32(i+j))
+                    grouped[:, i:i + d] += sums[i]
+                for r, row in enumerate(grouped.reshape(count, -1).tolist(),
+                                        first):
+                    dots[r] += sum(v << s for v, s in zip(row, shifts))
+        p = self.field.modulus
+        return [v % p for v in dots]
+
+
+def _word_limbs(field: PrimeField, words):
+    """:func:`lane_words` ``words`` as ``uint32`` limb planes ``(d, n)``,
+    ``d = ceil(bits(p) / 32)`` (a strided view, no copy)."""
+    d = -(-field.modulus.bit_length() // 32)
+    return words.view("<u4").reshape(len(words), -1)[:, :d].T
+
+
+def value_words(field: PrimeField) -> int:
+    """64-bit words per value in :func:`lane_words` form.
+
+    ``ceil(bits(p) / 64)``: a property of the field alone, so every
+    backend lays a value out alike.
+    """
+    return (field.modulus.bit_length() + 63) // 64
+
+
+def lane_words(ops, arr):
+    """A canonical packed array's values as fixed-width words.
+
+    A ``<u8`` array of :func:`value_words` little-endian 64-bit words
+    per value, shape ``(n, V)`` (``(n,)`` for one word), whose buffer is
+    the values' fixed-width bytes.  Limb planes build it on the way to
+    ints; a ``uint64`` lane array already is it.
+    """
+    if ops.words is not None:
+        return ops.words(arr)
+    return arr.astype("<u8", copy=False)
+
+
+def decode_words(words) -> list[int]:
+    """A :func:`lane_words` array back to ints."""
+    import struct
+
+    if words.ndim == 1:
+        return words.tolist()
+    from_bytes = int.from_bytes
+    return [from_bytes(chunk, "little") for (chunk,) in
+            struct.iter_unpack(f"{words.itemsize * words.shape[1]}s",
+                               words)]

@@ -71,6 +71,10 @@ class LaneOps:
     #: Montgomery-table products and additions summed un-reduced within
     #: the limb schedule's headroom (the compiled R1CS row kernel).
     gather_dot: Callable[[np.ndarray, list], np.ndarray] | None = None
+    #: A canonical packed array's values as fixed-width little-endian
+    #: words (:func:`repro.field.packed.lane_words`); ``None`` where
+    #: each lane already is one ``uint64`` word.
+    words: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def _check_size(n: int) -> None:

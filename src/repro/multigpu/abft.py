@@ -57,6 +57,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.errors import SimulationError
 from repro.field.prime_field import PrimeField
@@ -64,7 +65,9 @@ from repro.field.vector import (
     vec_dot, vec_inv, vec_mul, vec_pow_series, vec_scale, vec_sub,
 )
 from repro.hw.cost import Phase, Step
+from repro.field.packed import RowDotTable
 from repro.multigpu.layout import Layout
+from repro.ntt.batch import LaneRow
 from repro.sim.trace import TraceEvent
 
 __all__ = ["ProbeVector", "ProbeLedger", "AbftVerdict", "AbftChecker",
@@ -77,15 +80,26 @@ class ProbeVector:
 
     ``r_powers[k] = t^k`` is the probe applied to the spectral side;
     ``weights[j] = (t^n - 1) / (t * w^j - 1)`` is its transform
-    ``W^T r`` applied to the coefficient side.
+    ``W^T r`` applied to the coefficient side.  Both are kept as
+    :class:`~repro.field.packed.RowDotTable` s (``r_table``,
+    ``weight_table``): the fixed-width words a check on packed lanes
+    reads, decoded to ints only for a list check.
     """
 
     field_name: str
     n: int
     direction: str
     t: int
-    r_powers: tuple[int, ...]
-    weights: tuple[int, ...]
+    r_table: RowDotTable
+    weight_table: RowDotTable
+
+    @property
+    def r_powers(self) -> tuple[int, ...]:
+        return self.r_table.values
+
+    @property
+    def weights(self) -> tuple[int, ...]:
+        return self.weight_table.values
 
 
 def _build_probe(field: PrimeField, n: int, direction: str,
@@ -115,7 +129,8 @@ def _memo_probe(field: PrimeField, name: str, w: int, n: int,
             break
     r, weights = geometric_probe(field, t, w, n)
     return ProbeVector(field_name=name, n=n, direction=direction,
-                       t=t, r_powers=tuple(r), weights=tuple(weights))
+                       t=t, r_table=RowDotTable(field, r),
+                       weight_table=RowDotTable(field, weights))
 
 
 def geometric_probe(field: PrimeField, t: int, w: int,
@@ -134,6 +149,20 @@ def geometric_probe(field: PrimeField, t: int, w: int,
     tn = (pow(t, n, p) - 1) % p
     return (vec_pow_series(field, t, n),
             vec_scale(field, vec_inv(field, d), tn))
+
+
+def _probe_dot(field: PrimeField, table: RowDotTable, side) -> int:
+    """``table . side`` for one leg side: a list, or a packed lane.
+
+    A :class:`~repro.ntt.batch.LaneRow` takes its value from its
+    block's one row dot per table
+    (:meth:`~repro.ntt.batch.LaneBlock.dots`), so checking every lane
+    of a batched kernel costs one row dot per side, not one list dot
+    per lane.
+    """
+    if isinstance(side, LaneRow):
+        return side.dot(table)
+    return vec_dot(field, table.values, side)
 
 
 class ProbeLedger:
@@ -228,17 +257,21 @@ class AbftChecker:
 
     # -- verification --------------------------------------------------------
 
-    def verify_leg(self, *, inputs: list[int], outputs: list[int], n: int,
-                   inverse: bool, coset_shift: int | None = None,
+    def verify_leg(self, *, inputs: Sequence[int], outputs: Sequence[int],
+                   n: int, inverse: bool, coset_shift: int | None = None,
                    out_layout: Layout | None = None,
                    detail: str = "") -> AbftVerdict:
         """Check one transform leg; returns the verdict with priced steps.
 
         ``inputs`` are the leg's (trusted) input values in logical
-        order, ``outputs`` the freshly computed values.  ``out_layout``
-        maps logical output indices onto devices for the per-device
-        partial sums that feed localization; pass ``None`` when device
-        attribution is meaningless (e.g. whole-vector serve lanes).
+        order, ``outputs`` the freshly computed values: lists, or (for
+        a lane of a batched kernel) :class:`~repro.ntt.batch.LaneRow`
+        views over the words of its operand and result, whose probe
+        sums come from one row dot per side for the whole kernel.
+        ``out_layout`` maps logical output indices onto devices for the
+        per-device partial sums that feed localization; pass ``None``
+        when device attribution is meaningless (e.g. whole-vector serve
+        lanes).
         """
         if len(inputs) != n or len(outputs) != n:
             raise SimulationError(
@@ -259,28 +292,28 @@ class AbftChecker:
         else:
             x, y = inputs, outputs
         shift = 1 if coset_shift is None else coset_shift % p
-        r = probe.r_powers
-        a = probe.weights
+        r = probe.r_table
 
         partials: list[int] | None = None
         owned = None if out_layout is None else out_layout.shard_indices()
         if not inverse and owned is not None:
-            partials = [vec_dot(field, [r[k] for k in indices],
+            partials = [vec_dot(field, [r.values[k] for k in indices],
                                 [y[k] for k in indices])
                         for indices in owned]
             lhs = sum(partials) % p
         else:
-            lhs = vec_dot(field, r, y)
+            lhs = _probe_dot(field, r, y)
 
-        weights = a if shift == 1 else \
-            vec_mul(field, a, vec_pow_series(field, shift, n))
+        weights = probe.weight_table if shift == 1 else RowDotTable(
+            field, vec_mul(field, probe.weights,
+                           vec_pow_series(field, shift, n)))
         if inverse and owned is not None:
-            partials = [vec_dot(field, [weights[j] for j in indices],
+            partials = [vec_dot(field, [weights.values[j] for j in indices],
                                 [x[j] for j in indices])
                         for indices in owned]
             rhs = sum(partials) % p
         else:
-            rhs = vec_dot(field, weights, x)
+            rhs = _probe_dot(field, weights, x)
 
         ok = lhs == rhs
         steps.append(self._charge_probe(n, shift != 1, ok, detail))

@@ -19,25 +19,46 @@ and exposes the closed-form profiles so the batched-throughput table
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import PartitionError, SimulationError
+from repro.field.backend import sized_lane_ops
+from repro.field.packed import lane_words
 from repro.hw.cost import CostBreakdown, CostModel, Phase, Step
 from repro.hw.model import MachineModel
 from repro.multigpu import accounting as acct
 from repro.multigpu.base import DistributedNTTEngine, DistributedVector
 from repro.multigpu.unintt import UniNTTEngine
 from repro.ntt import radix2
-from repro.ntt.batch import ntt_groups
+from repro.ntt.batch import LaneBlock, ntt_groups, ntt_lanes
 from repro.ntt.twiddle import default_cache
 from repro.sim.cluster import SimCluster
 from repro.sim.trace import TraceEvent
 
-__all__ = ["BatchedDistributedNTT", "REPLICATE_MAX_LANES"]
+__all__ = ["BatchedDistributedNTT", "BatchLanes", "REPLICATE_MAX_LANES"]
 
 #: Lanes (vectors x points) one host kernel of the replicate route
 #: covers; a larger batch runs as several calls of this size.
 REPLICATE_MAX_LANES = 1 << 13
+
+
+@dataclass(frozen=True)
+class BatchLanes:
+    """One run's vectors as its kernels left them, for checks and digests.
+
+    ``inputs`` and ``outputs`` hold, per vector, a
+    :class:`~repro.ntt.batch.LaneRow` over its host kernel's operand and
+    unpacked result, or the plain list where that kernel ran on lists
+    (the Python backend, a chunk below the lane crossover, the split
+    route).  ``words`` holds each result's values as fixed-width
+    little-endian words (:func:`repro.field.packed.lane_words`) where
+    its kernel ran on lanes, else ``None``.
+    """
+
+    inputs: list
+    outputs: list
+    words: list
 
 
 class BatchedDistributedNTT:
@@ -56,6 +77,8 @@ class BatchedDistributedNTT:
             cluster, tile=tile)
         self.tile = tile
         self.name = f"batched-{strategy}"
+        #: The last run's lanes (``None`` before the first run).
+        self.lanes: BatchLanes | None = None
 
     @property
     def field(self):
@@ -90,11 +113,18 @@ class BatchedDistributedNTT:
         """Round-robin whole vectors to GPUs; all transforms local.
 
         GPU assignment is accounting only, so the host runs the whole
-        batch as :func:`repro.ntt.batch.ntt_groups` calls of at most
+        batch as :func:`repro.ntt.batch.ntt_lanes` kernels of at most
         :data:`REPLICATE_MAX_LANES` lanes each (the inverse is the
-        inverse root plus the ``1/n`` scale).  Each GPU is charged one
-        transform per vector it owns, holds its last vector's result as
-        its shard, and hands the fault hook the very lists returned.
+        inverse root plus the ``1/n`` scale), or as
+        :func:`~repro.ntt.batch.ntt_groups` calls where a chunk runs on
+        lists.  A lane kernel's result is unpacked at once into lists
+        and words (:meth:`repro.ntt.batch.LaneBlock.unpack`), and its
+        operand is kept as words.  Each GPU is charged one transform
+        per vector it owns, holds its last vector's result as its
+        shard, and the fault hook is handed every vector's result lane:
+        a :class:`~repro.ntt.batch.LaneRow`, or the list itself.  A
+        corruption thus lands in what :attr:`lanes` exposes to checks
+        and in what is returned.
         """
         radix2.check_size(n, self.field)
         field = self.field
@@ -106,22 +136,45 @@ class BatchedDistributedNTT:
         else:
             root, scale = field.root_of_unity(n), None
         per_call = max(1, REPLICATE_MAX_LANES // n)
+        inputs: list = []
+        lanes: list = []
         out: list[list[int]] = []
+        words: list = []
         for start in range(0, len(batch), per_call):
             flat = [int(v) for vec in batch[start:start + per_call]
                     for v in vec]
-            flat = ntt_groups(field, flat, n, root, scale, default_cache)
-            out.extend(flat[base:base + n]
-                       for base in range(0, len(flat), n))
+            ops = sized_lane_ops(field, len(flat))
+            if ops is None:
+                result = ntt_groups(field, flat, n, root, scale,
+                                    default_cache)
+                values = [result[base:base + n]
+                          for base in range(0, len(result), n)]
+                inputs.extend(flat[base:base + n]
+                              for base in range(0, len(flat), n))
+                lanes.extend(values)
+                words.extend([None] * len(values))
+            else:
+                packed = ops.pack(flat)
+                result = ntt_lanes(ops, packed, n, root, scale,
+                                   default_cache)
+                if result is packed:  # 1-point forward: keep inputs apart
+                    result = result.copy()
+                block = LaneBlock.unpack(ops, result, n)
+                values = block.values
+                inputs.extend(
+                    LaneBlock(field, n, lane_words(ops, packed)).rows())
+                lanes.extend(block.rows())
+                words.extend(block.words_by_lane())
+            out.extend(values)
         mem = acct.local_ntt_mem_bytes(n, self.cluster.element_bytes,
                                        self.tile)
         muls = _vector_muls(n, inverse)
         for index in range(len(out)):
             gpus[index % g].charge_compute(muls, mem)
-        per_gpu_buffers: dict[int, list[list[int]]] = {}
+        per_gpu_buffers: dict[int, list] = {}
         for i, gpu in enumerate(gpus[:len(out)]):
-            per_gpu_buffers[gpu.gpu_id] = out[i::g]
-            gpu.shard = list(per_gpu_buffers[gpu.gpu_id][-1])
+            per_gpu_buffers[gpu.gpu_id] = lanes[i::g]
+            gpu.shard = list(out[i::g][-1])
         detail = f"{self.name}-{'intt' if inverse else 'ntt'}"
         self.cluster.trace.record(TraceEvent(
             kind="local-compute", level="gpu",
@@ -129,6 +182,7 @@ class BatchedDistributedNTT:
             total_bytes=len(out) * mem,
             field_muls=len(out) * muls, detail=detail))
         self.cluster.local_compute_hook(per_gpu_buffers, detail)
+        self.lanes = BatchLanes(inputs, lanes, words)
         return out
 
     def _run_split(self, batch: Sequence[Sequence[int]], n: int,
@@ -146,6 +200,7 @@ class BatchedDistributedNTT:
                     self.cluster, list(vec), self.inner.input_layout(n))
                 result = self.inner.forward(staged)
             out.append(result.to_values())
+        self.lanes = BatchLanes(list(batch), out, [None] * len(out))
         return out
 
     # -- analytic ----------------------------------------------------------------
@@ -175,11 +230,11 @@ class BatchedDistributedNTT:
             else self.inner.forward_profile(n)
         return profile * batch
 
-    def estimate(self, machine: MachineModel, n: int,
-                 batch: int) -> CostBreakdown:
-        """Price a batch of forward transforms on ``machine``."""
+    def estimate(self, machine: MachineModel, n: int, batch: int,
+                 inverse: bool = False) -> CostBreakdown:
+        """Price a batch of forward (or inverse) transforms on ``machine``."""
         model = CostModel(machine, self.field)
-        return model.estimate(self.forward_profile(n, batch))
+        return model.estimate(self._profile(n, batch, inverse))
 
     def crossover_batch(self, machine: MachineModel, n: int,
                         max_batch: int = 1 << 12) -> int | None:

@@ -24,7 +24,7 @@ from repro.ntt import radix2
 from repro.ntt.twiddle import TwiddleCache, default_cache
 
 __all__ = ["batch_ntt", "batch_intt", "BatchTransform", "StepTable",
-           "ntt_groups"]
+           "ntt_groups", "ntt_lanes", "LaneBlock", "LaneRow"]
 
 
 class StepTable:
@@ -104,11 +104,28 @@ def ntt_groups(field: PrimeField, values: Sequence[int], size: int,
             out = vec_mul(field, out, post.values)
         return out if scale is None else vec_scale(field, out, scale)
 
+    packed = ntt_lanes(ops, ops.pack(list(values)), size, root, scale,
+                       cache, pre, post)
+    return ops.unpack(packed) if ops.unpack is not None \
+        else packed.tolist()
+
+
+def ntt_lanes(ops, packed, size: int, root: int, scale: int | None = None,
+              cache: TwiddleCache | None = None,
+              pre: StepTable | None = None, post: StepTable | None = None):
+    """The lane body of :func:`ntt_groups` on an already-packed array.
+
+    Same arguments and result as :func:`ntt_groups`, but ``packed`` is
+    a canonical ``ops`` array and so is the result; the sizes are not
+    re-checked.  The input is never written; with ``size`` 1 and no
+    tables or scale the result *is* the input.
+    """
     from repro.field.packed import table_mul
     from repro.field.simd import vectorized_ntt
 
+    cache = cache or default_cache
+    n = packed.shape[-1]
     groups = n // size
-    packed = ops.pack(list(values))
     if pre is not None:
         packed = table_mul(ops)(packed, pre.packed(ops))
     lead = packed.shape[:-1]
@@ -123,9 +140,116 @@ def ntt_groups(field: PrimeField, values: Sequence[int], size: int,
     if post is not None:
         packed = table_mul(ops)(packed, post.packed(ops))
     if scale is not None:
-        packed = ops.scale(packed, scale % field.modulus)
-    return ops.unpack(packed) if ops.unpack is not None \
-        else packed.tolist()
+        packed = ops.scale(packed, scale % ops.field.modulus)
+    return packed
+
+
+class LaneBlock:
+    """Same-size lanes of one batched kernel, side by side.
+
+    ``words`` holds the lanes' values in
+    :func:`~repro.field.packed.lane_words` form, lane ``r`` at values
+    ``[r*size, (r+1)*size)``; a kernel's result also keeps its unpacked
+    ``values``, one list per lane.  :meth:`rows` hands each lane out as
+    a mutable :class:`LaneRow` view; :meth:`dots` gives every lane's
+    dot product with one :class:`~repro.field.packed.RowDotTable` from
+    a single call, kept until a row is written.
+    """
+
+    __slots__ = ("field", "size", "words", "values", "_dots")
+
+    def __init__(self, field: PrimeField, size: int, words,
+                 values: list[list[int]] | None = None) -> None:
+        self.field = field
+        self.size = size
+        self.words = words
+        self.values = values
+        self._dots: dict[int, tuple[object, list[int]]] = {}
+
+    @classmethod
+    def unpack(cls, ops, arr, size: int) -> LaneBlock:
+        """A kernel's packed result, unpacked once into lists and words."""
+        from repro.field.packed import decode_words, lane_words
+
+        words = lane_words(ops, arr)
+        values = decode_words(words)
+        return cls(ops.field, size, words,
+                   [values[base:base + size]
+                    for base in range(0, len(values), size)])
+
+    def __len__(self) -> int:
+        return len(self.words) // self.size
+
+    def rows(self) -> list[LaneRow]:
+        return [LaneRow(self, row) for row in range(len(self))]
+
+    def words_by_lane(self) -> list:
+        """Each lane's words, as views into :attr:`words`."""
+        size = self.size
+        return [self.words[base:base + size]
+                for base in range(0, len(self.words), size)]
+
+    def dots(self, table) -> list[int]:
+        """Every lane's dot product with a
+        :class:`~repro.field.packed.RowDotTable`, mod p."""
+        memo = self._dots.get(id(table))
+        if memo is None or memo[0] is not table:
+            memo = self._dots[id(table)] = (table, table.dots(self.words))
+        return memo[1]
+
+
+class LaneRow:
+    """One lane of a :class:`LaneBlock` as a mutable sequence of ints.
+
+    Reads come from the block's words.  A write (the fault injector's
+    corruption) lands in the words, which the checks read, and in the
+    lane's unpacked list, which is returned: one lane, checked and
+    returned alike.
+    """
+
+    __slots__ = ("block", "row")
+
+    def __init__(self, block: LaneBlock, row: int) -> None:
+        self.block = block
+        self.row = row
+
+    def __len__(self) -> int:
+        return self.block.size
+
+    def _index(self, slot: int) -> int:
+        if not 0 <= slot < self.block.size:
+            raise IndexError(f"lane slot {slot} out of range")
+        return self.row * self.block.size + slot
+
+    def __getitem__(self, slot: int) -> int:
+        from repro.field.packed import decode_words
+
+        index = self._index(slot)
+        return decode_words(self.block.words[index:index + 1])[0]
+
+    def __setitem__(self, slot: int, value: int) -> None:
+        import numpy as np
+
+        block = self.block
+        value %= block.field.modulus
+        index = self._index(slot)
+        word = block.words[index:index + 1]
+        word[...] = np.frombuffer(value.to_bytes(8 * word.size, "little"),
+                                  "<u8").reshape(word.shape)
+        if block.values is not None:
+            block.values[self.row][slot] = value
+        block._dots.clear()
+
+    def __iter__(self):
+        from repro.field.packed import decode_words
+
+        base = self.row * self.block.size
+        return iter(decode_words(
+            self.block.words[base:base + self.block.size]))
+
+    def dot(self, table) -> int:
+        """This lane's dot product with ``table`` (:meth:`LaneBlock.dots`)."""
+        return self.block.dots(table)[self.row]
 
 
 def batch_ntt(field: PrimeField, batch: Sequence[Sequence[int]],

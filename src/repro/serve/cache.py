@@ -2,9 +2,10 @@
 
 Two caches decide how much per-dispatch overhead a served request pays:
 
-* :class:`PlanCache` — keyed by ``machine x field x size x engine``
-  (engine = the batch strategy's underlying engine: UniNTT for
-  ``split``, the local radix-2 kernel for ``replicate``), it memoizes
+* :class:`PlanCache` — keyed by ``machine x field x size x direction
+  x engine`` (engine = the batch strategy's underlying engine: UniNTT
+  for ``split``, the local radix-2 kernel for ``replicate``; an
+  inverse batch is priced with its ``1/n`` pass), it memoizes
   the autotuned tile and the closed-form per-vector/per-slot seconds a
   dispatch needs to choose a strategy and price itself.  A miss runs
   the tuner (:func:`repro.multigpu.autotune.autotune_tile` plus one
@@ -35,6 +36,7 @@ from repro.hw.cost import Phase
 from repro.hw.model import MachineModel
 from repro.multigpu.autotune import autotune_tile
 from repro.multigpu.batch_engine import BatchedDistributedNTT
+from repro.serve.request import DIRECTIONS
 from repro.ntt.twiddle import TwiddleCache
 from repro.sim.cluster import SimCluster
 
@@ -54,7 +56,7 @@ PLAN_MISS_MESSAGES = 16
 
 @dataclass(frozen=True)
 class PlanEntry:
-    """One memoized (machine, field, size, engine) planning result.
+    """One memoized (machine, field, size, direction, engine) plan.
 
     ``unit_seconds`` is the closed-form building block of the batch
     cost: for ``replicate`` the seconds of one GPU-local transform (a
@@ -67,6 +69,7 @@ class PlanEntry:
     machine_name: str
     field_name: str
     log_size: int
+    direction: str
     strategy: str
     tile: int
     gpu_count: int
@@ -90,36 +93,43 @@ class PlanCache:
     """Keyed memoization of planning results, with service counters."""
 
     def __init__(self) -> None:
-        self._entries: dict[tuple[str, str, int, str], PlanEntry] = {}
+        self._entries: dict[tuple[str, str, int, str, str],
+                            PlanEntry] = {}
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def keys(self) -> tuple[tuple[str, str, int, str], ...]:
-        """Resident plan keys, sorted (for server snapshots)."""
+    def keys(self) -> tuple[tuple[str, str, int, str, str], ...]:
+        """Resident plan keys ``(machine, field, log_size, direction,
+        strategy)``, sorted (for server snapshots)."""
         return tuple(sorted(self._entries))
 
     def lookup(self, machine: MachineModel, field: PrimeField,
-               log_size: int, strategy: str) -> tuple[PlanEntry, bool]:
+               log_size: int, strategy: str,
+               direction: str = "forward") -> tuple[PlanEntry, bool]:
         """Return ``(entry, hit)`` for one strategy on one shape."""
         if strategy not in STRATEGIES:
             raise ServeError(
                 f"unknown strategy {strategy!r}; known: {STRATEGIES}")
-        key = (machine.name, field.name, log_size, strategy)
+        if direction not in DIRECTIONS:
+            raise ServeError(
+                f"unknown direction {direction!r}; known: {DIRECTIONS}")
+        key = (machine.name, field.name, log_size, direction, strategy)
         entry = self._entries.get(key)
         if entry is not None:
             self.hits += 1
             return entry, True
         self.misses += 1
-        entry = _memo_plan(machine, field, field.name, log_size, strategy)
+        entry = _memo_plan(machine, field, field.name, log_size, direction,
+                           strategy)
         self._entries[key] = entry
         return entry, False
 
     def choose(self, machine: MachineModel, field: PrimeField,
-               log_size: int, vectors: int,
-               force: str | None = None) -> tuple[PlanEntry, int]:
+               log_size: int, vectors: int, force: str | None = None,
+               direction: str = "forward") -> tuple[PlanEntry, int]:
         """Pick the cheaper strategy for a batch; returns (entry, misses).
 
         ``force`` pins the strategy (used by tests and by callers that
@@ -129,7 +139,8 @@ class PlanCache:
         misses = 0
         candidates: list[PlanEntry] = []
         for strategy in STRATEGIES:
-            entry, hit = self.lookup(machine, field, log_size, strategy)
+            entry, hit = self.lookup(machine, field, log_size, strategy,
+                                     direction)
             misses += 0 if hit else 1
             if entry.available:
                 candidates.append(entry)
@@ -150,7 +161,7 @@ class PlanCache:
 
 @functools.lru_cache(maxsize=64)
 def _memo_plan(machine: MachineModel, field: PrimeField, field_name: str,
-               log_size: int, strategy: str) -> PlanEntry:
+               log_size: int, direction: str, strategy: str) -> PlanEntry:
     """Plan one shape once per process; the entry is frozen, so every
     :class:`PlanCache` shares it while counting its own miss."""
     # ``field_name`` keys what field equality (by modulus) leaves out.
@@ -158,14 +169,15 @@ def _memo_plan(machine: MachineModel, field: PrimeField, field_name: str,
     g = machine.gpu_count
     tile, _ = autotune_tile(machine, field, n)
     if strategy == "split" and n < g * g:  # UniNTT needs n >= G^2
-        return PlanEntry(machine.name, field_name, log_size,
+        return PlanEntry(machine.name, field_name, log_size, direction,
                          strategy, tile, g, float("inf"),
                          available=False)
     engine = BatchedDistributedNTT(SimCluster(field, g), strategy,
                                    tile=tile)
-    unit = engine.estimate(machine, n, 1).total_s
-    return PlanEntry(machine.name, field_name, log_size, strategy,
-                     tile, g, unit)
+    unit = engine.estimate(machine, n, 1,
+                           inverse=direction == "inverse").total_s
+    return PlanEntry(machine.name, field_name, log_size, direction,
+                     strategy, tile, g, unit)
 
 
 class TwiddleLedger:

@@ -43,9 +43,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from repro.errors import JournalError, ServeError, ServerCrashError
+from repro.field.packed import value_words
+from repro.field.prime_field import PrimeField
 from repro.serve.report import ServeReport
 from repro.serve.request import ProofRequest, RequestResult
 
@@ -85,9 +87,23 @@ def _checksum(seq: int, t_s: float, kind: str, payload_json: str) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def output_digest(outputs: tuple[tuple[int, ...], ...]) -> str:
-    """Stable short digest of a request's output lanes (for ``emit``)."""
-    return hashlib.sha256(repr(outputs).encode("utf-8")).hexdigest()[:16]
+def output_digest(field: PrimeField, outputs: Sequence[Sequence[int]],
+                  words: Sequence | None = None) -> str:
+    """Stable short digest of a request's output lanes (for ``emit``).
+
+    SHA-256 over every lane's values as fixed-width little-endian
+    64-bit words (:func:`repro.field.packed.value_words` per value),
+    lane after lane.  ``words``, if given, holds each lane's already
+    encoded words (a buffer, such as the ``<u8`` array a lane unpack
+    builds), or ``None`` for a lane to encode from its values.
+    """
+    width = 8 * value_words(field)
+    digest = hashlib.sha256()
+    for lane, encoded in zip(outputs, words or [None] * len(outputs),
+                             strict=True):
+        digest.update(encoded if encoded is not None else b"".join(
+            v.to_bytes(width, "little") for v in lane))
+    return digest.hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -241,7 +257,7 @@ class ServerSnapshot:
     queued: tuple[dict, ...]
     handled_ids: tuple[int, ...]
     next_batch_id: int
-    plan_keys: tuple[tuple[str, str, int, str], ...]
+    plan_keys: tuple[tuple[str, str, int, str, str], ...]
     twiddle_shapes: tuple[tuple[str, int, str], ...]
 
     def to_payload(self) -> dict:
@@ -286,7 +302,7 @@ class ResumeState:
     queued: tuple[ProofRequest, ...]
     handled_ids: frozenset[int]
     next_batch_id: int
-    plan_keys: tuple[tuple[str, str, int, str], ...] = ()
+    plan_keys: tuple[tuple[str, str, int, str, str], ...] = ()
     twiddle_shapes: tuple[tuple[str, int, str], ...] = ()
 
 

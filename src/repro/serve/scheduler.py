@@ -68,7 +68,7 @@ from repro.hw.cost import CostModel, Phase, Step
 from repro.hw.machines import DGX_A100
 from repro.hw.model import MachineModel
 from repro.multigpu.abft import AbftChecker, ProbeLedger
-from repro.multigpu.batch_engine import BatchedDistributedNTT
+from repro.multigpu.batch_engine import BatchedDistributedNTT, BatchLanes
 from repro.serve.cache import PLAN_MISS_MESSAGES, PlanCache, TwiddleLedger
 from repro.serve.degrade import CircuitBreaker, DegradePolicy, SdcScoreboard
 from repro.serve.durability import (
@@ -120,7 +120,8 @@ class InflightBatch:
                  strategy_label: str, total_vectors: int,
                  duration_s: float, attempts: int,
                  steps: tuple[Step, ...],
-                 outputs: list[list[int]], start_s: float) -> None:
+                 outputs: list[list[int]], digests: list[str],
+                 start_s: float) -> None:
         self.group = group
         self.batch_id = batch_id
         self.strategy_label = strategy_label
@@ -129,6 +130,8 @@ class InflightBatch:
         self.attempts = attempts
         self.steps = steps
         self.outputs = outputs
+        #: Per request of ``group``, its emit digest (``output_digest``).
+        self.digests = digests
         self.start_s = start_s
 
 
@@ -329,27 +332,30 @@ class ProofServer:
             self._abft_checkers[field.name] = checker
         return checker
 
-    def _abft_verify_batch(self, field: PrimeField,
-                           batch_inputs: list[list[int]],
-                           outputs: list[list[int]], direction: str,
-                           batch_id: int, steps: list[Step],
-                           report: ServeReport) -> None:
+    def _abft_verify_batch(self, field: PrimeField, lanes: BatchLanes,
+                           direction: str, batch_id: int,
+                           steps: list[Step], report: ServeReport) -> None:
         """Freivalds-check every lane of a primary dispatch.
 
         Each lane's output is verified against its input with the
         cached probe for its shape (``out_layout=None``: a serve lane
         is a whole logical vector, so device attribution is
-        meaningless).  A mismatch tallies the detection, feeds the SDC
-        scoreboard (subject = the engine key, i.e. the field name), and
-        raises :class:`ShardCorruptionError` into the retry/fallback
-        machinery — a corrupted output can never be emitted.  The
-        fallback engine is not verified: its one-GPU replicate cluster
-        carries no injector, which is the point of diverting to it.
+        meaningless).  The lanes are the engine's own
+        (:attr:`BatchedDistributedNTT.lanes`): on a lane backend, views
+        over the words each kernel's operand and result were unpacked
+        to, whose probe sums come from one row dot per side per kernel,
+        taken on the very lanes the fault hook saw.  A mismatch tallies
+        the detection, feeds the SDC scoreboard (subject = the engine
+        key, i.e. the field name), and raises
+        :class:`ShardCorruptionError` into the retry/fallback machinery
+        — a corrupted output can never be emitted.  The fallback engine
+        is not verified: its one-GPU replicate cluster carries no
+        injector, which is the point of diverting to it.
         """
         checker = self._abft_checker(field)
         inverse = direction == "inverse"
-        for lane, (vec_in, vec_out) in enumerate(zip(batch_inputs,
-                                                     outputs)):
+        for lane, (vec_in, vec_out) in enumerate(zip(lanes.inputs,
+                                                     lanes.outputs)):
             verdict = checker.verify_leg(
                 inputs=vec_in, outputs=vec_out, n=len(vec_in),
                 inverse=inverse, out_layout=None,
@@ -528,12 +534,12 @@ class ProofServer:
         # the crashed server's cache state exactly; the restore itself
         # is priced below as part of the recovery messages, not as
         # per-dispatch planning work.
-        for machine_name, field_name, log_size, strategy \
+        for machine_name, field_name, log_size, direction, strategy \
                 in resume.plan_keys:
             if machine_name == self.machine.name:
                 self.plan_cache.lookup(
                     self.machine, field_by_name(field_name),
-                    int(log_size), strategy)
+                    int(log_size), strategy, direction)
         for field_name, n, direction in resume.twiddle_shapes:
             self.twiddles.prepare(field_by_name(field_name), int(n),
                                   direction)
@@ -702,7 +708,7 @@ class ProofServer:
         if not use_fallback:
             entry, plan_misses = plan_cache.choose(
                 self.machine, field, head.log_size, total_vectors,
-                force=self.strategy)
+                force=self.strategy, direction=head.direction)
             strategy_label = entry.strategy
             plan_hits = len(("replicate", "split")) - plan_misses
             report.plan_hits += plan_hits
@@ -761,6 +767,7 @@ class ProofServer:
         for request in group:
             batch_inputs.extend(request.vectors())
         outputs: list[list[int]] | None = None
+        words: list = []
         attempts = 0
         failures = 0
         max_attempts = 1 if (probing or sdc_probing) else self.max_attempts
@@ -779,13 +786,14 @@ class ProofServer:
                 try:
                     outputs = (engine.inverse if inverse
                                else engine.forward)(batch_inputs)
+                    words = engine.lanes.words
                     if self.abft:
                         # Verify-before-emit: every lane is Freivalds-
                         # checked against its input; a mismatch raises
                         # into the retry/fallback machinery below, so a
                         # corrupted output can never reach a client.
                         self._abft_verify_batch(
-                            field, batch_inputs, outputs, head.direction,
+                            field, engine.lanes, head.direction,
                             batch_id, steps, report)
                 except retryable as error:
                     outputs = None
@@ -866,6 +874,7 @@ class ProofServer:
             attempts += 1
             outputs = (fallback.inverse if inverse
                        else fallback.forward)(batch_inputs)
+            words = fallback.lanes.words
             report.fallback_dispatches += 1
             self._serve_event(
                 "serve-breaker",
@@ -874,12 +883,21 @@ class ProofServer:
 
         self._note_dispatch_outcome(failures)
 
+        # Digest each request's lanes from the words their unpack built,
+        # now, so the words do not outlive the dispatch.
+        digests = []
+        cursor = 0
+        for request in group:
+            lanes = slice(cursor, cursor + request.batch)
+            cursor += request.batch
+            digests.append(output_digest(field, outputs[lanes],
+                                         words[lanes]))
         duration = CostModel(self.machine, field).estimate(steps).total_s
         return InflightBatch(
             group=group, batch_id=batch_id,
             strategy_label=strategy_label, total_vectors=total_vectors,
             duration_s=duration, attempts=attempts, steps=tuple(steps),
-            outputs=outputs, start_s=clock.now_s)
+            outputs=outputs, digests=digests, start_s=clock.now_s)
 
     def _dispatch_commit(self, inflight: InflightBatch,
                          clock: VirtualClock, report: ServeReport,
@@ -904,7 +922,7 @@ class ProofServer:
         # record is journaled, so a crash between the two leaves the
         # client-visible result set and the journal in agreement.
         cursor = 0
-        for request in group:
+        for request, digest in zip(group, inflight.digests):
             lanes = inflight.outputs[cursor:cursor + request.batch]
             cursor += request.batch
             result = RequestResult(
@@ -922,7 +940,7 @@ class ProofServer:
                 "emit",
                 {"request_id": request.request_id,
                  "batch_id": batch_id,
-                 "digest": output_digest(result.outputs)},
+                 "digest": digest},
                 clock, report)
         self._serve_event(
             "serve-complete",

@@ -8,7 +8,8 @@ round-robin GPU, transform it with one :func:`repro.ntt.radix2.ntt` /
 call the fault hook once.  Hypothesis draws the backend, field, size
 and batch (across the lane-budget edge); outputs, per-GPU counters,
 the trace event tuple and the final shards must all be identical, and
-the hook must see the very lists the engine returns.
+the hook must see the very lanes the engine returns: the lists
+themselves, or views over the packed results they are unpacked from.
 """
 
 import random
@@ -23,6 +24,7 @@ from repro.multigpu import accounting as acct
 from repro.multigpu.abft import AbftChecker
 from repro.multigpu.batch_engine import REPLICATE_MAX_LANES
 from repro.ntt import radix2
+from repro.ntt.batch import LaneRow
 from repro.sim import FaultInjector, FaultPlan, SimCluster
 from repro.sim.trace import TraceEvent
 
@@ -100,7 +102,8 @@ def assert_same_run(field, batch, inverse, backend):
     for i, gpu_id in enumerate(buffers):
         lanes = got["out"][i::GPUS]
         assert len(buffers[gpu_id]) == len(lanes)
-        assert all(a is b for a, b in zip(buffers[gpu_id], lanes))
+        assert all(a is b or (isinstance(a, LaneRow) and list(a) == b)
+                   for a, b in zip(buffers[gpu_id], lanes))
         # A shard is the device's own copy, not a returned lane.
         assert all(got["shards"][i] is not lane for lane in lanes)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ServeError
-from repro.field import GOLDILOCKS, TEST_FIELD_7681
+from repro.field import BN254_FR, GOLDILOCKS, TEST_FIELD_7681
 from repro.hw import DGX_A100
 from repro.serve import PlanCache, TwiddleLedger
 from repro.serve.cache import PLAN_MISS_MESSAGES
@@ -56,6 +56,36 @@ class TestPlanCache:
 
     def test_plan_miss_price_is_nonzero(self):
         assert PLAN_MISS_MESSAGES > 0
+
+    def test_direction_is_part_of_the_key(self):
+        cache = PlanCache()
+        cache.choose(DGX_A100, GOLDILOCKS, 10, vectors=8)
+        _, misses = cache.choose(DGX_A100, GOLDILOCKS, 10, vectors=8,
+                                 direction="inverse")
+        assert misses == 2
+        assert cache.keys() == tuple(
+            ("DGX-A100", "Goldilocks", 10, direction, strategy)
+            for direction in ("forward", "inverse")
+            for strategy in ("replicate", "split"))
+        with pytest.raises(ServeError, match="direction"):
+            cache.lookup(DGX_A100, GOLDILOCKS, 10, "split", "sideways")
+
+    def test_inverse_batches_are_priced_with_their_scale_pass(self):
+        """Over every machine, BN254-Fr/Goldilocks, 2^4..2^22 and 1..64
+        vectors, pricing inverse batches as inverses changes exactly one
+        choice: three 2^20-point BN254-Fr inverses on a DGX-A100, whose
+        1/n pass tips replicate over to split."""
+        cache = PlanCache()
+        forward, _ = cache.choose(DGX_A100, BN254_FR, 20, vectors=3)
+        inverse, _ = cache.choose(DGX_A100, BN254_FR, 20, vectors=3,
+                                  direction="inverse")
+        assert (forward.strategy, inverse.strategy) == ("replicate", "split")
+        assert (forward.direction, inverse.direction) == ("forward",
+                                                          "inverse")
+        rep, _ = cache.lookup(DGX_A100, BN254_FR, 20, "replicate",
+                              "inverse")
+        assert rep.unit_seconds > cache.lookup(
+            DGX_A100, BN254_FR, 20, "replicate")[0].unit_seconds
 
 
 class TestTwiddleLedger:

@@ -279,8 +279,8 @@ class TestRecoveryManager:
         snapshot = journal.latest_snapshot()
         assert snapshot is not None
         server = outcome.server
-        for machine, field, log_size, strategy \
+        for machine, field, log_size, direction, strategy \
                 in snapshot.payload["plan_keys"]:
             if machine == server.machine.name:
-                assert (machine, field, log_size, strategy) \
+                assert (machine, field, log_size, direction, strategy) \
                     in server.plan_cache.keys()
