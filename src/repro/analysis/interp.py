@@ -1,9 +1,10 @@
 """Schedule interpreter: the executor of every multi-GPU program.
 
 :mod:`repro.multigpu.schedule` writes each engine family's runs as a
-:class:`~repro.multigpu.schedule.CommSchedule`: UniNTT's over one or
-two levels (which the pass framework and :mod:`repro.analysis.synth`
-rewrite), the binary-exchange engine's and the baseline four-step's.
+:class:`~repro.multigpu.schedule.CommSchedule`: UniNTT's over any
+number of device levels (which the pass framework and
+:mod:`repro.analysis.synth` rewrite), the binary-exchange engine's and
+the baseline four-step's.
 :func:`execute_schedule` is the one executor.  Every
 :class:`~repro.multigpu.unintt.ProgramEngine` runs its memoized,
 verified program (:func:`verified_program`) through it and prices its
@@ -17,16 +18,16 @@ The executor runs:
 * local kernels from one table keyed by op name — ``coset``,
   ``local-ntt``, ``twiddle-pass``, ``cross-ntt`` (also under the
   baseline's names ``col-ntt`` and ``row-ntt``), ``pairwise-combine``
-  (named ``-h<half>`` per stage), each with an ``inv-`` twin and an
-  ``inter-`` form for the inter-node level — each
-  reading its level's fanout and twiddle layout from the op, with
-  merged names (``a+b`` from the merge pass) split and applied in
-  order, then charged once per :class:`LocalOp` through
+  (named ``-h<half>`` per stage), each with an ``inv-`` twin and
+  ``inter-`` forms for the outer levels (one prefix per level above
+  the innermost) — each reading its level's fanout and twiddle layout
+  from the op, with merged names (``a+b`` from the merge pass) split
+  and applied in order, then charged once per :class:`LocalOp` through
   :meth:`~repro.sim.cluster.SimCluster.charge_local` with the live
   shards, so an injected compute fault corrupts real data;
 * exchanges by the relayout each :class:`ExchangeOp` carries,
-  executed by :func:`~repro.multigpu.base.redistribute` (the
-  inter-node level's is rail-aligned by its layouts);
+  executed by :func:`~repro.multigpu.base.redistribute` (an outer
+  level's is rail-aligned by its layouts);
 * pairwise swaps (:class:`PairwiseOp`) of whole shards through
   :meth:`~repro.sim.cluster.SimCluster.pairwise_exchange`, whose
   delivered shards the following ``pairwise-combine`` kernel reads;
@@ -44,10 +45,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Callable
 
 from repro.analysis.plancheck import verify_schedule
 from repro.errors import PartitionError, SchedulePassError
+from repro.field.backend import get_backend
 from repro.hw.cost import Step
 from repro.hw.plancost import schedule_steps
 from repro.multigpu.base import (
@@ -56,7 +59,6 @@ from repro.multigpu.base import (
 from repro.multigpu.layout import (
     BlockLayout, CyclicLayout, Layout, SpectralLayout, collect, distribute,
 )
-from repro.field.vector import vec_add, vec_scale, vec_sub
 from repro.multigpu.schedule import (
     CommSchedule, ExchangeOp, LocalOp, PairwiseOp, route_via,
 )
@@ -77,19 +79,25 @@ def _step_root(cluster: SimCluster, inverse: bool) -> tuple[int, int, int]:
 
 def _twiddles(cluster: SimCluster, op: LocalOp,
               inverse: bool) -> StepTable:
-    """The twiddle of the op's level, ``w^(s * k)`` for unit ``s``.
+    """The twiddle of the op's level, ``w_S^(s * k)`` for unit ``s``
+    of each S-point transform the level completes.
 
     Without a layout the units are the GPUs modulo the fanout and
     ``k`` the local slot (right after the local transforms); with one,
-    ``s * n/fanout + k`` is the global index the layout stores.
+    ``o * S + s * S/fanout + k`` is the global index the layout stores.
+    S is n, or, read through an inner level's spectrum, fanout times
+    that spectrum's :attr:`~repro.multigpu.layout.SpectralLayout.span`.
     """
     n, m, root = _step_root(cluster, inverse)
     f = op.fanout
+    p = cluster.field.modulus
     if op.layout is None:
-        return twiddle_table(
-            cluster.field, pow(root, n // (m * f), cluster.field.modulus),
-            [s % f for s in range(cluster.gpu_count)], m)
-    return twiddle_table(cluster.field, root, range(f), n // f,
+        return twiddle_table(cluster.field, pow(root, n // (m * f), p),
+                             [s % f for s in range(cluster.gpu_count)], m)
+    span = f * op.layout.span if isinstance(op.layout, SpectralLayout) \
+        else n
+    return twiddle_table(cluster.field, pow(root, n // span, p),
+                         [*range(f)] * (n // span), span // f,
                          layout=op.layout)
 
 
@@ -146,6 +154,24 @@ def _cross_ntt(cluster: SimCluster, op: LocalOp, inverse: bool,
                scale=cluster.field.inv(f % p) if inverse else None)
 
 
+@lru_cache(maxsize=16)
+def _combine_tables(p: int, step: int, half: int, gpus: int, m: int,
+                    inverse: bool) -> tuple[tuple[int, ...], ...]:
+    """Per-GPU coefficients ``(Ca, Cb)`` of one pairwise stage, each
+    repeated over its shard, the inverse's 1/2 folded in: the stage
+    writes ``a * Ca + b * Cb``."""
+    half_inv = pow(2, -1, p) if inverse else 1
+    ca: list[int] = []
+    cb: list[int] = []
+    for s in range(gpus):
+        w = pow(step, s % half, p)
+        a, b = ((-w, 1 if inverse else w) if s & half
+                else (1, w if inverse else 1))
+        ca += [a * half_inv % p] * m
+        cb += [b * half_inv % p] * m
+    return tuple(ca), tuple(cb)
+
+
 def _pairwise_combine(cluster: SimCluster, op: LocalOp, inverse: bool,
                       run: _Run) -> None:
     """One radix-2 butterfly stage over the GPU dimension, combining
@@ -154,29 +180,29 @@ def _pairwise_combine(cluster: SimCluster, op: LocalOp, inverse: bool,
     ``half = fanout/2`` bit set holds the twiddled output, and the
     pair's twiddle is ``w^(n/fanout * (s mod half))``.  Forward (DIF):
     ``a + b`` and ``(b - a) * w``.  Inverse (DIT): ``a + b * w`` and
-    ``b - a * w``, halved, so the stages scale by 1/G in all."""
+    ``b - a * w``, halved, so the stages scale by 1/G in all.  Every
+    GPU's output is ``a * Ca + b * Cb`` with its own constants, so the
+    stage is one batched computation over the GPU-major shards."""
     if run.received is None:
         raise SchedulePassError(f"{op.name!r} follows no pairwise swap")
     field = cluster.field
     p = field.modulus
-    n, _, root = _step_root(cluster, inverse)
-    half = op.fanout // 2
-    step = pow(root, n // op.fanout, p)
-    for gpu, b in zip(cluster.gpus, run.received):
-        s, a = gpu.gpu_id, gpu.shard
-        w = pow(step, s % half, p)
-        if not inverse:
-            gpu.shard = (vec_scale(field, vec_sub(field, b, a), w)
-                         if s & half else vec_add(field, a, b))
-            continue
-        out = (vec_sub(field, b, vec_scale(field, a, w)) if s & half
-               else vec_add(field, a, vec_scale(field, b, w)))
-        gpu.shard = vec_scale(field, out, field.inv(2))
+    n, m, root = _step_root(cluster, inverse)
+    ca, cb = _combine_tables(p, pow(root, n // op.fanout, p),
+                             op.fanout // 2, cluster.gpu_count, m, inverse)
+    a = list(chain.from_iterable(gpu.shard for gpu in cluster.gpus))
+    b = list(chain.from_iterable(run.received))
+    backend = get_backend()
+    out = backend.unpack(field, backend.add(
+        field, backend.mul(field, a, ca), backend.mul(field, b, cb)))
+    for i, gpu in enumerate(cluster.gpus):
+        gpu.shard = out[i * m:(i + 1) * m]
     run.received = None
 
 
-#: Local kernels by op name ``[inv-][inter-]kernel[-h<half>]``: ``inv-``
-#: runs the inverse twin; each kernel reads its level from the op.  The
+#: Local kernels by op name ``[inv-][inter-]*kernel[-h<half>]``: ``inv-``
+#: runs the inverse twin; ``inter-`` repeats once per level above the
+#: innermost, and each kernel reads its level from the op.  The
 #: baseline's column and row transforms are cross transforms named apart
 #: so their modeled seconds stay separate phases.
 _KERNELS = {
@@ -191,7 +217,9 @@ _KERNELS = {
 
 
 def _kernel_name(part: str) -> str:
-    name = part.removeprefix("inv-").removeprefix("inter-")
+    name = part.removeprefix("inv-")
+    while name.startswith("inter-"):
+        name = name.removeprefix("inter-")
     stem, _, half = name.rpartition("-h")
     return stem if half.isdigit() else name
 

@@ -17,15 +17,12 @@ from repro.multigpu.base import (
 )
 from repro.multigpu.baseline import BaselineFourStepEngine
 from repro.multigpu.batch_engine import BatchedDistributedNTT
-from repro.multigpu.hierarchical import (
-    HierarchicalUniNTTEngine, InterNodeExchangeLayout,
-    IntraNodeExchangeLayout, NestedCyclicLayout, NestedSpectralLayout,
-    NodeSpectralLayout,
-)
+from repro.multigpu.hierarchical import HierarchicalUniNTTEngine
 from repro.multigpu.pairwise import BitrevSpectralLayout, PairwiseExchangeEngine
 from repro.multigpu.layout import (
     BlockLayout, ColumnBlockLayout, CyclicLayout, Layout, SpectralLayout,
-    TransposedBlockLayout, UniNTTExchangeLayout, collect, distribute,
+    TransposedBlockLayout, UniNTTExchangeLayout, UniNTTLayout, collect,
+    distribute,
 )
 from repro.multigpu.polynomial import DistributedPolynomial
 from repro.multigpu.resilience import (
@@ -39,7 +36,7 @@ from repro.multigpu.unintt import UniNTTEngine
 __all__ = [
     "Layout", "BlockLayout", "CyclicLayout", "SpectralLayout",
     "ColumnBlockLayout", "TransposedBlockLayout", "UniNTTExchangeLayout",
-    "distribute", "collect",
+    "UniNTTLayout", "distribute", "collect",
     "DistributedVector", "DistributedNTTEngine", "redistribute",
     "VectorCheckpoint",
     "RetryPolicy", "ResilienceReport", "ResilientNTTEngine",
@@ -51,9 +48,7 @@ __all__ = [
     "select_schedule", "ScheduleChoice",
     "DistributedPolynomial",
     "StreamingHostEngine", "StreamingEstimate",
-    "HierarchicalUniNTTEngine", "NestedCyclicLayout", "NestedSpectralLayout",
-    "NodeSpectralLayout", "IntraNodeExchangeLayout",
-    "InterNodeExchangeLayout",
+    "HierarchicalUniNTTEngine",
     "UniNTTOptions", "ALL_ON", "ALL_OFF", "ablation_grid",
     "log2_int", "tile_passes", "local_ntt_muls", "local_ntt_mem_bytes",
     "small_batch_ntt_muls", "small_batch_mem_bytes", "twiddle_muls",

@@ -2,16 +2,16 @@
 
 With ``N`` nodes of ``P`` GPUs each (``G = N*P``, shard ``m = n/G``),
 the cyclic decomposition UniNTT applies at the multi-GPU level is
-applied twice.  The engine runs the two-level program
+applied once per device level.  The engine runs the program
 :func:`~repro.multigpu.schedule.build_unintt_schedule` writes for the
-cluster's ``node_count``:
+fanouts ``(N, P)``, the same loop the flat engine runs for ``(G,)``:
 
 1. **local** m-point transforms + fused intra-node twiddles
    (``local-ntt``);
 2. **intra-node** all-to-all over each node's P GPUs (NVSwitch,
    ``unintt-exchange``), then P-point cross transforms (``cross-ntt``)
-   leaving each node's ``M = n/N``-point sub-spectrum in
-   :class:`NodeSpectralLayout`;
+   leaving each node's ``M = n/N``-point sub-spectrum in the level-0
+   :class:`~repro.multigpu.layout.SpectralLayout`;
 3. **inter-node** twiddles ``w^(s_node * k1)`` read through that
    layout (``inter-twiddle-pass``, fused: multiplies only);
 4. **inter-node** all-to-all, rail-aligned: GPU ``(t_node, s_gpu)``
@@ -22,26 +22,18 @@ cluster's ``node_count``:
 Per GPU this moves ``m*(P-1)/P`` bytes on the fast intra-node fabric and
 ``m*(N-1)/N`` bytes on the network, where a flat (topology-unaware)
 engine pushes essentially all of its volume through the network.  The
-output stays in :class:`NestedSpectralLayout`; :meth:`inverse` runs the
-program backwards to the :class:`NestedCyclicLayout` input order.
+output stays in the last level's ``SpectralLayout`` of the fanouts;
+:meth:`inverse` runs the program backwards to their ``CyclicLayout``.
 """
 
 from __future__ import annotations
 
-from repro.errors import PartitionError, SimulationError
-from repro.multigpu.layout import (
-    InterNodeExchangeLayout, IntraNodeExchangeLayout, Layout,
-    NestedCyclicLayout, NestedSpectralLayout, NodeSpectralLayout,
-)
+from repro.errors import SimulationError
 from repro.multigpu.schedule import ALL_ON
 from repro.multigpu.unintt import UniNTTProgramEngine
 from repro.sim.cluster import SimCluster
 
-__all__ = [
-    "NestedCyclicLayout", "IntraNodeExchangeLayout", "NodeSpectralLayout",
-    "InterNodeExchangeLayout", "NestedSpectralLayout",
-    "HierarchicalUniNTTEngine",
-]
+__all__ = ["HierarchicalUniNTTEngine"]
 
 
 class HierarchicalUniNTTEngine(UniNTTProgramEngine):
@@ -58,23 +50,8 @@ class HierarchicalUniNTTEngine(UniNTTProgramEngine):
             raise SimulationError(
                 "HierarchicalUniNTTEngine needs a cluster with node "
                 "structure (SimCluster(node_size=...), >= 2 nodes)")
-        self.nodes = cluster.node_count
-        self.per_node = cluster.node_size
 
-    # -- layouts -----------------------------------------------------------
-
-    def input_layout(self, n: int) -> Layout:
-        return NestedCyclicLayout(n=n, gpu_count=self.gpu_count,
-                                  nodes=self.nodes)
-
-    def output_layout(self, n: int) -> Layout:
-        return NestedSpectralLayout(n=n, gpu_count=self.gpu_count,
-                                    nodes=self.nodes)
-
-    def _check_size(self, n: int) -> None:
-        needed = max(self.nodes * self.nodes * self.per_node,
-                     self.per_node * self.per_node * self.nodes)
-        if n < needed:
-            raise PartitionError(
-                f"hierarchical engine needs n >= {needed} "
-                f"(N^2*P and P^2*N), got {n}")
+    @property
+    def fanouts(self) -> tuple[int, ...]:
+        """``(N, P)``: the cluster's nodes, then its GPUs per node."""
+        return (self.cluster.node_count, self.cluster.node_size)

@@ -14,10 +14,15 @@ slots.  Layout choice is *the* lever of multi-GPU NTT design:
   spectral operations are layout-agnostic, so ZKP pipelines never pay
   for the permutation.  This is the distributed face of the paper's
   "overhead-free decomposition".
-* The nested layouts (:class:`NestedCyclicLayout` in,
-  :class:`NestedSpectralLayout` out, and the node-level intermediates)
-  — the same maps recursed once over N nodes of P GPUs, for the
-  two-level UniNTT program.
+* :class:`UniNTTExchangeLayout` — where an exchange leaves the data
+  before its cross transforms.
+
+These three are the stages of one recursion (:class:`UniNTTLayout`)
+over the program's ``fanouts``, listed outermost first: ``(G,)`` on a
+flat cluster, ``(N, P)`` for N nodes of P GPUs, and so on for any
+depth.  A stage over k levels is the (k-1)-level stage of each outer
+unit, lifted by the unit's digit; the one-level stages are the flat
+engine's layouts.
 
 Each layout states its map exactly once, as :meth:`Layout.global_index`.
 Every layout here is a **bit permutation**: with ``m = n / G``, the slot
@@ -35,16 +40,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import Sequence
 
 from repro.errors import PartitionError
 
-__all__ = ["Layout", "BlockLayout", "CyclicLayout", "SpectralLayout",
-           "ColumnBlockLayout", "TransposedBlockLayout",
-           "UniNTTExchangeLayout", "NestedCyclicLayout",
-           "IntraNodeExchangeLayout", "NodeSpectralLayout",
-           "InterNodeExchangeLayout", "NestedSpectralLayout",
-           "distribute", "collect"]
+__all__ = ["Layout", "BlockLayout", "UniNTTLayout", "CyclicLayout",
+           "SpectralLayout", "UniNTTExchangeLayout", "ColumnBlockLayout",
+           "TransposedBlockLayout", "distribute", "collect"]
 
 
 @dataclass(frozen=True)
@@ -134,45 +137,146 @@ class BlockLayout(Layout):
         return gpu * self.shard_size + local
 
 
-class CyclicLayout(Layout):
-    """GPU g holds every G-th element: global j = local * G + g."""
+def _stage_index(n: int, fanouts: tuple[int, ...], level: int | None,
+                 gpu: int, local: int) -> int:
+    """Global index at slot (gpu, local) of one stage of the recursion.
+
+    The stage is the input (``level`` None) or the spectrum after
+    ``level``'s cross transforms (levels count from the innermost, 0).
+    Peels the outermost level ``f = fanouts[0]``: GPU
+    ``unit * G' + gpu'`` is GPU ``gpu'`` of outer unit ``unit``, whose
+    ``n / f`` points sit in the stage of the recursion over the inner
+    fanouts.  No fanouts left: one GPU, slot ``local`` is index
+    ``local``.
+    """
+    if not fanouts:
+        return local
+    f, inner = fanouts[0], fanouts[1:]
+    sub_n = n // f
+    g = prod(fanouts)
+    unit, gpu = divmod(gpu, g // f)
+    if level is None:
+        # Unit u holds the cyclic sub-sequence j = j' * f + u.
+        return _stage_index(sub_n, inner, None, gpu, local) * f + unit
+    if level < len(inner):
+        # An inner level: each unit's own spectrum, unit after unit.
+        return unit * sub_n + _stage_index(sub_n, inner, level, gpu, local)
+    # This level: unit u keeps chunk u of its GPU's slots of the inner
+    # spectrum, with the f values over the outer digit of each
+    # contiguous, index ``digit * n/f + k``.
+    pos, digit = divmod(local, f)
+    return digit * sub_n + _stage_index(
+        sub_n, inner, level - 1, gpu, unit * (n // (g * f)) + pos)
+
+
+@dataclass(frozen=True)
+class UniNTTLayout(Layout):
+    """Base of UniNTT's stage layouts: one recursion over ``fanouts``.
+
+    ``fanouts`` lists the levels outermost first and multiplies to G:
+    ``(G,)`` for a flat cluster (the default), ``(N, P)`` for N nodes
+    of P GPUs.  Every stage's slot map is :func:`_stage_index`: the
+    layout over k levels is the (k-1)-level layout of each outer unit's
+    ``n / fanouts[0]`` points, lifted by the unit's digit.  The one-level
+    members are the flat engine's layouts.
+    """
+
+    fanouts: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        fanouts = tuple(self.fanouts) or (self.gpu_count,)
+        object.__setattr__(self, "fanouts", fanouts)
+        if (any(f < 1 or f & (f - 1) for f in fanouts)
+                or prod(fanouts) != self.gpu_count):
+            raise PartitionError(
+                f"fanouts {fanouts} do not split {self.gpu_count} GPUs "
+                f"into power-of-two levels")
+
+
+class CyclicLayout(UniNTTLayout):
+    """UniNTT's input order: on one level, GPU g holds every G-th
+    element, ``j = local * G + g``.
+
+    Over more levels, outer unit ``u`` holds the cyclic sub-sequence
+    ``j = j' * fanouts[0] + u`` in the inner levels' cyclic layout, so
+    every level's local transforms touch only local data.
+    """
 
     def global_index(self, gpu: int, local: int) -> int:
         self._check_slot(gpu, local)
-        return local * self.gpu_count + gpu
+        return _stage_index(self.n, self.fanouts, None, gpu, local)
 
 
-class SpectralLayout(Layout):
-    """UniNTT forward-output order.
+@dataclass(frozen=True)
+class SpectralLayout(UniNTTLayout):
+    """The spectrum after level ``level``'s cross transforms.
 
-    With ``M = n / G``, spectrum index ``k`` splits as ``k = k1 + M*k2``
-    (``k1 < M``, ``k2 < G``).  GPU ``t`` owns the k1-chunk
-    ``[t*M/G, (t+1)*M/G)`` and stores, for each of its k1 values, the
-    full G-vector over k2 contiguously::
+    Levels count from the innermost (0, the first to run); the default,
+    the last level, is the order UniNTT's forward transform leaves its
+    output in.  On one level, with ``M = n / G``, spectrum index ``k``
+    splits as ``k = k1 + M*k2`` (``k1 < M``, ``k2 < G``); GPU ``t`` owns
+    the k1-chunk ``[t*M/G, (t+1)*M/G)`` and stores, for each of its k1
+    values, the full G-vector over k2 contiguously::
 
         gpu   = k1 // (M/G)
         local = (k1 % (M/G)) * G + k2
 
-    Requires ``n >= G^2`` so the chunks are non-empty.
+    Over more levels, an inner level's spectrum is each outer unit's,
+    unit after unit (``k = u * n/f + k'``, ``f = fanouts[0]``), and the
+    outermost level splits each GPU's slots of the inner spectrum into
+    f chunks, one per outer unit, storing the f values over ``k2`` of
+    each slot contiguously (``k = k2 * n/f + k'``).  Each level needs
+    ``n >= G * f`` for its fanout f and every inner one, so the chunks
+    are non-empty: ``n >= G^2`` on one level.
     """
+
+    level: int = -1
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.n < self.gpu_count * self.gpu_count:
+        depth = len(self.fanouts)
+        if not -depth <= self.level < depth:
             raise PartitionError(
-                f"{type(self).__name__} needs n >= G^2 "
-                f"({self.n} < {self.gpu_count}^2)")
+                f"level {self.level} out of range for {depth} levels")
+        object.__setattr__(self, "level", self.level % depth)
+        widest = max(self.fanouts[depth - 1 - self.level:])
+        if self.n < self.gpu_count * widest:
+            raise PartitionError(
+                f"{type(self).__name__} needs n >= G^2 on one level, "
+                f"G times the widest fanout up to its level on more "
+                f"({self.n} < {self.gpu_count}*{widest})")
+
+    @property
+    def span(self) -> int:
+        """Points of each independent sub-spectrum the stage holds, unit
+        after unit: n over the fanouts of the levels outside it."""
+        return self.n // prod(self.fanouts[:len(self.fanouts) - 1
+                                           - self.level])
 
     @property
     def chunk(self) -> int:
-        """k1 values per GPU: M / G."""
-        return self.n // (self.gpu_count * self.gpu_count)
+        """Inner-spectrum slots each GPU keeps per outer digit: n over
+        G times this level's fanout (``M / G`` on one level)."""
+        return self.n // (self.gpu_count
+                          * self.fanouts[len(self.fanouts) - 1 - self.level])
 
     def global_index(self, gpu: int, local: int) -> int:
         self._check_slot(gpu, local)
-        k2 = local % self.gpu_count
-        k1 = gpu * self.chunk + local // self.gpu_count
-        return k1 + self.shard_size * k2
+        return _stage_index(self.n, self.fanouts, self.level, gpu, local)
+
+
+class UniNTTExchangeLayout(SpectralLayout):
+    """Where a level's all-to-all leaves the data, before its cross
+    transforms.
+
+    The slot map of :class:`SpectralLayout` at the same level, with the
+    outer digit read as the *unit* ``s`` that produced the value instead
+    of the spectrum digit ``k2``: on one level the index is the
+    unit-major ``j = s * M + k1`` of the locally transformed data.  The
+    in-place cross transform over each f-group turns one into the
+    other.
+    """
 
 
 @dataclass(frozen=True)
@@ -236,150 +340,6 @@ class TransposedBlockLayout(Layout):
         k = gpu * self.shard_size + local
         k2, k1 = divmod(k, self.rows)
         return k1 * self.cols + k2
-
-
-@dataclass(frozen=True)
-class UniNTTExchangeLayout(SpectralLayout):
-    """Post-exchange layout of UniNTT's single all-to-all.
-
-    The global index space is the "unit-major" position ``j = s * M + k1``
-    of the locally-transformed data (unit ``s`` produced spectrum slot
-    ``k1``).  After the exchange, GPU ``t`` owns the k1-chunk
-    ``[t * M/G, (t+1) * M/G)`` with the G values over ``s`` for each k1
-    stored contiguously: ``local = (k1 % chunk) * G + s``.  That is the
-    slot map of :class:`SpectralLayout` with ``k2`` read as ``s``: the
-    in-place cross NTT over each G-group turns one into the other.
-    """
-
-
-@dataclass(frozen=True)
-class _NodeStructured(Layout):
-    """Base for layouts over an N-node, P-GPUs-per-node cluster."""
-
-    nodes: int = 0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.nodes < 1 or self.nodes & (self.nodes - 1):
-            raise PartitionError(
-                f"nodes must be a power of two, got {self.nodes}")
-        if self.gpu_count % self.nodes:
-            raise PartitionError(
-                f"{self.gpu_count} GPUs do not split into {self.nodes} nodes")
-
-    @property
-    def gpus_per_node(self) -> int:
-        return self.gpu_count // self.nodes
-
-    @property
-    def node_size(self) -> int:
-        """Elements per node: M = n / N."""
-        return self.n // self.nodes
-
-
-class NestedCyclicLayout(_NodeStructured):
-    """Input order: ``j = (q*P + s_gpu)*N + s_node``.
-
-    GPU ``(s_node, s_gpu)`` holds the doubly-cyclic sub-sequence, so
-    both recursion levels' local transforms touch only local data.
-    """
-
-    def global_index(self, gpu: int, local: int) -> int:
-        self._check_slot(gpu, local)
-        n_nodes, p = self.nodes, self.gpus_per_node
-        s_node, s_gpu = divmod(gpu, p)
-        return (local * p + s_gpu) * n_nodes + s_node
-
-
-class NodeSpectralLayout(_NodeStructured):
-    """Per-node spectra after the intra-node cross transforms.
-
-    Index space: ``v = s_node * M + k1`` with ``k1 = k1' + L*k2_gpu``
-    (``L = M/P = m``).  Within node ``s_node``, GPU column ``t_gpu`` owns
-    the k1'-chunk ``[t_gpu*L/P, ...)``, storing ``local = (k1' % (L/P))*P
-    + k2_gpu`` — the per-node instance of
-    :class:`~repro.multigpu.layout.SpectralLayout`.
-    """
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        p = self.gpus_per_node
-        if self.node_size < p * p:
-            raise PartitionError(
-                f"{type(self).__name__} needs M >= P^2 "
-                f"({self.node_size} < {p}^2)")
-
-    @property
-    def chunk(self) -> int:
-        """k1' values per GPU column: L / P."""
-        return self.node_size // (self.gpus_per_node ** 2)
-
-    def global_index(self, gpu: int, local: int) -> int:
-        self._check_slot(gpu, local)
-        p = self.gpus_per_node
-        m_node = self.node_size
-        l_local = m_node // p
-        s_node, t_gpu = divmod(gpu, p)
-        offset, k2_gpu = divmod(local, p)
-        k1 = t_gpu * self.chunk + offset + l_local * k2_gpu
-        return s_node * m_node + k1
-
-
-class IntraNodeExchangeLayout(NodeSpectralLayout):
-    """Target of the intra-node all-to-all, in unit-major index space.
-
-    Index space: ``u = (s_node*P + s_gpu) * m + k1'`` (the physical
-    order after the local transforms).  Within node ``s_node``, GPU
-    column ``t_gpu`` receives the k1'-chunk ``[t_gpu*m/P, ...)`` from
-    its node's P GPUs, storing the P-vector over ``s_gpu`` contiguously:
-    ``local = (k1' % (m/P)) * P + s_gpu``.  That is the slot map of
-    :class:`NodeSpectralLayout` with ``k2_gpu`` read as ``s_gpu``: the
-    in-place P-point cross transform turns one into the other.  Traffic
-    never crosses a node boundary.
-    """
-
-
-class NestedSpectralLayout(_NodeStructured):
-    """Final spectrum order: ``k = k1 + M * k2_node``.
-
-    Splits each GPU column's m spectrum slots into N sub-chunks of
-    ``m/N``, storing the N-vector over ``k2_node`` contiguously.
-    """
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        p = self.gpus_per_node
-        if self.node_size < p * p:
-            raise PartitionError(
-                f"layout needs M >= P^2 ({self.node_size} < {p}^2)")
-        if self.shard_size % self.nodes:
-            raise PartitionError(
-                f"shard of {self.shard_size} does not split into "
-                f"{self.nodes} node sub-chunks (need n >= N^2 * P)")
-
-    @property
-    def sub(self) -> int:
-        """Spectrum slots per (GPU, node sub-chunk): m / N."""
-        return self.shard_size // self.nodes
-
-    def global_index(self, gpu: int, local: int) -> int:
-        self._check_slot(gpu, local)
-        p = self.gpus_per_node
-        l_local = self.node_size // p
-        t_node, t_gpu = divmod(gpu, p)
-        pos, k2_node = divmod(local, self.nodes)
-        offset, k2_gpu = divmod(t_node * self.sub + pos, p)
-        k1 = t_gpu * (l_local // p) + offset + l_local * k2_gpu
-        return k2_node * self.node_size + k1
-
-
-class InterNodeExchangeLayout(NestedSpectralLayout):
-    """Index space ``v = s_node * M + k1`` after the inter-node
-    all-to-all: GPU ``(t_node, t_gpu)`` holds, for each k1 in its
-    sub-chunk, the N values over ``s_node`` contiguously — the slot map
-    of :class:`NestedSpectralLayout` with ``k2_node`` read as
-    ``s_node``, which the in-place N-point cross transform turns into
-    the final spectrum order."""
 
 
 def distribute(values: Sequence[int], layout: Layout) -> list[list[int]]:

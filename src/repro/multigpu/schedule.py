@@ -23,10 +23,11 @@ The second half of the module is the **symbolic schedule**: a
 :class:`CommSchedule` is the list of local passes and shard transfers of
 one engine run, with exact accounting but no data.  It is the program
 itself: :func:`build_unintt_schedule` is the only description of a
-UniNTT run at either level of the hierarchy (one exchange level on a
-flat cluster, an intra-node and an inter-node level on a
-node-structured one), and :func:`build_pairwise_schedule` and
-:func:`build_baseline_schedule` are those of the comparison engines;
+UniNTT run at every device level of the hierarchy (one loop over the
+levels' fanouts: one exchange level on a flat cluster, an intra-node
+and an inter-node level on a node-structured one, and so on), and
+:func:`build_pairwise_schedule` and :func:`build_baseline_schedule`
+are those of the comparison engines;
 the engines execute and price them and the packed path charges
 UniNTT's.  It is also the object the plan verifier
 (:mod:`repro.analysis.plancheck`) walks: every op declares which
@@ -44,15 +45,14 @@ per exchange at any transform size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, replace
+from math import prod
 from typing import Union
 
 from repro.multigpu import accounting as acct
 from repro.multigpu.base import exchange_counts
 from repro.multigpu.layout import (
-    BlockLayout, ColumnBlockLayout, InterNodeExchangeLayout,
-    IntraNodeExchangeLayout, Layout, NestedSpectralLayout,
-    NodeSpectralLayout, SpectralLayout, TransposedBlockLayout,
-    UniNTTExchangeLayout,
+    BlockLayout, ColumnBlockLayout, Layout, SpectralLayout,
+    TransposedBlockLayout, UniNTTExchangeLayout,
 )
 from repro.ntt import radix4
 from repro.ntt.fourstep import split_size
@@ -344,7 +344,7 @@ class _Writer:
 def build_unintt_schedule(n: int, gpu_count: int, element_bytes: int,
                           options: UniNTTOptions = ALL_ON,
                           tile: int = 4096, inverse: bool = False,
-                          coset: bool = False, nodes: int = 1,
+                          coset: bool = False, fanouts: tuple[int, ...] = (),
                           pipelined: bool = False) -> CommSchedule:
     """The UniNTT program: every local pass and exchange of one run.
 
@@ -355,59 +355,63 @@ def build_unintt_schedule(n: int, gpu_count: int, element_bytes: int,
     :meth:`CommSchedule.bytes_by_level` and
     :meth:`CommSchedule.total_field_muls` are the trace's own charges.
 
-    The recursion runs once per level: on ``nodes`` nodes of ``P``
-    GPUs, an intra-node level of fanout P, then (``nodes > 1``) an
-    inter-node level of fanout ``nodes``.  The forward run is the local
-    transforms (the first level's twiddle fused or a ``twiddle-pass``),
-    then per level its twiddle (from the second level on), its
-    exchange (``multi-gpu`` inside a node, rail-aligned ``multi-node``
-    across nodes) and its cross transforms; last the materializing
-    relayout unless the output stays permuted.  ``inverse`` runs it
-    backwards, scaling by 1/fanout in each cross transform and 1/M in
-    the local ones.  ``coset`` (one level only) adds the scaling
-    ``x[j] *= shift^(+-j)`` over the cyclic layout, first forward and
-    last inverse; the shift is data, supplied when the program runs.
-    ``pipelined`` marks the chains ``options.overlap`` overlaps: each
-    exchange with the cross transforms that consume it (forward) or
-    produce its input (inverse); off, as the pass framework's input.
+    ``fanouts`` lists the device levels outermost first and multiplies
+    to G: ``(G,)`` (the default) on a flat cluster, ``(N, P)`` on N
+    nodes of P GPUs.  The recursion runs once per level, innermost
+    first: the local transforms (the first level's twiddle fused or a
+    ``twiddle-pass``), then per level its twiddle (from the second
+    level on, read through the previous level's spectrum), its exchange
+    (``multi-gpu`` for the innermost level, rail-aligned ``multi-node``
+    for every outer one) and its cross transforms; last the
+    materializing relayout unless the output stays permuted.  Level
+    ``i``'s ops carry ``i`` ``inter-`` prefixes.  Every stage layout is
+    the :class:`~repro.multigpu.layout.UniNTTLayout` of the fanouts.
+    ``inverse`` runs the same loop backwards, scaling by 1/fanout in
+    each cross transform and 1/M in the local ones.  ``coset`` (one
+    level only) adds the scaling ``x[j] *= shift^(+-j)`` over the
+    cyclic layout, first forward and last inverse; the shift is data,
+    supplied when the program runs.  ``pipelined`` marks the chains
+    ``options.overlap`` overlaps: each exchange with the cross
+    transforms that consume it (forward) or produce its input
+    (inverse); off, as the pass framework's input.
     """
     g = gpu_count
-    if nodes < 1 or g % nodes:
-        raise ValueError(f"{g} GPUs do not split into {nodes} nodes")
-    p = g // nodes
-    if n < nodes * p * p or n < nodes * nodes * p:
+    fanouts = tuple(fanouts) or (g,)
+    if any(f < 1 or f & (f - 1) for f in fanouts) or prod(fanouts) != g:
+        raise ValueError(f"fanouts {fanouts} do not split {g} GPUs")
+    widest = max(fanouts)
+    if n < g * widest:
         raise ValueError(
-            f"UniNTT needs n >= G^2 ({n} < {g}^2)" if nodes == 1 else
-            f"UniNTT on {nodes} nodes of {p} needs n >= N*P^2 and "
-            f"N^2*P, got {n}")
-    if coset and nodes > 1:
+            f"UniNTT needs n >= G^2 on one level, G times the widest "
+            f"fanout on more (fanouts {fanouts}: {n} < {g}*{widest})")
+    if coset and len(fanouts) > 1:
         raise ValueError("coset programs run on one level only")
     m = n // g
     eb = element_bytes
     fused = options.fused_twiddle
     overlap = pipelined and options.overlap
-    scale = m if inverse else 0  # every 1/M, 1/P and 1/N multiply
+    scale = m if inverse else 0  # every 1/M and 1/fanout multiply
     local_muls = (radix4.radix4_multiply_count(m) if options.radix_fusion
                   else acct.local_ntt_muls(m)) + scale
     if fused:
         local_muls += acct.twiddle_muls(m)
     pass_bytes = acct.pointwise_mem_bytes(m, eb)
     block = BlockLayout(n=n, gpu_count=g)
-    # (fanout, name prefix, exchange level, source, exchanged layout)
-    if nodes == 1:
-        levels = [(g, "", "multi-gpu", block,
-                   UniNTTExchangeLayout(n=n, gpu_count=g))]
-        spectral: Layout = SpectralLayout(n=n, gpu_count=g)
-    else:
-        node_spectral = NodeSpectralLayout(n=n, gpu_count=g, nodes=nodes)
-        levels = [
-            (p, "", "multi-gpu", block,
-             IntraNodeExchangeLayout(n=n, gpu_count=g, nodes=nodes)),
-            (nodes, "inter-", "multi-node", node_spectral,
-             InterNodeExchangeLayout(n=n, gpu_count=g, nodes=nodes))]
-        spectral = NestedSpectralLayout(n=n, gpu_count=g, nodes=nodes)
+    # Per level, innermost first: (fanout, name prefix, exchange level,
+    # source, exchanged layout); each level's source is the spectrum
+    # the previous one left, the first's the local transforms' output.
+    levels = []
+    spectral: Layout = block
+    for i, fanout in enumerate(reversed(fanouts)):
+        exchanged = UniNTTExchangeLayout(n=n, gpu_count=g, fanouts=fanouts,
+                                         level=i)
+        levels.append((fanout, "inter-" * i,
+                       "multi-node" if i else "multi-gpu", spectral,
+                       exchanged))
+        spectral = SpectralLayout(n=n, gpu_count=g, fanouts=fanouts,
+                                  level=i)
 
-    w = _Writer(g, eb, p)
+    w = _Writer(g, eb, fanouts[-1])
     local, relayout = w.local, w.relayout
 
     # The coset scaling and the later levels' twiddles: multiplications
@@ -457,7 +461,7 @@ def build_unintt_schedule(n: int, gpu_count: int, element_bytes: int,
             local("inv-coset", "inv-coset", 2 * m, fused_bytes)
     kind = "unintt" + ("-inverse" if inverse else "") \
         + ("-coset" if coset else "")
-    shape = f"@{nodes}x{p}" if nodes > 1 else ""
+    shape = "@" + "x".join(map(str, fanouts)) if len(fanouts) > 1 else ""
     return w.schedule(f"{kind}[{options.label()}]{shape}")
 
 

@@ -26,21 +26,17 @@ local geometric series — so it fuses into the local twiddle pass at
 zero extra memory traffic.
 
 The steps are written once, as the program
-:func:`~repro.multigpu.schedule.build_unintt_schedule` builds for one
-level here and for two in
+:func:`~repro.multigpu.schedule.build_unintt_schedule` builds for the
+engine's fanouts: one level here, one per device level in
 :class:`~repro.multigpu.hierarchical.HierarchicalUniNTTEngine`.
 :class:`ProgramEngine`, the base of every multi-GPU engine but the
 single-GPU and streaming ones (the pairwise and baseline engines run
 their own programs), runs its verified form through
 :func:`repro.analysis.interp.execute_schedule` and prices it as
 :func:`repro.hw.plancost.schedule_steps` of the same op list; the
-packed polynomial path charges UniNTT's ops.
-
-The local transforms follow a hierarchical plan
-(:func:`repro.ntt.plan.hierarchical_plan` restricted to the intra-GPU
-levels), which is what "the same NTT computation at different scales"
-means operationally: the program's step list *is* the plan's split node,
-and the local kernel recursion repeats it per level.
+packed polynomial path charges UniNTT's ops.  The local and cross
+transforms run as batched host kernels through
+:func:`~repro.multigpu.base.local_step`.
 """
 
 from __future__ import annotations
@@ -131,21 +127,43 @@ class ProgramEngine(DistributedNTTEngine):
 
 
 class UniNTTProgramEngine(ProgramEngine):
-    """The UniNTT recursion over ``nodes`` levels with ``options``."""
+    """The UniNTT recursion over the engine's ``fanouts`` with
+    ``options``: cyclic input, the last level's spectrum (or natural
+    blocks) out."""
 
     builder = staticmethod(build_unintt_schedule)
     options: UniNTTOptions = ALL_ON
-    #: Nodes the program recurses over (one: a single exchange level).
-    nodes: int = 1
+
+    @property
+    def fanouts(self) -> tuple[int, ...]:
+        """The device levels the program recurses over, outermost first
+        (one: a single exchange level)."""
+        return (self.gpu_count,)
 
     def _key(self, n: int, inverse: bool, coset: bool) -> tuple:
         self._check_size(n)
         return (n, self.gpu_count, self.cluster.element_bytes,
-                self.options, self.tile, inverse, coset, self.nodes, True)
+                self.options, self.tile, inverse, coset, self.fanouts, True)
+
+    # -- layouts -----------------------------------------------------------
+
+    def input_layout(self, n: int) -> Layout:
+        return CyclicLayout(n=n, gpu_count=self.gpu_count,
+                            fanouts=self.fanouts)
+
+    def output_layout(self, n: int) -> Layout:
+        if self.options.keep_permuted_output:
+            return SpectralLayout(n=n, gpu_count=self.gpu_count,
+                                  fanouts=self.fanouts)
+        return BlockLayout(n=n, gpu_count=self.gpu_count)
+
+    def _check_size(self, n: int) -> None:
+        # The last level's spectrum, which raises below its size floor.
+        SpectralLayout(n=n, gpu_count=self.gpu_count, fanouts=self.fanouts)
 
 
 class UniNTTEngine(UniNTTProgramEngine):
-    """Hierarchical one-exchange multi-GPU NTT."""
+    """One-exchange multi-GPU NTT: the recursion over a flat cluster."""
 
     name = "unintt"
 
@@ -154,19 +172,3 @@ class UniNTTEngine(UniNTTProgramEngine):
         super().__init__(cluster, tile)
         self.options = options
         self.name = f"unintt[{options.label()}]"
-
-    # -- layouts -----------------------------------------------------------
-
-    def input_layout(self, n: int) -> Layout:
-        return CyclicLayout(n=n, gpu_count=self.gpu_count)
-
-    def output_layout(self, n: int) -> Layout:
-        if self.options.keep_permuted_output:
-            return SpectralLayout(n=n, gpu_count=self.gpu_count)
-        return BlockLayout(n=n, gpu_count=self.gpu_count)
-
-    def _check_size(self, n: int) -> None:
-        g = self.gpu_count
-        if n < g * g:
-            raise PartitionError(
-                f"UniNTT needs n >= G^2 ({n} < {g}^2)")

@@ -31,9 +31,7 @@ enabled, every cross-device message is additionally covered by a seeded
 random-linear-probe checksum computed on the sender's data and checked
 against the delivered data — an injected corruption then surfaces as
 :class:`~repro.errors.ShardCorruptionError` instead of silently wrong
-output.  Count payloads skip both hooks.  ``gather_to`` and
-``scatter_from`` trace all their bytes at "multi-gpu", also on a
-node-structured cluster.
+output.  Count payloads skip both hooks.
 """
 
 from __future__ import annotations
@@ -153,8 +151,8 @@ class SimCluster:
 
     # -- collectives ----------------------------------------------------------
 
-    def _exchange(self, kind: str, sends: Sequence[tuple], detail: str, *,
-                  by_node: bool = True) -> list[list[int]]:
+    def _exchange(self, kind: str, sends: Sequence[tuple],
+                  detail: str) -> list[list[int]]:
         """Move, charge and trace one collective: the one exchange core.
 
         ``sends`` lists ``(src, dst, payload)`` in delivery order.  A
@@ -166,8 +164,8 @@ class SimCluster:
         collective first, so an aborted one charges nothing.  Messages
         a GPU sends itself move no bytes; every other message charges
         its receiver, and each sender is charged its total.  Bytes
-        between GPUs of one node (every byte unless ``by_node``) trace
-        at "multi-gpu", the rest at "multi-node".  Returns the delivered
+        between GPUs of one node trace at "multi-gpu", the rest at
+        "multi-node".  Returns the delivered
         copies in send order (empty when the payloads are counts).
         """
         self._collective_seq += 1
@@ -206,7 +204,7 @@ class SimCluster:
         g = self.gpu_count
         eb = self.element_bytes
         gpus = self.gpus
-        node_size = self.node_size if by_node else None
+        node_size = self.node_size
         intra = [0] * g
         inter = [0] * g
         for src, dst, count in sends:
@@ -328,7 +326,7 @@ class SimCluster:
         self._check_root("gather_to", root)
         shards = self._exchange(
             "gather", [(gpu.gpu_id, root, gpu.shard) for gpu in self.gpus
-                       if gpu.gpu_id != root], detail, by_node=False)
+                       if gpu.gpu_id != root], detail)
         shards.insert(root, list(self.gpus[root].shard))
         return shards
 
@@ -342,7 +340,7 @@ class SimCluster:
                 f"got {len(shards)}")
         staged = self._exchange(
             "scatter", [(root, dst, shard) for dst, shard in enumerate(shards)
-                        if dst != root], detail, by_node=False)
+                        if dst != root], detail)
         staged.insert(root, list(shards[root]))
         for gpu, shard in zip(self.gpus, staged):
             gpu.load(shard)

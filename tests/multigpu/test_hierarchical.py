@@ -7,9 +7,9 @@ from repro.field import BLS12_381_FR, GOLDILOCKS, TEST_FIELD_7681
 from repro.hw import DGX_A100, MultiNodeMachine, infiniband
 from repro.hw.plancost import schedule_steps
 from repro.multigpu import (
-    BaselineFourStepEngine, DistributedVector, HierarchicalUniNTTEngine,
-    InterNodeExchangeLayout, IntraNodeExchangeLayout, NestedCyclicLayout,
-    NestedSpectralLayout, NodeSpectralLayout, UniNTTEngine,
+    BaselineFourStepEngine, CyclicLayout, DistributedVector,
+    HierarchicalUniNTTEngine, SpectralLayout, UniNTTEngine,
+    UniNTTExchangeLayout,
 )
 from repro.multigpu.schedule import LocalOp
 from repro.ntt import ntt
@@ -31,15 +31,30 @@ def run_forward(field, nodes, per_node, n, rng):
     return engine, values, engine.forward(vec)
 
 
+#: The two-level stages over fanouts ``(N, P)`` -- the input, then each
+#: level's exchanged and spectral layouts -- by their node-structure
+#: names.
+STAGES = {
+    "NestedCyclicLayout": (CyclicLayout, {}),
+    "IntraNodeExchangeLayout": (UniNTTExchangeLayout, {"level": 0}),
+    "NodeSpectralLayout": (SpectralLayout, {"level": 0}),
+    "InterNodeExchangeLayout": (UniNTTExchangeLayout, {"level": 1}),
+    "NestedSpectralLayout": (SpectralLayout, {"level": 1}),
+}
+
+
+def two_level(stage, n, nodes, per_node):
+    cls, extra = STAGES[stage]
+    return cls(n=n, gpu_count=nodes * per_node, fanouts=(nodes, per_node),
+               **extra)
+
+
 class TestNestedLayouts:
-    @pytest.mark.parametrize("layout_cls", [
-        NestedCyclicLayout, IntraNodeExchangeLayout, NodeSpectralLayout,
-        InterNodeExchangeLayout, NestedSpectralLayout,
-    ], ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("stage", list(STAGES))
     @pytest.mark.parametrize("n,nodes,per_node", [(64, 2, 2), (256, 2, 4),
                                                   (256, 4, 2)])
-    def test_bijection(self, layout_cls, n, nodes, per_node):
-        layout = layout_cls(n=n, gpu_count=nodes * per_node, nodes=nodes)
+    def test_bijection(self, stage, n, nodes, per_node):
+        layout = two_level(stage, n, nodes, per_node)
         seen = set()
         for gpu in range(layout.gpu_count):
             for local in range(layout.shard_size):
@@ -50,17 +65,20 @@ class TestNestedLayouts:
 
     def test_nested_cyclic_index_math(self):
         # n=64, N=2, P=2: j = (q*2 + s_gpu)*2 + s_node.
-        layout = NestedCyclicLayout(n=64, gpu_count=4, nodes=2)
+        layout = CyclicLayout(n=64, gpu_count=4, fanouts=(2, 2))
         assert layout.owner(0) == (0, 0)    # s_node=0, s_gpu=0, q=0
         assert layout.owner(1) == (2, 0)    # s_node=1 -> gpu 1*2+0=2
         assert layout.owner(2) == (1, 0)    # s_gpu=1 -> gpu 1
         assert layout.owner(4) == (0, 1)    # q=1
 
     def test_size_requirements(self):
-        with pytest.raises(PartitionError, match="P\\^2"):
-            NodeSpectralLayout(n=8, gpu_count=8, nodes=2)  # M=4 < 4^2
-        with pytest.raises(PartitionError, match="sub-chunks"):
-            NestedSpectralLayout(n=16, gpu_count=8, nodes=8)
+        # Level 0 needs n >= G*P (M >= P^2), level 1 also n >= G*N.
+        with pytest.raises(PartitionError, match=r"8 < 8\*4"):
+            SpectralLayout(n=8, gpu_count=8, fanouts=(2, 4), level=0)
+        with pytest.raises(PartitionError, match=r"16 < 8\*8"):
+            SpectralLayout(n=16, gpu_count=8, fanouts=(8, 1))
+        with pytest.raises(PartitionError, match="do not split"):
+            CyclicLayout(n=64, gpu_count=8, fanouts=(2, 2))
 
 
 class TestCorrectness:
@@ -70,7 +88,8 @@ class TestCorrectness:
     def test_forward_matches_reference(self, nodes, per_node, n, rng):
         engine, values, out = run_forward(F, nodes, per_node, n, rng)
         assert out.to_values() == ntt(F, values)
-        assert isinstance(out.layout, NestedSpectralLayout)
+        assert out.layout == SpectralLayout(n=n, gpu_count=nodes * per_node,
+                                            fanouts=(nodes, per_node))
 
     @pytest.mark.parametrize("field", [GOLDILOCKS, BLS12_381_FR],
                              ids=lambda f: f.name)
@@ -83,7 +102,8 @@ class TestCorrectness:
         engine, values, out = run_forward(F, nodes, per_node, n, rng)
         back = engine.inverse(out)
         assert back.to_values() == values
-        assert isinstance(back.layout, NestedCyclicLayout)
+        assert back.layout == CyclicLayout(n=n, gpu_count=nodes * per_node,
+                                           fanouts=(nodes, per_node))
         engine.cluster.check_conservation()
 
     def test_requires_node_structure(self):

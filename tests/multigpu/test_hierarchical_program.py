@@ -1,10 +1,11 @@
 """The two-level UniNTT program: the hierarchical engine runs what the
 builder writes.
 
-:func:`repro.multigpu.schedule.build_unintt_schedule` with ``nodes > 1``
-emits the recursion for a node-structured cluster: an intra-node
-exchange with P-point cross transforms, the inter-node twiddle read
-through :class:`~repro.multigpu.layout.NodeSpectralLayout`, then the
+:func:`repro.multigpu.schedule.build_unintt_schedule` with fanouts
+``(N, P)`` emits the recursion for a node-structured cluster: an
+intra-node exchange with P-point cross transforms, the inter-node
+twiddle read through the level-0
+:class:`~repro.multigpu.layout.SpectralLayout`, then the
 rail-aligned ``multi-node`` exchange with N-point cross transforms.
 These tests pin, on N x P in {2x2, 2x4, 4x2}, both list backends and
 two fields, that :class:`HierarchicalUniNTTEngine` executes exactly that
@@ -108,7 +109,8 @@ def test_two_level_program_shape(nodes, per_node, inverse):
     flat levels' ops keep their one-level names."""
     g = nodes * per_node
     program = build_unintt_schedule(1 << 8, g, 8, inverse=inverse,
-                                    nodes=nodes, pipelined=True)
+                                    fanouts=(nodes, per_node),
+                                    pipelined=True)
     exchanges = [op for op in program.ops if isinstance(op, ExchangeOp)]
     assert [op.level for op in exchanges] == (
         ["multi-node", "multi-gpu"] if inverse

@@ -19,9 +19,7 @@ from repro.errors import PartitionError
 from repro.field import TEST_FIELD_7681
 from repro.multigpu import (
     BaselineFourStepEngine, BitrevSpectralLayout, BlockLayout,
-    ColumnBlockLayout, CyclicLayout, DistributedVector,
-    InterNodeExchangeLayout, IntraNodeExchangeLayout, Layout,
-    NestedCyclicLayout, NestedSpectralLayout, NodeSpectralLayout,
+    ColumnBlockLayout, CyclicLayout, DistributedVector, Layout,
     PairwiseExchangeEngine, SingleGpuEngine, SpectralLayout,
     TransposedBlockLayout, UniNTTEngine, UniNTTExchangeLayout,
     UniNTTOptions, collect, distribute, redistribute,
@@ -114,12 +112,19 @@ def test_distribute_collect_roundtrip_property(seed, g):
 LAYOUT_CLASSES = (
     BlockLayout, CyclicLayout, SpectralLayout, UniNTTExchangeLayout,
     ColumnBlockLayout, TransposedBlockLayout, BitrevSpectralLayout,
-    NestedCyclicLayout, IntraNodeExchangeLayout, NodeSpectralLayout,
-    InterNodeExchangeLayout, NestedSpectralLayout,
 )
 _SHAPED = (ColumnBlockLayout, TransposedBlockLayout)
-_NODED = (NestedCyclicLayout, IntraNodeExchangeLayout, NodeSpectralLayout,
-          InterNodeExchangeLayout, NestedSpectralLayout)
+_STAGED = (CyclicLayout, SpectralLayout, UniNTTExchangeLayout)
+
+
+@st.composite
+def fanout_tuples(draw, g):
+    """Device levels, outermost first, multiplying to ``g`` (fanout-1
+    levels included)."""
+    cuts = sorted(draw(st.lists(st.integers(0, g.bit_length() - 1),
+                                max_size=3)))
+    bounds = [0, *cuts, g.bit_length() - 1]
+    return tuple(1 << (hi - lo) for lo, hi in zip(bounds, bounds[1:]))
 
 
 @st.composite
@@ -130,8 +135,11 @@ def layouts(draw, n, g):
     if cls in _SHAPED:
         rows = 1 << draw(st.integers(0, n.bit_length() - 1))
         extra = {"rows": rows, "cols": n // rows}
-    elif cls in _NODED:
-        extra = {"nodes": 1 << draw(st.integers(0, g.bit_length() - 1))}
+    elif cls in _STAGED:
+        extra = {"fanouts": draw(fanout_tuples(g))}
+        if cls is not CyclicLayout:
+            depth = len(extra["fanouts"])
+            extra["level"] = draw(st.integers(-depth, depth - 1))
     try:
         return cls(n=n, gpu_count=g, **extra)
     except PartitionError:

@@ -11,7 +11,7 @@ from repro.field import GOLDILOCKS, TEST_FIELD_97, use_backend
 from repro.field.backend import numpy_available
 from repro.multigpu import (
     BlockLayout, ColumnBlockLayout, CyclicLayout, DistributedVector,
-    NestedCyclicLayout, SpectralLayout, UniNTTExchangeLayout, collect,
+    SpectralLayout, UniNTTExchangeLayout, collect,
     distribute, redistribute,
 )
 from repro.multigpu.base import exchange_counts
@@ -136,8 +136,8 @@ class TestExchangeCountsPerLayoutValue:
 
     def test_nodes_is_part_of_the_layout(self):
         target = CyclicLayout(n=64, gpu_count=4)
-        two_nodes = NestedCyclicLayout(n=64, gpu_count=4, nodes=2)
-        four_nodes = NestedCyclicLayout(n=64, gpu_count=4, nodes=4)
+        two_nodes = CyclicLayout(n=64, gpu_count=4, fanouts=(2, 2))
+        four_nodes = CyclicLayout(n=64, gpu_count=4, fanouts=(4, 1))
         assert exchange_counts(two_nodes, target) == [
             [16, 0, 0, 0], [0, 0, 16, 0], [0, 16, 0, 0], [0, 0, 0, 16]]
         assert exchange_counts(four_nodes, target) == identity_counts(4, 16)
@@ -153,7 +153,8 @@ class TestExchangeCountsPerLayoutValue:
         values = list(range(64))
         target = CyclicLayout(n=64, gpu_count=4)
         for nodes in (2, 4, 1):
-            source = NestedCyclicLayout(n=64, gpu_count=4, nodes=nodes)
+            source = CyclicLayout(n=64, gpu_count=4,
+                                  fanouts=(nodes, 4 // nodes))
             cluster = SimCluster(F, 4)
             cluster.load_shards(distribute(values, source))
             redistribute(cluster, source, target)

@@ -22,7 +22,11 @@ the corruption hook).  Per case
 the golden stores the event tuples, the per-GPU counters, the
 precondition hits and misses, the injector's penalty bytes, each
 call's exception or a SHA-256 of what it returned, and a SHA-256 of
-the final shards.
+the final shards.  The ``gather_to``/``scatter_from`` entries on the
+node-structured cluster (``-ns2-``) were re-recorded once, when those
+collectives began tracing the bytes that cross a node boundary at
+"multi-node" like every other collective: each call's total bytes and
+everything else in those entries stayed as first recorded.
 
 A structural test also pins that the device charges, the injector
 hooks and the collective trace events of ``SimCluster`` are reached
