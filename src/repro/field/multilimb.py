@@ -14,8 +14,10 @@ whole-plane numpy ufuncs:
   inner loop is the unrolled source that module emits);
 * the NTT runs a DIT Stockham schedule directly on the packed planes
   with *semi-lazy* butterflies: values grow by ``2p`` per stage
-  (``B_s = (2s+1)p < R``) and are reduced exactly once at the end by a
-  two-limb Barrett step plus two conditional subtractions;
+  (``B_s = (2s+1)p < R``) and are reduced exactly once at the end,
+  by a two-limb Barrett step plus a conditional subtraction, or by
+  one montmul against an *exit operand* (a Montgomery-form column or
+  table) that also applies the scaling following the transform;
 * data stays in the raw residue domain — only the twiddle tables are
   premultiplied by ``R`` (``montmul(x, tw*R) = x*tw``), so transforms
   pay no Montgomery domain entry/exit.
@@ -83,7 +85,14 @@ class _MultiLimbKernel:
         # it too.  One conditional subtraction lands canonical.
         self.p_top1 = np.uint64((p >> (k * (L - 2))) + 1)
         self._montmul = compile_montmul(s)
-        self._scratch: dict[int, dict[str, Any]] = {}
+        #: CIOS scratch layout, name -> (rows, dtype): see :meth:`scratch`.
+        self._scratch_rows = dict(
+            t=(2 * L + 2, np.uint64), prod=(L, np.uint64), m=(1, np.uint64),
+            b=(L, np.uint64), tw=(L, np.uint64), c0=(1, np.int64),
+            c1=(1, np.int64))
+        self._scratch: dict[str, Any] = {}
+        self._scratch_lanes = 0
+        self._views: dict[int, dict[str, Any]] = {}
         self._stage_tables: dict = {}
 
     # -- scratch and helpers -------------------------------------------------
@@ -95,29 +104,32 @@ class _MultiLimbKernel:
                          for i in range(self.L)], dtype=np.uint64)
 
     def scratch(self, n: int) -> dict:
-        """Persistent CIOS scratch for lane count n.
+        """CIOS scratch views for lane count n.
 
-        The two most recently used lane counts stay resident: a
-        transform's ``ntt_core`` (n/2 lanes) alternates with the
-        pointwise kernels around it (n lanes), and a single slot
-        reallocated on every switch.
+        One buffer set, sized for the largest lane count seen so far,
+        backs every count: a smaller count gets contiguous views of its
+        leading elements (cached per count until the buffers grow).  A
+        transform's stages (n/2 lanes) alternate with its exit and the
+        pointwise kernels around it (n lanes), and a serve stream mixes
+        many lane counts, so per-count buffers reallocated on nearly
+        every switch.  Views of different counts alias: nothing may
+        hold a scratch view (a :meth:`montmul_lazy` result above all)
+        across a call that takes scratch at another count.
         """
-        sc = self._scratch.pop(n, None)
-        if sc is None:
-            if len(self._scratch) == 2:
-                del self._scratch[next(iter(self._scratch))]
-            np, L = self.np, self.L
-            sc = dict(
-                t=np.zeros((2 * L + 2, n), dtype=np.uint64),
-                prod=np.empty((L, n), dtype=np.uint64),
-                m=np.empty(n, dtype=np.uint64),
-                b=np.empty((L, n), dtype=np.uint64),
-                tw=np.empty((L, n), dtype=np.uint64),
-                c0=np.empty(n, dtype=np.int64),
-                c1=np.empty(n, dtype=np.int64),
-            )
-        self._scratch[n] = sc  # most recently used last
-        return sc
+        views = self._views.get(n)
+        if views is None:
+            if n > self._scratch_lanes:
+                np = self.np
+                self._scratch = {
+                    name: np.empty(rows * n, dtype=dtype)
+                    for name, (rows, dtype) in self._scratch_rows.items()}
+                self._scratch_lanes = n
+                self._views.clear()
+            views = self._views[n] = {
+                name: self._scratch[name][:rows * n].reshape(rows, n)
+                if rows > 1 else self._scratch[name][:n]
+                for name, (rows, _) in self._scratch_rows.items()}
+        return views
 
     def montmul_lazy(self, a, b, sc):
         """CIOS montmul: a lazy-normed limbs, b canonical (a table).
@@ -379,18 +391,21 @@ class _MultiLimbKernel:
         self.norm_seq(out)
         return self._cond_sub(out)
 
-    def mul_mont(self, a, b_mont):
-        """Multiply canonical ``a`` by a *Montgomery-form* table.
+    def mul_mont(self, a, b_mont, work=None):
+        """Multiply ``a`` by a *Montgomery-form* table.
 
         ``b_mont`` holds ``b*R mod p`` (the :meth:`pack_table` format),
         so one montmul lands directly on ``a*b``: half the montmuls of
         :meth:`mul`.  This is the pointwise primitive the packed prover
-        pipelines use for coset scale tables and quotient denominators.
+        pipelines use for coset scale tables and quotient denominators,
+        and the exit of :meth:`ntt_core`.  ``a`` needs canonical limbs
+        but may hold any value below R (the montmul lands below 2p
+        whatever the value); ``work`` is as in :meth:`_cond_sub`.
         """
         sc = self.scratch(a.shape[-1])
         out = self.montmul_lazy(a, b_mont, sc)
         self.norm_seq(out)
-        return self._cond_sub(out)
+        return self._cond_sub(out, work=work)
 
     def fused_quotient(self, a, b, c, s: int):
         """``(a*b - c) * s mod p`` with one conditional subtraction.
@@ -515,7 +530,7 @@ class _MultiLimbKernel:
             self.np.copyto(grid, stage[:, :, None])
         return out
 
-    def ntt_core(self, values, table, batch: int = 1):
+    def ntt_core(self, values, table, batch: int = 1, exit=None):
         """Forward DIT Stockham NTT on packed planes; canonical result.
 
         ``values``: canonical packed ``(L, batch * n)``, ``batch``
@@ -531,6 +546,16 @@ class _MultiLimbKernel:
         stays clear of uint64 overflow, while the *value* bound grows
         to (2s+1)p over s = log2(n) stages, reduced once by the Barrett
         exit.
+
+        ``exit``, if given, is a Montgomery-form ``(L, 1)`` column or
+        ``(L, batch * n)`` table (``pack_table`` format, size-major like
+        the output) that multiplies the result: the lazy last-stage
+        value (< R, canonical limbs) is montmulled by it instead of
+        going through the Barrett exit (:meth:`mul_mont`: the montmul
+        lands below 2p, so one carry chain and one conditional
+        subtraction finish canonical).
+        This is how an inverse transform's ``1/n`` (and a coset's
+        ``g^-i``) cost no pass of their own.
         """
         np, L = self.np, self.L
         lanes = values.shape[-1]
@@ -542,7 +567,8 @@ class _MultiLimbKernel:
                 f"(2^{self.schedule.max_lazy_stages} points) for this "
                 f"limb schedule")
         if n == 1:
-            return values.copy()
+            return values.copy() if exit is None \
+                else self.mul_mont(values, exit)
         half_lanes = lanes // 2
         tabs = self._stage_tables_for(table, n)
         sc = self.scratch(half_lanes)
@@ -583,4 +609,6 @@ class _MultiLimbKernel:
             m *= 2
             stride //= 2
             si += 1
-        return self.reduce_canonical(x, work=y)
+        if exit is None:
+            return self.reduce_canonical(x, work=y)
+        return self.mul_mont(x, exit, work=y)

@@ -210,11 +210,25 @@ def packed_coset_ntt(ops, arr, shift: int,
 
 def packed_coset_intt(ops, arr, shift: int,
                       cache: TwiddleCache | None = None):
-    """:func:`repro.ntt.coset.coset_intt` on a packed array, resident."""
+    """:func:`repro.ntt.coset.coset_intt` on a packed array, resident.
+
+    Where the transform core folds an exit (the limb kernel), one
+    cached ``n^-1 g^-i`` table rides it, so the ``1/n`` and the coset
+    unscaling cost no pass of their own; elsewhere the packed INTT is
+    followed by one table pass.
+    """
+    from repro.field.simd import folds_exit, vectorized_intt
+
     field = ops.field
     if shift % field.modulus == 0:
         raise NTTError("coset shift must be non-zero")
     cache = cache or default_cache
+    if folds_exit(ops):
+        n = arr.shape[-1]
+        table = cache.packed_powers(
+            field, field.inv(shift), n, ops.pack_table, fmt=ops.fmt,
+            scale=field.inv(n % field.modulus))
+        return vectorized_intt(ops, arr, cache, exit=table)
     coeffs = packed_intt(ops, arr, cache)
     return _scale_by_powers(ops, coeffs, field.inv(shift), cache)
 

@@ -31,7 +31,8 @@ from repro.errors import NTTError
 from repro.field.prime_field import PrimeField
 from repro.ntt.twiddle import TwiddleCache, default_cache
 
-__all__ = ["LaneOps", "vectorized_ntt", "vectorized_intt"]
+__all__ = ["LaneOps", "vectorized_ntt", "vectorized_intt", "folds_exit",
+           "scale_column"]
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,10 @@ class LaneOps:
     ``pack_table`` packs twiddle tables (possibly in a different
     domain, e.g. Montgomery form), ``ntt_core`` runs the whole
     transform in backend-native form instead of the generic Stockham
-    loop below (called as ``ntt_core(values, table, batch)``, with the
-    size-major batch layout of :func:`vectorized_ntt`), and ``fmt``
-    keys the packed-twiddle cache.
+    loop below (called as ``ntt_core(values, table, batch, exit)``,
+    with the size-major batch layout of :func:`vectorized_ntt` and an
+    optional ``pack_table``-format exit multiplier), and ``fmt`` keys
+    the packed-twiddle cache.
     """
 
     field: PrimeField
@@ -84,12 +86,16 @@ def _check_size(n: int) -> None:
 
 def vectorized_ntt(ops: LaneOps, values: np.ndarray,
                    cache: TwiddleCache | None = None,
-                   root: int | None = None, batch: int = 1) -> np.ndarray:
+                   root: int | None = None, batch: int = 1,
+                   exit: np.ndarray | None = None) -> np.ndarray:
     """Forward NTT with whole-stage numpy butterflies (Stockham autosort).
 
     ``batch`` > 1 transforms ``batch`` vectors of ``lanes / batch``
     points each, stored size-major (see the module docstring); ``root``
-    is then the primitive root of one vector's size.
+    is then the primitive root of one vector's size.  ``exit``, a
+    ``pack_table``-format column or size-major table, multiplies the
+    output inside ``ntt_core``'s exit (backends with an ``ntt_core``
+    only; see :func:`folds_exit`).
     """
     lanes = values.shape[-1] if values.ndim > 1 else len(values)
     if batch < 1 or lanes % batch:
@@ -97,15 +103,17 @@ def vectorized_ntt(ops: LaneOps, values: np.ndarray,
             f"{lanes} lanes do not split into {batch} equal transforms")
     n = lanes // batch
     _check_size(n)
+    if exit is not None and not folds_exit(ops):
+        raise NTTError("this backend has no kernel exit to fold into")
     cache = cache or default_cache
     if n == 1:
-        return values.copy()
+        return values.copy() if exit is None else ops.mul_mont(values, exit)
     field = ops.field
     w = field.root_of_unity(n) if root is None else root
     table = cache.packed_powers(
         field, w, n // 2, ops.pack_table or ops.pack, fmt=ops.fmt)
     if ops.ntt_core is not None:
-        return ops.ntt_core(values, table, batch)
+        return ops.ntt_core(values, table, batch, exit)
 
     x = values.copy()
     y = np.empty_like(x)
@@ -129,16 +137,43 @@ def vectorized_ntt(ops: LaneOps, values: np.ndarray,
     return x
 
 
+def folds_exit(ops: LaneOps) -> bool:
+    """Whether ``ops``' transform core takes an exit multiplier.
+
+    The limb kernel's ``ntt_core`` does, with ``pack_table``
+    (Montgomery-form) operands; the generic u64 Stockham loop scales
+    in a pass of its own.
+    """
+    return (ops.ntt_core is not None and ops.pack_table is not None
+            and ops.mul_mont is not None)
+
+
+def scale_column(ops: LaneOps, value: int, cache: TwiddleCache):
+    """The cached ``pack_table`` column of one scalar (an exit operand)."""
+    return cache.packed_powers(ops.field, 1, 1, ops.pack_table,
+                               fmt=ops.fmt, scale=value)
+
+
 def vectorized_intt(ops: LaneOps, values: np.ndarray,
                     cache: TwiddleCache | None = None,
-                    root: int | None = None) -> np.ndarray:
-    """Inverse vectorized NTT (includes the 1/n scaling)."""
+                    root: int | None = None,
+                    exit: np.ndarray | None = None) -> np.ndarray:
+    """Inverse vectorized NTT (includes the 1/n scaling).
+
+    Where the core folds an exit (:func:`folds_exit`), the ``1/n``
+    rides it: by default as the cached ``1/n`` column, or as ``exit``,
+    a ``pack_table``-format table that already carries the ``1/n``
+    (the coset INTT's ``n^-1 g^-i``).  Elsewhere the output is scaled
+    by ``1/n`` in a pass of its own, and ``exit`` must be ``None``.
+    """
     n = values.shape[-1] if values.ndim > 1 else len(values)
     _check_size(n)
     cache = cache or default_cache
-    if n == 1:
+    if n == 1 and exit is None:
         return values.copy()
     field = ops.field
     w = field.root_of_unity(n) if root is None else root
-    out = vectorized_ntt(ops, values, cache, root=field.inv(w))
-    return ops.scale(out, field.inv(n))
+    if folds_exit(ops) and exit is None:
+        exit = scale_column(ops, field.inv(n), cache)
+    out = vectorized_ntt(ops, values, cache, root=field.inv(w), exit=exit)
+    return out if folds_exit(ops) else ops.scale(out, field.inv(n))

@@ -11,22 +11,22 @@ Each polynomial owns its shards (the cluster's devices are used as the
 execution engine, not as storage residency), so several polynomials
 coexist and combine.
 
-Shards come in two interchangeable currencies.  The list currency is
-the reference: each shard is a ``list[int]`` and transforms run through
-the engine's materialized phases.  The *packed* currency keeps each
-shard as a backend-native array (``uint64`` lanes, or the ``(L, n)``
-limb planes the big ZKP fields use): staging a packed array keeps it
-packed, transforms run resident on the reassembled array via
+Polynomials come in two interchangeable currencies.  The list currency
+is the reference: each shard is a ``list[int]`` and transforms run
+through the engine's materialized phases.  The *packed* currency keeps
+the whole polynomial resident as **one** backend-native array in
+natural order (``uint64`` lanes, or the ``(L, n)`` limb planes the big
+ZKP fields use): transforms feed that array straight to
 :mod:`repro.field.packed` (bit-identical to the engine — UniNTT *is*
-the full-size transform, just distributed), pointwise legs combine
-shard pairs with the backend lane kernels, and every phase charges the
+the full-size transform, just distributed), each pointwise leg is one
+backend lane call over the whole array, and every phase charges the
 cluster **exactly** what the materialized path would (the exchanges are
 priced through :func:`repro.multigpu.base.exchange_counts` +
-:meth:`repro.sim.cluster.SimCluster.charge_all_to_all`).  Packed shards
-are split and joined with the layout's own
-:meth:`~repro.multigpu.layout.Layout.shard_indices`, the same derived
-map the list currency distributes and collects with.  The packed
-path declines — falling back to lists transparently — when fault
+:meth:`repro.sim.cluster.SimCluster.charge_all_to_all`).  Its per-GPU
+:attr:`~DistributedPolynomial.shards` are derived on demand with the
+layout's own :meth:`~repro.multigpu.layout.Layout.shard_indices`, the
+same derived map the list currency distributes and collects with.  The
+packed path declines — falling back to lists transparently — when fault
 injection or exchange checksums are active, since those need real
 per-message data on the wire.
 """
@@ -34,7 +34,6 @@ per-message data on the wire.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
 
 from repro.errors import PartitionError, ResilienceError
 from repro.field.packed import (
@@ -65,27 +64,11 @@ def _is_packed(values) -> bool:
 
 @lru_cache(maxsize=32)
 def _layout_indices(layout: Layout) -> tuple:
-    """Per-GPU gather indices for packed shard split/join, as arrays."""
+    """Per-GPU gather indices of ``layout`` (packed shards), as arrays."""
     import numpy as np
 
     return tuple(np.asarray(indices, dtype=np.intp)
                  for indices in layout.shard_indices())
-
-
-def _packed_split(arr, layout: Layout) -> list:
-    """Shard a packed array under ``layout`` (element axis last)."""
-    return [arr[..., idx] for idx in _layout_indices(layout)]
-
-
-def _packed_join(shards: Sequence, layout: Layout):
-    """Reassemble the global packed array from per-GPU packed shards."""
-    import numpy as np
-
-    first = shards[0]
-    out = np.empty(first.shape[:-1] + (layout.n,), dtype=first.dtype)
-    for idx, shard in zip(_layout_indices(layout), shards):
-        out[..., idx] = shard
-    return out
 
 
 def _packed_engine_ops(engine: UniNTTEngine, n: int):
@@ -119,19 +102,38 @@ def _packed_engine_ops(engine: UniNTTEngine, n: int):
 class DistributedPolynomial:
     """A degree < n polynomial sharded over a simulated cluster."""
 
-    def __init__(self, engine: UniNTTEngine, shards: list,
-                 form: str, coset_shift: int | None = None):
+    def __init__(self, engine: UniNTTEngine, shards: list | None,
+                 form: str, coset_shift: int | None = None, *,
+                 resident=None):
+        """``shards``: one ``list[int]`` per GPU (the list currency);
+        or ``None`` with ``resident``, the packed currency's one
+        natural-order backend array, which the polynomial then owns."""
         if form not in (_COEFF, _EVAL):
             raise PartitionError(f"unknown form {form!r}")
         self.engine = engine
-        self.shards = shards
         self.form = form
         self.coset_shift = coset_shift
-        self.packed = bool(shards) and _is_packed(shards[0])
+        self._shards = shards
+        self._resident = resident
+        self.packed = resident is not None
         if self.packed:
-            self.n = sum(s.shape[-1] for s in shards)
+            self.n = resident.shape[-1]
         else:
             self.n = sum(len(s) for s in shards)
+
+    @property
+    def shards(self) -> list:
+        """Per-GPU shards under the current form's layout.
+
+        The list currency's own lists; for the packed currency, fresh
+        per-GPU arrays gathered from the resident array on each access
+        (a diagnostic and fallback view: writing one does not change
+        the polynomial).
+        """
+        if self.packed:
+            return [self._resident[..., idx]
+                    for idx in _layout_indices(self._layout())]
+        return self._shards
 
     # -- constructors ---------------------------------------------------------
 
@@ -151,13 +153,13 @@ class DistributedPolynomial:
         if n & (n - 1):
             raise PartitionError(
                 f"{form} count must be a power of two, got {n}")
-        layout = (engine.input_layout(n) if form == _COEFF
-                  else engine.output_layout(n))
         if _is_packed(values):
             if _packed_engine_ops(engine, n) is not None:
-                return cls(engine, _packed_split(values, layout),
-                           form=form, coset_shift=coset_shift)
+                return cls(engine, None, form=form, coset_shift=coset_shift,
+                           resident=values.copy())
             values = host_list(engine.field, values)
+        layout = (engine.input_layout(n) if form == _COEFF
+                  else engine.output_layout(n))
         return cls(engine, distribute(list(values), layout),
                    form=form, coset_shift=coset_shift)
 
@@ -180,22 +182,18 @@ class DistributedPolynomial:
     # -- form changes (each costs the engine's one exchange) ----------------------
 
     def _install(self) -> DistributedVector:
-        layout = (self.engine.input_layout(self.n) if self.form == _COEFF
-                  else self.engine.output_layout(self.n))
         self.engine.cluster.load_shards(self.shards)
         return DistributedVector(cluster=self.engine.cluster,
-                                 layout=layout)
+                                 layout=self._layout())
 
     def _as_lists(self) -> "DistributedPolynomial":
         """The same polynomial with list shards (packed fallback exit)."""
         if not self.packed:
             return self
-        values = host_list(self.field, _packed_join(
-            self.shards, self._layout()))
-        layout = self._layout()
         return DistributedPolynomial(
-            self.engine, distribute(values, layout), form=self.form,
-            coset_shift=self.coset_shift)
+            self.engine, distribute(host_list(self.field, self._resident),
+                                    self._layout()),
+            form=self.form, coset_shift=self.coset_shift)
 
     def _layout(self) -> Layout:
         return (self.engine.input_layout(self.n) if self.form == _COEFF
@@ -240,10 +238,10 @@ class DistributedPolynomial:
 
         UniNTT's forward pass *is* the full n-point (coset) NTT with
         its output permuted into the spectral layout, so running the
-        resident packed transform on the reassembled array and
-        re-sharding under the output layout yields bit-identical shards
-        to the materialized engine — without a single unpack (asserted
-        by the ``pack_stats`` hot counter).
+        packed transform on the resident natural-order array yields the
+        values whose shards under the output layout are bit-identical
+        to the materialized engine's — without a single unpack
+        (asserted by the ``pack_stats`` hot counter).
         """
         engine = self.engine
         ops = _packed_engine_ops(engine, self.n)
@@ -253,10 +251,9 @@ class DistributedPolynomial:
             fallback = self._as_lists()
             return (fallback.to_evaluations(coset_shift) if forward
                     else fallback.to_coefficients())
-        src_layout = self._layout()
         out_layout = (engine.output_layout(self.n) if forward
                       else engine.input_layout(self.n))
-        full = _packed_join(self.shards, src_layout)
+        full = self._resident
         coset = (coset_shift if forward else self.coset_shift) is not None
         shift = coset_shift if forward else self.coset_shift
         injector = engine.cluster.injector
@@ -302,11 +299,11 @@ class DistributedPolynomial:
             checker.record_reexecution(
                 detail=f"packed-{'ntt' if forward else 'intt'}")
         if forward:
-            return DistributedPolynomial(
-                engine, _packed_split(out, out_layout),
-                form=_EVAL, coset_shift=coset_shift)
-        return DistributedPolynomial(
-            engine, _packed_split(out, out_layout), form=_COEFF)
+            return DistributedPolynomial(engine, None, form=_EVAL,
+                                         coset_shift=coset_shift,
+                                         resident=out)
+        return DistributedPolynomial(engine, None, form=_COEFF,
+                                     resident=out)
 
     def _replay_compute_faults(self, out, out_layout: Layout, injector,
                                start: int, stop: int):
@@ -380,8 +377,7 @@ class DistributedPolynomial:
                 lane = ops.add
             else:
                 lane = ops.sub
-            shards = [lane(mine, theirs)
-                      for mine, theirs in zip(self.shards, other.shards)]
+            shards, resident = None, lane(self._resident, other._resident)
         else:
             if op_name == "multiply":
                 combine = vec_mul
@@ -391,6 +387,7 @@ class DistributedPolynomial:
                 combine = vec_sub
             shards = [combine(field, mine, theirs)
                       for mine, theirs in zip(self.shards, other.shards)]
+            resident = None
         eb = self.engine.cluster.element_bytes
         per_gpu = self.n // self.engine.gpu_count
         self.engine.cluster.trace.record(TraceEvent(
@@ -400,7 +397,8 @@ class DistributedPolynomial:
             field_muls=self.n if op_name == "multiply" else 0,
             detail=f"distributed-poly-{op_name}"))
         return DistributedPolynomial(self.engine, shards, form=self.form,
-                                     coset_shift=self.coset_shift)
+                                     coset_shift=self.coset_shift,
+                                     resident=resident)
 
     def __mul__(self, other: "DistributedPolynomial",
                 ) -> "DistributedPolynomial":
@@ -465,12 +463,9 @@ class DistributedPolynomial:
 
     def values(self) -> list[int]:
         """Gather the logical vector (diagnostic; charges nothing)."""
-        from repro.multigpu.layout import collect
-
         if self.packed:
-            return host_list(self.field,
-                             _packed_join(self.shards, self._layout()))
-        return collect(self.shards, self._layout())
+            return host_list(self.field, self._resident)
+        return collect(self._shards, self._layout())
 
     def __repr__(self) -> str:
         coset = f", coset={self.coset_shift}" if self.coset_shift else ""

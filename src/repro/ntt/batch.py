@@ -54,6 +54,27 @@ class StepTable:
             table = self._packed[key] = pack_coefficients(ops, self.values)
         return table
 
+    def exit(self, ops, groups: int, scale: int | None):
+        """The table as a transform exit operand (see ``folds_exit``).
+
+        The ``pack_table`` mirror, permuted from group-major to the
+        size-major order a batch of ``groups`` transforms leaves its
+        output in, and times ``scale`` if given.
+        """
+        p = ops.field.modulus
+        key = (p, ops.fmt, groups, None if scale is None else scale % p)
+        table = self._packed.get(key)
+        if table is None:
+            table = self.packed(ops)
+            if groups > 1:
+                lead, n = table.shape[:-1], table.shape[-1]
+                table = table.reshape(lead + (groups, n // groups)) \
+                    .swapaxes(-1, -2).reshape(lead + (n,))
+            if scale is not None:
+                table = ops.scale(table, scale % p)
+            table = self._packed[key] = table
+        return table
+
 
 def ntt_groups(field: PrimeField, values: Sequence[int], size: int,
                root: int, scale: int | None = None,
@@ -75,8 +96,10 @@ def ntt_groups(field: PrimeField, values: Sequence[int], size: int,
     size-major order, so the shared Stockham driver
     (:func:`repro.field.simd.vectorized_ntt` with ``batch`` = the group
     count) runs every group's butterflies in one pass per stage; the
-    tables and the scaling are one lane op each, and the result is
-    transposed back and unpacked once.  Without lane arithmetic for
+    tables and the scaling are one lane op each (where the transform
+    core takes an exit operand, ``post`` and ``scale`` ride its exit
+    as one table instead), and the result is transposed back and
+    unpacked once.  Without lane arithmetic for
     ``field``, or when the whole vector is shorter than
     :data:`~repro.field.backend.LANE_MIN_SIZE`, the groups are
     transformed one by one.
@@ -118,10 +141,13 @@ def ntt_lanes(ops, packed, size: int, root: int, scale: int | None = None,
     Same arguments and result as :func:`ntt_groups`, but ``packed`` is
     a canonical ``ops`` array and so is the result; the sizes are not
     re-checked.  The input is never written; with ``size`` 1 and no
-    tables or scale the result *is* the input.
+    tables or scale the result *is* the input.  Where
+    :func:`~repro.field.simd.folds_exit` holds and ``size`` > 1,
+    ``post`` and ``scale`` are multiplied in at the transform's exit
+    (:meth:`StepTable.exit`, or the cached ``scale`` column).
     """
     from repro.field.packed import table_mul
-    from repro.field.simd import vectorized_ntt
+    from repro.field.simd import folds_exit, scale_column, vectorized_ntt
 
     cache = cache or default_cache
     n = packed.shape[-1]
@@ -130,10 +156,18 @@ def ntt_lanes(ops, packed, size: int, root: int, scale: int | None = None,
         packed = table_mul(ops)(packed, pre.packed(ops))
     lead = packed.shape[:-1]
     if size > 1:
+        exit = None
+        if folds_exit(ops):  # ``post`` and ``scale`` ride the kernel exit
+            if post is not None:
+                exit = post.exit(ops, groups, scale)
+            elif scale is not None:
+                exit = scale_column(ops, scale % ops.field.modulus, cache)
+            post = scale = None
         if groups > 1:  # group-major -> size-major
             packed = packed.reshape(lead + (groups, size)) \
                 .swapaxes(-1, -2).reshape(lead + (n,))
-        packed = vectorized_ntt(ops, packed, cache, root, batch=groups)
+        packed = vectorized_ntt(ops, packed, cache, root, batch=groups,
+                                exit=exit)
         if groups > 1:  # size-major -> group-major
             packed = packed.reshape(lead + (size, groups)) \
                 .swapaxes(-1, -2).reshape(lead + (n,))

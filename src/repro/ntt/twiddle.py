@@ -77,7 +77,7 @@ class TwiddleCache:
         self._tables: OrderedDict[tuple[int, int, int], list[int]] = \
             OrderedDict()
         self._bitrev: dict[int, list[int]] = {}
-        self._packed: dict[tuple[int, int, int, str], object] = {}
+        self._packed: dict[tuple[int, int, int, str, int], object] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -108,7 +108,7 @@ class TwiddleCache:
             self.evictions += 1
 
     def packed_powers(self, field: PrimeField, root: int, count: int, pack,
-                      fmt: str = "u64"):
+                      fmt: str = "u64", scale: int = 1):
         """:meth:`powers`, packed by ``pack`` into a lane-backend array.
 
         Real kernels keep twiddles resident in device memory in device
@@ -118,12 +118,21 @@ class TwiddleCache:
         format (``u64`` lanes by default; the multi-limb backend passes
         its schedule tag, e.g. ``limb29x9``, and packs tables in
         Montgomery form) so differently-packed mirrors of one table
-        coexist.
+        coexist.  ``scale`` multiplies every entry (``scale * root^i``:
+        an inverse transform's folded ``n^-1 g^-i`` exit table) and is
+        part of the key, so a scaled mirror never stands in for the
+        plain one.  The array handed out is read-only: every caller
+        shares it.
         """
-        key = (field.modulus, root, count, fmt)
+        p = field.modulus
+        key = (p, root, count, fmt, scale % p)
         packed = self._packed.get(key)
         if packed is None:
-            packed = pack(self.powers(field, root, count))
+            table = self.powers(field, root, count)
+            if scale % p != 1:
+                table = [v * scale % p for v in table]
+            packed = pack(table)
+            packed.flags.writeable = False
             self._packed[key] = packed
         return packed
 

@@ -414,3 +414,51 @@ def test_small_fields_behave_like_numpy_backend(rng):
     assert backend.unpack(GOLDILOCKS, backend.mul(
         GOLDILOCKS, packed, backend.pack(GOLDILOCKS, b))) == \
         py.mul(GOLDILOCKS, a, b)
+
+
+@needs_numpy
+@pytest.mark.parametrize("field", BIG_FIELDS + MID_FIELDS[:1],
+                         ids=lambda f: f.name)
+class TestScratch:
+    """One CIOS buffer set, sized for the largest lane count seen."""
+
+    def test_one_buffer_set_serves_every_lane_count(self, field):
+        import numpy as np
+
+        kern = _kernel(field)
+        big = kern.scratch(64)
+        small = kern.scratch(16)
+        for name, view in small.items():
+            assert view.shape[-1] == 16 and view.flags.c_contiguous
+            assert np.shares_memory(view, big[name])
+        assert kern.scratch(64) is big  # views are cached per count
+        grown = kern.scratch(128)
+        assert not np.shares_memory(grown["t"], big["t"])
+        assert np.shares_memory(kern.scratch(16)["t"], grown["t"])
+        assert np.shares_memory(kern.scratch(64)["t"], grown["t"])
+
+    def test_interleaved_lane_counts_stay_exact(self, field, rng):
+        """Kernels at different lane counts share the buffers in turn:
+        none may hold a scratch view across another's call."""
+        from repro.field.simd import vectorized_intt
+        from repro.ntt import intt
+        from repro.ntt.twiddle import TwiddleCache
+
+        backend = NumPyBackend()
+        kern = backend._kernel(field)
+        ops = backend.lane_ops(field)
+        p = field.modulus
+        cache = TwiddleCache()
+        for n in (64, 8, 256, 16, 64):
+            a = field.random_vector(n, rng)
+            b = field.random_vector(n, rng)
+            pa, pb = kern.pack(a), kern.pack(b)
+            assert kern.unpack(kern.mul(pa, pb)) == [
+                x * y % p for x, y in zip(a, b)]
+            assert kern.unpack(kern.mul_scalar(pa, 7)) == [
+                x * 7 % p for x in a]
+            assert kern.unpack(kern.fused_quotient(pa, pb, pa, 3)) == [
+                (x * y - x) * 3 % p for x, y in zip(a, b)]
+            with use_backend("python"):
+                want = intt(field, a)
+            assert kern.unpack(vectorized_intt(ops, pa, cache)) == want

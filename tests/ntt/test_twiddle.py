@@ -129,3 +129,60 @@ class TestCache:
         assert stats["tables"] == 1
         cache.forward(F, 16)
         assert cache.stats()["hits"] == 1
+
+
+class TestPackedPowersKey:
+    """The scale factor is part of a packed mirror's identity."""
+
+    @staticmethod
+    def pack(values):
+        import numpy as np
+
+        return np.array(values, dtype=np.uint64)
+
+    def test_scaled_and_plain_tables_never_collide(self):
+        pytest.importorskip("numpy")
+        cache = TwiddleCache()
+        p, root, count = F.modulus, 17, 16
+        plain = cache.packed_powers(F, root, count, self.pack, fmt="f")
+        half = cache.packed_powers(F, root, count, self.pack, fmt="f",
+                                   scale=F.inv(2))
+        third = cache.packed_powers(F, root, count, self.pack, fmt="f",
+                                    scale=F.inv(3))
+        assert plain.tolist() == [pow(root, i, p) for i in range(count)]
+        assert half.tolist() == [pow(root, i, p) * F.inv(2) % p
+                                 for i in range(count)]
+        assert third.tolist() != half.tolist()
+        # Either order of first use gives the same three tables.
+        other = TwiddleCache()
+        assert other.packed_powers(F, root, count, self.pack, fmt="f",
+                                   scale=F.inv(2)).tolist() == half.tolist()
+        assert other.packed_powers(F, root, count, self.pack,
+                                   fmt="f").tolist() == plain.tolist()
+        # A scale of 1 (mod p) is the plain table itself.
+        assert cache.packed_powers(F, root, count, self.pack, fmt="f",
+                                   scale=p + 1) is plain
+        # The int table is shared and generated once.
+        assert cache.stats()["misses"] == 1
+
+    def test_handed_out_tables_are_read_only(self):
+        pytest.importorskip("numpy")
+        cache = TwiddleCache()
+        for scale in (1, 5):
+            table = cache.packed_powers(F, 3, 8, self.pack, fmt="f",
+                                        scale=scale)
+            before = table.tolist()
+            with pytest.raises(ValueError):
+                table[0] = 0
+            assert cache.packed_powers(F, 3, 8, self.pack, fmt="f",
+                                       scale=scale).tolist() == before
+
+    def test_eviction_drops_every_scaled_mirror(self):
+        pytest.importorskip("numpy")
+        cache = TwiddleCache(max_tables=1)
+        cache.packed_powers(F, 3, 8, self.pack, fmt="f")
+        cache.packed_powers(F, 3, 8, self.pack, fmt="f", scale=5)
+        cache.powers(F, 7, 8)  # evicts the root-3 table and its mirrors
+        assert cache.stats()["evictions"] == 1
+        cache.packed_powers(F, 3, 8, self.pack, fmt="f", scale=5)
+        assert cache.stats()["misses"] == 3
