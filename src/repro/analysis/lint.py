@@ -29,7 +29,7 @@ those rules as AST visitors over ``src/repro/``:
   ``pow(x, e - 2, m)`` computes one modular inverse per call, which on
   BN254-Fr/BLS12-381-Fr costs ~380 squarings each.  Bulk inversion
   belongs in ``vec_inv`` (one inversion per *vector* via Montgomery's
-  batch trick), and the multi-limb backend runs it vectorized.  A
+  batch trick: a linear pass of ~3 multiplies per entry).  A
   scalar inverse in setup code (a twiddle seed, an n^-1 factor)
   carries the same cost but runs once; those sites use
   ``field.inv(...)``, which this check deliberately does not match.

@@ -131,16 +131,7 @@ class FieldBackend(abc.ABC):
     def scale(self, field: "PrimeField", a: Any, s: int) -> Any:
         """Multiply every entry by the scalar ``s``."""
 
-    # -- batched/structured ops ----------------------------------------------
-
-    @abc.abstractmethod
-    def pow_series(self, field: "PrimeField", base: int, n: int,
-                   start: int = 1) -> Any:
-        """Geometric series ``[start, start*base, ..., start*base^(n-1)]``."""
-
-    @abc.abstractmethod
-    def inv(self, field: "PrimeField", a: Any) -> Any:
-        """Element-wise multiplicative inverse (raises on zero entries)."""
+    # -- reductions -----------------------------------------------------------
 
     @abc.abstractmethod
     def dot(self, field: "PrimeField", a: Any, b: Any) -> int:
@@ -213,31 +204,6 @@ class PythonBackend(FieldBackend):
         p = field.modulus
         return [x * s % p for x in a]
 
-    def pow_series(self, field, base, n, start=1):
-        p = field.modulus
-        out = []
-        acc = start % p
-        for _ in range(n):
-            out.append(acc)
-            acc = acc * base % p
-        return out
-
-    def inv(self, field, a):
-        # Montgomery's batch-inversion trick: one field inversion total.
-        p = field.modulus
-        n = len(a)
-        prefix = [1] * (n + 1)
-        for i, v in enumerate(a):
-            if v == 0:
-                raise FieldError(f"batch inversion hit zero at index {i}")
-            prefix[i + 1] = prefix[i] * v % p
-        inv_all = field.inv(prefix[n])
-        out = [0] * n
-        for i in range(n - 1, -1, -1):
-            out[i] = prefix[i] * inv_all % p
-            inv_all = inv_all * a[i] % p
-        return out
-
     def dot(self, field, a, b):
         p = field.modulus
         return sum(x * y for x, y in zip(a, b, strict=True)) % p
@@ -294,18 +260,14 @@ class _Kernel:
     def unpack(self, arr) -> list[int]:
         return arr.tolist()
 
-    # Lane-shape hooks: the structured helpers in NumPyBackend index
-    # along the *element* axis through these, so kernels whose packed
+    # Lane-shape hooks: NumPyBackend's tree sum indexes along the
+    # *element* axis through these, so kernels whose packed
     # form is not 1-D (the limb-plane kernels, shape (L, n) with the
     # element axis last) reuse them unchanged.
 
     def lanes(self, arr) -> int:
         """Number of field elements in a packed array."""
         return arr.shape[-1]
-
-    def zero_mask(self, arr):
-        """Boolean mask (1-D, one entry per element) of zero lanes."""
-        return arr == 0
 
     def lane_int(self, arr, i: int) -> int:
         """Element ``i`` of a packed array as a Python int."""
@@ -400,8 +362,6 @@ class NumPyBackend(FieldBackend):
         return arr
 
     def unpack(self, field, data):
-        if isinstance(data, list):  # pow_series below 8 terms
-            return list(data)
         return self._kernel(field).unpack(data)
 
     def _one(self, field, a):
@@ -454,52 +414,7 @@ class NumPyBackend(FieldBackend):
         kernel, a = self._one(field, a)
         return kernel.mul_scalar(a, s % field.modulus)
 
-    # -- batched/structured ---------------------------------------------------
-
-    def pow_series(self, field, base, n, start=1):
-        if n < 8:
-            return self._python.pow_series(field, base, n, start)
-        # Doubling construction: out[:2k] done => out[k:2k] = out[:k]*b^k,
-        # log2(n) vectorized multiplies instead of n sequential ones.
-        kernel = self._kernel(field)
-        np = kernel.np
-        p = field.modulus
-        base %= p
-        arr = kernel.pack([start % p])
-        while kernel.lanes(arr) < n:
-            bpow = pow(base, kernel.lanes(arr), p)
-            arr = np.concatenate(
-                [arr, kernel.mul_scalar(arr, bpow)], axis=-1)
-        return arr[..., :n]
-
-    def _scan_prod(self, kernel, arr):
-        """Hillis-Steele inclusive prefix product (log n stages)."""
-        out = arr.copy()
-        offset = 1
-        while offset < kernel.lanes(out):
-            out[..., offset:] = kernel.mul(
-                out[..., offset:], out[..., :-offset])
-            offset *= 2
-        return out
-
-    def inv(self, field, a):
-        kernel, a = self._one(field, a)
-        np = kernel.np
-        if kernel.lanes(a) == 0:
-            return a
-        zeros = np.flatnonzero(kernel.zero_mask(a))
-        if zeros.size:
-            raise FieldError(
-                f"batch inversion hit zero at index {int(zeros[0])}")
-        one = kernel.pack([1])
-        incl = self._scan_prod(kernel, a)
-        inv_total = field.inv(kernel.lane_int(incl, -1))
-        prefix = np.concatenate(                        # prod of a[:i]
-            [one, incl[..., :-1]], axis=-1)
-        rincl = self._scan_prod(kernel, a[..., ::-1].copy())
-        suffix = np.concatenate(                        # prod of a[i+1:]
-            [one, rincl[..., :-1]], axis=-1)[..., ::-1]
-        return kernel.mul_scalar(kernel.mul(prefix, suffix), inv_total)
+    # -- reductions -----------------------------------------------------------
 
     def _tree_sum(self, kernel, arr) -> int:
         np = kernel.np

@@ -350,9 +350,6 @@ class _MultiLimbKernel:
     def lanes(self, arr) -> int:
         return arr.shape[-1]
 
-    def zero_mask(self, arr):
-        return ~arr.any(axis=0)
-
     def lane_int(self, arr, i: int) -> int:
         k = self.k
         return sum(int(arr[j, i]) << (k * j) for j in range(self.L))

@@ -9,7 +9,9 @@ Every helper routes through the process-global *compute backend* (see
 :mod:`repro.field.backend` and ``docs/BACKENDS.md``): the pure-Python
 reference by default, or NumPy ``uint64`` lane arithmetic when the
 ``numpy`` backend is active.  The list-in/list-out contract is
-identical either way; backends are bit-exact against each other.
+identical either way; backends are bit-exact against each other.  The
+two sequential table builders, :func:`vec_pow_series` and
+:func:`vec_inv`, are one linear Python pass on every backend.
 
 >>> from repro.field.presets import TEST_FIELD_97
 >>> vec_add(TEST_FIELD_97, [1, 96], [2, 3])
@@ -21,6 +23,7 @@ identical either way; backends are bit-exact against each other.
 from __future__ import annotations
 
 import numbers
+from itertools import accumulate
 from typing import Sequence
 
 from repro.errors import FieldError
@@ -125,19 +128,37 @@ def vec_pow_series(field: PrimeField, base: int, n: int,
                    start: int = 1) -> list[int]:
     """Geometric series ``[start, start*base, ..., start*base^(n-1)]``.
 
-    This is the twiddle-table generator: successive powers of a root.
+    This is the twiddle-table generator: successive powers of a root,
+    built as one running product.
     """
-    backend = get_backend()
-    return backend.unpack(field, backend.pow_series(field, base, n, start))
+    p = field.modulus
+    out = []
+    acc = start % p
+    for _ in range(n):
+        out.append(acc)
+        acc = acc * base % p
+    return out
 
 
 def vec_inv(field: PrimeField, a: Sequence[int]) -> list[int]:
     """Batch inversion via Montgomery's trick: one inversion for n values.
 
-    Raises :class:`FieldError` if any entry is zero.
+    One pass of prefix products, one field inversion of the total, and
+    one backward pass that peels each inverse off it.  Raises
+    :class:`FieldError` naming the first index whose entry is zero
+    mod p.
     """
-    backend = get_backend()
-    return backend.unpack(field, backend.inv(field, a))
+    p = field.modulus
+    prefix = list(accumulate(a, lambda x, y: x * y % p, initial=1))
+    if prefix[-1] == 0:
+        index = next(i for i, v in enumerate(a) if v % p == 0)
+        raise FieldError(f"batch inversion hit zero at index {index}")
+    inv = field.inv(prefix[-1])
+    out = [0] * len(a)
+    for i in range(len(a) - 1, -1, -1):
+        out[i] = prefix[i] * inv % p
+        inv = inv * a[i] % p
+    return out
 
 
 def vec_dot(field: PrimeField, a: Sequence[int], b: Sequence[int]) -> int:

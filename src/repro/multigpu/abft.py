@@ -62,7 +62,7 @@ from typing import Sequence
 from repro.errors import SimulationError
 from repro.field.prime_field import PrimeField
 from repro.field.vector import (
-    vec_dot, vec_inv, vec_mul, vec_pow_series, vec_scale, vec_sub,
+    vec_dot, vec_inv, vec_mul, vec_pow_series, vec_sub,
 )
 from repro.hw.cost import Phase, Step
 from repro.field.packed import RowDotTable
@@ -143,12 +143,14 @@ def geometric_probe(field: PrimeField, t: int, w: int,
     w^(kj)``.
     """
     p = field.modulus
-    # Denominators d[j] = t * w^j - 1, inverted with one batch inversion
-    # (Montgomery's trick inside vec_inv: one field inversion total).
-    d = vec_sub(field, vec_pow_series(field, w, n, start=t), [1] * n)
-    tn = (pow(t, n, p) - 1) % p
-    return (vec_pow_series(field, t, n),
-            vec_scale(field, vec_inv(field, d), tn))
+    # weights[j] = 1 / d[j] with d[j] = (t * w^j - 1) / (t^n - 1): the
+    # numerator folds into the series' start and the subtrahend, and
+    # one batch inversion (Montgomery's trick inside vec_inv: one field
+    # inversion total) yields the weights.
+    tn_inv = field.inv(pow(t, n, p) - 1)
+    d = vec_sub(field, vec_pow_series(field, w, n, start=t * tn_inv),
+                [tn_inv] * n)
+    return vec_pow_series(field, t, n), vec_inv(field, d)
 
 
 def _probe_dot(field: PrimeField, table: RowDotTable, side) -> int:
@@ -201,8 +203,10 @@ class ProbeLedger:
         self.misses += 1
         probe = _build_probe(field, n, direction, self.seed)
         self._probes[key] = probe
-        # Powers of t (n muls) + denominators (n) + batch inversion
-        # (~3n) + final scale (n): ~6n multiplies, paid once per shape.
+        # Priced as the textbook build: powers of t (n muls) +
+        # denominators (n) + batch inversion (~3n) + final scale (n),
+        # ~6n multiplies once per shape.  (The host build folds the
+        # scale into the denominator series: ~5n.)
         return probe, Phase(name="abft-probe-build", field_muls=6 * n), False
 
     def stats(self) -> dict[str, int]:

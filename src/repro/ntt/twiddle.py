@@ -15,9 +15,11 @@ table evicted first), which models finite device memory for resident
 twiddles.
 
 The table *values* are memoized once per process (:func:`_memo_powers`,
-:func:`_memo_bitrev`): a fresh cache that misses copies the shared
-values instead of regenerating them, but still counts and prices the
-miss as its own.  Counts are per cache; values are per process.
+:func:`_memo_bitrev`) as tuples: a fresh cache that misses shares the
+memoized tuple instead of regenerating it, but still counts and prices
+the miss as its own.  Counts are per cache; values are per process, and
+being immutable, no caller's write can reach another caller's
+transform.
 """
 
 from __future__ import annotations
@@ -42,11 +44,18 @@ def bit_reverse(value: int, bits: int) -> int:
 
 
 def bit_reverse_permutation(n: int) -> list[int]:
-    """The permutation ``i -> bit_reverse(i)`` for a power-of-two n."""
+    """The permutation ``i -> bit_reverse(i)`` for a power-of-two n.
+
+    Built by doubling: reversing one more bit sends the permutation of
+    size m to its doubles (top bit 0) followed by its doubles plus one.
+    """
     if n & (n - 1):
         raise NTTError(f"bit-reversal needs a power-of-two size, got {n}")
-    bits = n.bit_length() - 1
-    return [bit_reverse(i, bits) for i in range(n)]
+    perm = [0] if n else []
+    while len(perm) < n:
+        doubled = [2 * x for x in perm]
+        perm = doubled + [x + 1 for x in doubled]
+    return perm
 
 
 @functools.lru_cache(maxsize=64)
@@ -74,22 +83,27 @@ class TwiddleCache:
             raise NTTError(
                 f"max_tables must be >= 1 when set, got {max_tables}")
         self.max_tables = max_tables
-        self._tables: OrderedDict[tuple[int, int, int], list[int]] = \
-            OrderedDict()
-        self._bitrev: dict[int, list[int]] = {}
+        self._tables: OrderedDict[tuple[int, int, int],
+                                  tuple[int, ...]] = OrderedDict()
+        self._bitrev: dict[int, tuple[int, ...]] = {}
         self._packed: dict[tuple[int, int, int, str, int], object] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.generated_entries = 0
 
-    def powers(self, field: PrimeField, root: int, count: int) -> list[int]:
-        """Return ``[1, root, root^2, ..., root^(count-1)]`` mod p."""
+    def powers(self, field: PrimeField, root: int,
+               count: int) -> tuple[int, ...]:
+        """Return ``(1, root, root^2, ..., root^(count-1))`` mod p.
+
+        The table is the process-wide memoized tuple: read-only, shared
+        by every cache that holds it.
+        """
         key = (field.modulus, root, count)
         table = self._tables.get(key)
         if table is None:
             self.misses += 1
-            table = list(_memo_powers(field, root, count))
+            table = _memo_powers(field, root, count)
             self.generated_entries += count
             self._tables[key] = table
             self._evict_over_bound()
@@ -140,19 +154,19 @@ class TwiddleCache:
         """Whether a power table is resident (no counter side effects)."""
         return (field.modulus, root, count) in self._tables
 
-    def forward(self, field: PrimeField, n: int) -> list[int]:
+    def forward(self, field: PrimeField, n: int) -> tuple[int, ...]:
         """Powers of the primitive n-th root (half-table, n/2 entries)."""
         return self.powers(field, field.root_of_unity(n), max(n // 2, 1))
 
-    def inverse(self, field: PrimeField, n: int) -> list[int]:
+    def inverse(self, field: PrimeField, n: int) -> tuple[int, ...]:
         """Powers of the inverse n-th root (half-table)."""
         return self.powers(field, field.inv_root_of_unity(n), max(n // 2, 1))
 
-    def bitrev(self, n: int) -> list[int]:
-        """Cached bit-reversal permutation for size n."""
+    def bitrev(self, n: int) -> tuple[int, ...]:
+        """Cached bit-reversal permutation for size n (a shared tuple)."""
         perm = self._bitrev.get(n)
         if perm is None:
-            perm = self._bitrev[n] = list(_memo_bitrev(n))
+            perm = self._bitrev[n] = _memo_bitrev(n)
         return perm
 
     def clear(self) -> None:

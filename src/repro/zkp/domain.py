@@ -48,8 +48,8 @@ class EvaluationDomain:
         """The domain point ``w^index``."""
         return self.field.pow(self.generator, index % self.size)
 
-    def elements(self) -> list[int]:
-        """All n domain points in index order."""
+    def elements(self) -> tuple[int, ...]:
+        """All n domain points in index order (the shared twiddle tuple)."""
         return self.cache.powers(self.field, self.generator, self.size)
 
     def coset_elements(self, shift: int) -> list[int]:

@@ -1,11 +1,15 @@
 """Tests for twiddle tables and bit reversal."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import NTTError
 from repro.field import TEST_FIELD_7681
-from repro.ntt import TwiddleCache, bit_reverse, bit_reverse_permutation
+from repro.ntt import (
+    TwiddleCache, bit_reverse, bit_reverse_permutation, radix2,
+)
 
 F = TEST_FIELD_7681
 
@@ -42,7 +46,7 @@ class TestCache:
     def test_powers_content(self):
         cache = TwiddleCache()
         table = cache.powers(F, 2, 5)
-        assert table == [1, 2, 4, 8, 16]
+        assert table == (1, 2, 4, 8, 16)
 
     def test_powers_cached_identity(self):
         cache = TwiddleCache()
@@ -119,6 +123,20 @@ class TestCache:
     def test_max_tables_validation(self):
         with pytest.raises(NTTError, match="max_tables"):
             TwiddleCache(max_tables=0)
+
+    def test_handed_out_tables_are_read_only(self):
+        cache = TwiddleCache()
+        values = F.random_vector(16, random.Random(5))
+        before = radix2.ntt(F, values, cache)
+        for table in (cache.forward(F, 16), cache.inverse(F, 16),
+                      cache.powers(F, 3, 8)):
+            with pytest.raises(TypeError):
+                table[1] = 7
+        with pytest.raises(TypeError):
+            cache.bitrev(16)[0] = 1
+        assert radix2.ntt(F, values, cache) == before
+        assert radix2.ntt(F, values, cache) == radix2.ntt(
+            F, values, TwiddleCache())
 
     def test_reset_stats_keeps_tables(self):
         cache = TwiddleCache()

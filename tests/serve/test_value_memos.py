@@ -110,9 +110,10 @@ def test_one_root_under_two_moduli_gives_two_tables():
     cache = TwiddleCache()
     small = cache.powers(TEST_FIELD_7681, root, count)
     big = cache.powers(GOLDILOCKS, root, count)
-    assert small == [pow(root, i, TEST_FIELD_7681.modulus)
-                     for i in range(count)]
-    assert big == [pow(root, i, GOLDILOCKS.modulus) for i in range(count)]
+    assert small == tuple(pow(root, i, TEST_FIELD_7681.modulus)
+                          for i in range(count))
+    assert big == tuple(pow(root, i, GOLDILOCKS.modulus)
+                        for i in range(count))
     assert small != big
     assert cache.stats()["misses"] == 2
 
@@ -123,12 +124,13 @@ def test_a_table_is_not_state_shared_between_caches():
     table = first.forward(field, n)
     perm = first.bitrev(n)
     want_table, want_perm = list(table), list(perm)
-    table[1] = 0
-    perm.reverse()
-    fresh = second.forward(field, n)
-    assert fresh == want_table and fresh is not table
-    assert second.bitrev(n) == want_perm == bit_reverse_permutation(n)
-    # The mutated cache keeps its own (mutated) copy, as before.
+    # Caches share the memoized tuples, so no write can reach them.
+    with pytest.raises(TypeError):
+        table[1] = 0
+    with pytest.raises(AttributeError):
+        perm.reverse()
+    assert list(second.forward(field, n)) == want_table
+    assert list(second.bitrev(n)) == want_perm == bit_reverse_permutation(n)
     assert first.forward(field, n) is table
 
 
