@@ -1,22 +1,9 @@
 """F16: the uniformity demonstration as a regenerable table."""
 
-from repro.bench import format_table, write_report
-from repro.field import GOLDILOCKS
-from repro.sim import uniformity_sweep
+from repro.bench import uniformity_table
 
 
 def test_f16_uniformity(benchmark, emit):
-    def run():
-        headers = ["level", "units", "n", "exchanges",
-                   "exchanged elems/elem", "(U-1)/U"]
-        rows = []
-        for r in uniformity_sweep(GOLDILOCKS, n_per_unit=64):
-            assert r.correct and r.exchanges == 1
-            rows.append([r.level, r.units, r.n, r.exchanges,
-                         r.elements_exchanged_per_element,
-                         (r.units - 1) / r.units])
-        return headers, rows
-
-    table = benchmark(run)
+    table = benchmark(uniformity_table)
     emit("F16_uniformity",
          "F16: one engine at four hierarchy scales (functional)", table)

@@ -1,26 +1,9 @@
-"""F17: the planning layer — tile autotuning and per-level attribution."""
+"""F17: the planning layer — tile autotuning and the tuned bottleneck."""
 
-from repro.bench import format_table
-from repro.field import BLS12_381_FR, GOLDILOCKS
-from repro.hw import ALL_MACHINES, price_plan
-from repro.multigpu import autotune_tile, machine_plan
+from repro.bench import autotune_table
 
 
 def test_f17_autotune(benchmark, emit):
-    def run():
-        headers = ["machine", "field", "best tile", "UniNTT ms",
-                   "plan dominant level"]
-        rows = []
-        n = 1 << 24
-        for machine in ALL_MACHINES:
-            for field in (GOLDILOCKS, BLS12_381_FR):
-                tile, seconds = autotune_tile(machine, field, n)
-                plan = machine_plan(machine, field, n)
-                cost = price_plan(machine, field, plan)
-                rows.append([machine.name, field.name, tile,
-                             seconds * 1e3, cost.dominant_level()])
-        return headers, rows
-
-    table = benchmark(run)
+    table = benchmark(autotune_table)
     emit("F17_autotune",
-         "F17: autotuned tiles and plan-level attribution (2^24)", table)
+         "F17: autotuned tiles and UniNTT bottleneck (2^24)", table)

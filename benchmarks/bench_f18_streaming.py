@@ -1,30 +1,10 @@
 """F18: out-of-core transforms — the host-staging tax and its scaling."""
 
-from repro.field import BLS12_381_FR
-from repro.hw import DGX_A100
-from repro.multigpu import StreamingHostEngine, UniNTTEngine
-from repro.sim import SimCluster
+from repro.bench import streaming_table
 
 
 def test_f18_streaming(benchmark, emit):
-    def run():
-        headers = ["log2(n)", "host GB", "in-memory ms", "streaming ms",
-                   "host tax", "streaming bottleneck"]
-        rows = []
-        cluster = SimCluster(BLS12_381_FR, 8)
-        stream = StreamingHostEngine(cluster)
-        memory = UniNTTEngine(cluster)
-        for log_n in (24, 26, 28, 30):
-            n = 1 << log_n
-            est = stream.estimate(DGX_A100, n)
-            t_mem = memory.estimate(DGX_A100, n).total_s
-            rows.append([
-                log_n, est.host_bytes / 2**30 / 4, t_mem * 1e3,
-                est.total_s * 1e3, est.total_s / t_mem, est.dominant(),
-            ])
-        return headers, rows
-
-    table = benchmark(run)
+    table = benchmark(streaming_table)
     emit("F18_streaming",
          "F18: out-of-core (host-staged) NTT vs in-memory "
          "(DGX-A100, BLS12-381-Fr)", table)

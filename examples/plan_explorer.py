@@ -2,8 +2,8 @@
 
 Shows the UniNTT recursion: how one transform decomposes across the
 warp / block / GPU / multi-GPU hierarchy, that every plan computes the
-identical spectrum, and how the cost model attributes time to each
-hierarchy level.
+identical spectrum, and where the time goes when the cost model prices
+each engine's program phase by phase.
 
 Run:  python examples/plan_explorer.py
 """
@@ -14,9 +14,7 @@ from repro.bench import format_table
 from repro.field import GOLDILOCKS
 from repro.hw import CostModel, DGX_A100
 from repro.multigpu import BaselineFourStepEngine, UniNTTEngine
-from repro.ntt import (
-    balanced_plan, dft, hierarchical_plan, plan_ntt, plan_for_machine_shape,
-)
+from repro.ntt import balanced_plan, dft, hierarchical_plan, plan_ntt
 from repro.sim import SimCluster
 
 
@@ -30,13 +28,9 @@ def show_plans() -> None:
     print(flat.describe())
     print()
 
-    machine_plan = plan_for_machine_shape(n, gpu_count=8, sm_per_gpu=4,
-                                          warps_per_block=2,
-                                          lanes_per_warp=4, leaf_size=8)
+    shaped = hierarchical_plan(n, [8, 4, 2, 4], leaf_size=8)
     print("machine-shaped plan (8 GPUs x 4 SMs x 2 warps x 4 lanes):")
-    print(machine_plan.describe())
-    print()
-    print(f"levels used, outermost first: {machine_plan.levels_used()}")
+    print(shaped.describe())
     print()
 
 
@@ -51,8 +45,7 @@ def verify_equivalence() -> None:
     plans = {
         "leaf-only": balanced_plan(n, leaf_size=n),
         "balanced-16": balanced_plan(n, leaf_size=16),
-        "hierarchy-4x4x4": hierarchical_plan(
-            n, [("multi-gpu", 4), ("gpu", 4), ("warp", 4)], leaf_size=4),
+        "hierarchy-4x4x4": hierarchical_plan(n, [4, 4, 4], leaf_size=4),
     }
     for name, plan in plans.items():
         result = plan_ntt(field, plan, values)

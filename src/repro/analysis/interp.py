@@ -269,7 +269,7 @@ def _staged_redistribute(cluster: SimCluster, source: Layout,
                          target: Layout, base_detail: str) -> None:
     """Two-step relayout through per-node scratch GPUs.
 
-    Mirrors :func:`~repro.analysis.synth.split_exchange` exactly: the
+    Mirrors :func:`~repro.multigpu.schedule.split_exchange` exactly: the
     stage collective keeps every message inside its node (direct
     deliveries plus rail forwarding), the rail collective carries only
     inter-node bundles.  Values genuinely transit the scratch GPU.

@@ -16,8 +16,8 @@ that silently corrupt a multi-GPU NTT:
 * **level mismatch** — a collective charged to a hierarchy level the
   machine model does not have (or to a non-exchange level);
 * **cost-model violations** — non-finite or negative charges from
-  :func:`repro.hw.plancost.price_plan`, or schedule byte totals that
-  disagree with the plan-cost closed form.
+  :func:`repro.hw.plancost.price_schedule`, or schedule byte totals
+  that disagree with the all-to-all closed form.
 
 :func:`seed_bug` injects each bug class deliberately; the test suite
 uses it to prove every detector actually fires.
@@ -51,9 +51,10 @@ CHECKS = (
     Check("plan.bad-transfer", 1,
           "a transfer is malformed (negative bytes, bad endpoints)"),
     Check("plan.cost-invariant", 1,
-          "a priced plan violates PlanCost.validate() invariants"),
+          "a priced schedule violates PlanCost.validate() invariants"),
     Check("plan.cost-mismatch", 1,
-          "schedule exchange bytes disagree with hw.plancost"),
+          "schedule exchange bytes disagree with the all-to-all closed "
+          "form"),
 )
 
 #: Fault kinds :func:`seed_bug` can inject.
@@ -230,69 +231,52 @@ def _wait_cycles(partner_of: tuple[int, ...],
     return cycles
 
 
-def check_cost(machine, field, n: int,
-               schedule: CommSchedule | None = None,
+def check_cost(machine, field, n: int, schedule: CommSchedule,
                delta=None) -> list[Finding]:
-    """Price the multi-GPU split and check the cost-model invariants.
+    """Price ``schedule`` and check it against the all-to-all closed form.
 
-    Builds the one-exchange plan the schedule corresponds to (a single
-    ``multi-gpu``-tagged split), runs
-    :meth:`~repro.hw.plancost.PlanCost.validate`, checks the priced
-    per-unit bytes against the closed-form accounting, and — when a
-    schedule is supplied — checks the schedule's total exchange bytes
-    against the plan cost (per-unit bytes x GPUs x exchanges).
+    Runs :meth:`~repro.hw.plancost.PlanCost.validate` on
+    :func:`~repro.hw.plancost.price_schedule`, then checks the
+    schedule's ``multi-gpu`` bytes against one all-to-all of the
+    ``n``-point transform per ``multi-gpu`` exchange
+    (:func:`~repro.multigpu.accounting.alltoall_bytes_per_gpu` x GPUs x
+    exchanges).  ``machine`` must have every level the schedule uses.
 
     ``delta`` (a :class:`~repro.analysis.passes.ScheduleDelta`,
     optional) re-validates a *declared* accounting change: a
     synthesized schedule whose staging legitimately shifts bytes
-    between levels must still land exactly on flat-plan bytes plus its
+    between levels must still land exactly on the flat bytes plus its
     declaration, per level — an undeclared drift is a cost mismatch.
     """
-    from repro.hw.plancost import price_plan
-    from repro.ntt.plan import leaf, split
+    from repro.hw.plancost import price_schedule
 
-    g = machine.gpu_count
-    m = n // g
+    g = schedule.num_gpus
     where = f"{machine.name} n={n}"
-    plan = split(leaf(g), leaf(m), level="multi-gpu")
-    cost = price_plan(machine, field, plan)
-
     findings = [Finding("plan.cost-invariant", problem, where)
-                for problem in cost.validate()]
+                for problem in price_schedule(machine, field,
+                                              schedule).validate()]
 
-    if schedule is not None:
-        eb = schedule.element_bytes
-    else:
-        from repro.hw.cost import field_limbs
-        eb = field_limbs(field) * 8
-    per_unit = cost.exchange_bytes_by_level.get("multi-gpu", 0)
-    formula = acct.alltoall_bytes_per_gpu(m, g, eb)
-    if per_unit != formula:
+    declared = delta.bytes_dict() if delta is not None else {}
+    exchanges = [op for op in schedule.collective_ops()
+                 if op.level == "multi-gpu"]
+    per_unit = acct.alltoall_bytes_per_gpu(n // g, g,
+                                           schedule.element_bytes)
+    expected = (per_unit * g * len(exchanges)
+                + declared.get("multi-gpu", 0))
+    by_level = schedule.bytes_by_level()
+    actual = by_level.get("multi-gpu", 0)
+    if expected != actual:
         findings.append(Finding(
             "plan.cost-mismatch",
-            f"plancost per-unit bytes {per_unit} != accounting "
-            f"formula {formula}", where))
-
-    if schedule is not None:
-        declared = delta.bytes_dict() if delta is not None else {}
-        exchanges = [op for op in schedule.collective_ops()
-                     if op.level == "multi-gpu"]
-        expected = (per_unit * g * len(exchanges)
-                    + declared.get("multi-gpu", 0))
-        actual = schedule.bytes_by_level().get("multi-gpu", 0)
-        if expected != actual:
+            f"schedule moves {actual} multi-gpu bytes but the all-to-all "
+            f"closed form prices {expected} ({len(exchanges)} "
+            f"exchange(s))", where))
+    for level in sorted(set(declared) - {"multi-gpu"}):
+        if by_level.get(level, 0) != declared[level]:
             findings.append(Finding(
                 "plan.cost-mismatch",
-                f"schedule moves {actual} multi-gpu bytes but plancost "
-                f"prices {expected} ({len(exchanges)} exchange(s))",
-                where))
-        for level in sorted(set(declared) - {"multi-gpu"}):
-            level_actual = schedule.bytes_by_level().get(level, 0)
-            if level_actual != declared[level]:
-                findings.append(Finding(
-                    "plan.cost-mismatch",
-                    f"schedule moves {level_actual} {level} bytes but "
-                    f"declares {declared[level]}", where))
+                f"schedule moves {by_level.get(level, 0)} {level} bytes but "
+                f"declares {declared[level]}", where))
     return findings
 
 

@@ -35,56 +35,14 @@ from repro.analysis.passes import (
 )
 from repro.errors import SchedulePassError
 from repro.multigpu.schedule import (
-    ALL_ON, CommSchedule, ExchangeOp, ScheduleOp, ShardTransfer,
-    UniNTTOptions, build_unintt_schedule, route_via,
+    ALL_ON, CommSchedule, ExchangeOp, ScheduleOp, UniNTTOptions,
+    build_unintt_schedule, route_via, split_exchange,
 )
 
 __all__ = [
     "route_via", "split_exchange", "synthesize_hierarchical",
     "ScheduleCandidate", "enumerate_candidates",
 ]
-
-
-def _matrix_ops(counts: list[list[int]]) -> tuple[ShardTransfer, ...]:
-    g = len(counts)
-    return tuple(
-        ShardTransfer(src=src, dst=dst, nbytes=counts[src][dst])
-        for src in range(g) for dst in range(g)
-        if src != dst and counts[src][dst])
-
-
-def _received(counts: list[list[int]]) -> tuple[int, ...]:
-    g = len(counts)
-    return tuple(
-        sum(counts[src][dst] for src in range(g) if src != dst)
-        for dst in range(g))
-
-
-def split_exchange(op: ExchangeOp, num_gpus: int,
-                   node_size: int) -> tuple[ExchangeOp, ExchangeOp]:
-    """Decompose a flat exchange into its stage + rail op pair."""
-    g = num_gpus
-    stage = [[0] * g for _ in range(g)]
-    rail = [[0] * g for _ in range(g)]
-    for t in op.transfers:
-        via = route_via(t.src, t.dst, node_size)
-        if via == t.dst:
-            stage[t.src][t.dst] += t.nbytes
-        else:
-            stage[t.src][via] += t.nbytes
-            rail[via][t.dst] += t.nbytes
-    staged_tag = f"{op.produces}-staged"
-    stage_op = ExchangeOp(
-        name=f"{op.name}-stage", consumes=op.consumes,
-        produces=staged_tag, transfers=_matrix_ops(stage),
-        expected_in_bytes=_received(stage), level="multi-gpu",
-        source=op.source, target=op.target)
-    rail_op = ExchangeOp(
-        name=f"{op.name}-rail", consumes=staged_tag,
-        produces=op.produces, transfers=_matrix_ops(rail),
-        expected_in_bytes=_received(rail), level="multi-node",
-        source=op.source, target=op.target)
-    return stage_op, rail_op
 
 
 def _crosses_nodes(op: ExchangeOp, node_size: int) -> bool:

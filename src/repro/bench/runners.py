@@ -12,7 +12,7 @@ import time
 from typing import Callable, Sequence, TypeVar
 
 from repro.bench.reporting import geomean
-from repro.field.presets import BLS12_381_FR
+from repro.field.presets import BLS12_381_FR, GOLDILOCKS
 from repro.field.prime_field import PrimeField
 from repro.hw.cost import CostModel
 from repro.hw.machines import ALL_MACHINES, DGX_A100
@@ -31,7 +31,8 @@ __all__ = [
     "multi_gpu_scaling", "headline_speedups", "comm_breakdown",
     "ablation", "end_to_end", "batch_throughput",
     "interconnect_sensitivity", "multi_node_scaling",
-    "stark_end_to_end", "backend_comparison", "resilience_overhead",
+    "stark_end_to_end", "uniformity_table", "autotune_table",
+    "streaming_table", "backend_comparison", "resilience_overhead",
     "serving_throughput", "durability_degradation",
     "bigfield_comparison", "schedule_synthesis", "fleet_scaling",
     "packed_prover_pipeline", "best_of",
@@ -414,7 +415,6 @@ def stark_end_to_end(machine: MachineModel = DGX_A100,
     instead of MSMs, the NTT share of proof time is 60-75% and the
     multi-GPU NTT choice moves whole-proof time by >2x.
     """
-    from repro.field.presets import GOLDILOCKS
     from repro.zkp.stark_model import StarkCostModel
 
     headers = ["log2(trace)", "engine", "ntt ms", "hash ms", "total ms",
@@ -442,6 +442,74 @@ def stark_end_to_end(machine: MachineModel = DGX_A100,
     return headers, rows
 
 
+def uniformity_table(field: PrimeField = GOLDILOCKS,
+                     n_per_unit: int = 64) -> Table:
+    """F16: one engine run functionally at four hierarchy scales.
+
+    Every scale must compute the reference spectrum with exactly one
+    exchange moving ``(U-1)/U`` of each element — the uniformity claim.
+    """
+    from repro.sim.uniform import uniformity_sweep
+
+    headers = ["level", "units", "n", "exchanges",
+               "exchanged elems/elem", "(U-1)/U"]
+    rows = []
+    for r in uniformity_sweep(field, n_per_unit=n_per_unit):
+        if not r.correct or r.exchanges != 1:
+            raise RuntimeError(f"uniformity run failed: {r.summary()}")
+        rows.append([r.level, r.units, r.n, r.exchanges,
+                     r.elements_exchanged_per_element,
+                     (r.units - 1) / r.units])
+    return headers, rows
+
+
+def autotune_table(log_size: int = 24) -> Table:
+    """F17: the autotuned tile and where the tuned UniNTT spends time.
+
+    Both timing columns come from one program-priced
+    :meth:`~repro.multigpu.unintt.UniNTTEngine.estimate` at the tile
+    :func:`~repro.multigpu.autotune.autotune_tile` picks: its total and
+    its dominant resource (compute, HBM memory, or exchange).
+    """
+    from repro.multigpu.autotune import autotune_tile
+
+    headers = ["machine", "field", "best tile", "UniNTT ms",
+               "UniNTT bottleneck"]
+    rows = []
+    n = 1 << log_size
+    for machine in ALL_MACHINES:
+        for field in (GOLDILOCKS, BLS12_381_FR):
+            tile, _ = autotune_tile(machine, field, n)
+            est = UniNTTEngine(SimCluster(field, machine.gpu_count),
+                               tile=tile).estimate(machine, n)
+            rows.append([machine.name, field.name, tile,
+                         est.total_s * 1e3, est.dominant_resource()])
+    return headers, rows
+
+
+def streaming_table(machine: MachineModel = DGX_A100,
+                    field: PrimeField = BLS12_381_FR,
+                    log_sizes: Sequence[int] = (24, 26, 28, 30)) -> Table:
+    """F18: out-of-core (host-staged) transforms against in-memory ones."""
+    from repro.multigpu.streaming import StreamingHostEngine
+
+    headers = ["log2(n)", "host GB", "in-memory ms", "streaming ms",
+               "host tax", "streaming bottleneck"]
+    rows = []
+    cluster = SimCluster(field, machine.gpu_count)
+    stream = StreamingHostEngine(cluster)
+    memory = UniNTTEngine(cluster)
+    for log_n in log_sizes:
+        n = 1 << log_n
+        est = stream.estimate(machine, n)
+        t_mem = memory.estimate(machine, n).total_s
+        rows.append([
+            log_n, est.host_bytes / 2**30 / 4, t_mem * 1e3,
+            est.total_s * 1e3, est.total_s / t_mem, est.dominant(),
+        ])
+    return headers, rows
+
+
 def backend_comparison(log_sizes: Sequence[int] = (10, 12, 14),
                        repeats: int = 3) -> Table:
     """F19: measured field-backend comparison on a real radix-2 NTT.
@@ -456,7 +524,6 @@ def backend_comparison(log_sizes: Sequence[int] = (10, 12, 14),
     import random
 
     from repro.field import available_backends, use_backend
-    from repro.field.presets import GOLDILOCKS
     from repro.ntt.radix2 import ntt
 
     def best_time(backend: str, values: list[int]) -> float:
@@ -584,7 +651,6 @@ def resilience_overhead(log_size: int = 10, gpus: int = 8,
     import random
 
     from repro.analysis.tracecheck import check_trace
-    from repro.field.presets import GOLDILOCKS
     from repro.multigpu.resilience import ResilientNTTEngine
     from repro.ntt import ntt
     from repro.sim.faults import FaultInjector, FaultPlan
@@ -648,7 +714,6 @@ def sdc_defense(log_size: int = 14, gpus: int = 8, reps: int = 8,
     import random
 
     from repro.analysis.tracecheck import check_trace
-    from repro.field.presets import GOLDILOCKS
     from repro.multigpu.resilience import ResilientNTTEngine, RetryPolicy
     from repro.ntt import ntt
     from repro.sim.faults import COMPUTE_KINDS, FaultInjector, FaultPlan
@@ -771,7 +836,6 @@ def durability_degradation(log_size: int = 8,
     """
     from repro.analysis.tracecheck import check_trace
     from repro.errors import ServeError
-    from repro.field.presets import GOLDILOCKS
     from repro.ntt import ntt
     from repro.serve import (
         DegradePolicy, ProofServer, WorkloadSpec, WriteAheadJournal,
@@ -883,7 +947,6 @@ def fleet_scaling(served_requests: int = 96,
     from dataclasses import replace
 
     from repro.analysis.tracecheck import check_trace
-    from repro.field.presets import GOLDILOCKS
     from repro.ntt import intt, ntt
     from repro.serve import (
         FleetPolicy, FleetServer, WorkloadSpec, generate_workload,

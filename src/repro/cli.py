@@ -59,11 +59,11 @@ EXPERIMENTS: dict[str, tuple[Callable[[], tuple], str]] = {
     "f14": (bench_runners.multi_node_scaling, "F14: multi-node scaling"),
     "f15": (bench_runners.stark_end_to_end,
             "F15: STARK end-to-end proof generation"),
-    "f16": (lambda: _uniformity_table(),
+    "f16": (bench_runners.uniformity_table,
             "F16: hierarchy uniformity (functional)"),
-    "f17": (lambda: _autotune_table(),
-            "F17: autotuned tiles and plan attribution"),
-    "f18": (lambda: _streaming_table(),
+    "f17": (bench_runners.autotune_table,
+            "F17: autotuned tiles and UniNTT bottleneck"),
+    "f18": (bench_runners.streaming_table,
             "F18: out-of-core (host-staged) NTT"),
     "f19": (bench_runners.backend_comparison,
             "F19: field backend comparison (measured)"),
@@ -84,57 +84,6 @@ EXPERIMENTS: dict[str, tuple[Callable[[], tuple], str]] = {
     "f27": (bench_runners.sdc_defense,
             "F27: ABFT checksum overhead and SDC detection"),
 }
-
-
-def _streaming_table():
-    from repro.field import BLS12_381_FR
-    from repro.hw import DGX_A100
-    from repro.multigpu import StreamingHostEngine, UniNTTEngine
-    from repro.sim import SimCluster
-
-    headers = ["log2(n)", "in-memory ms", "streaming ms", "host tax"]
-    rows = []
-    cluster = SimCluster(BLS12_381_FR, 8)
-    stream = StreamingHostEngine(cluster)
-    memory = UniNTTEngine(cluster)
-    for log_n in (24, 26, 28, 30):
-        n = 1 << log_n
-        est = stream.estimate(DGX_A100, n)
-        t_mem = memory.estimate(DGX_A100, n).total_s
-        rows.append([log_n, t_mem * 1e3, est.total_s * 1e3,
-                     est.total_s / t_mem])
-    return headers, rows
-
-
-def _autotune_table():
-    from repro.field import BLS12_381_FR, GOLDILOCKS
-    from repro.hw import ALL_MACHINES, price_plan
-    from repro.multigpu import autotune_tile, machine_plan
-
-    headers = ["machine", "field", "best tile", "UniNTT ms",
-               "plan dominant level"]
-    rows = []
-    n = 1 << 24
-    for machine in ALL_MACHINES:
-        for field in (GOLDILOCKS, BLS12_381_FR):
-            tile, seconds = autotune_tile(machine, field, n)
-            plan = machine_plan(machine, field, n)
-            cost = price_plan(machine, field, plan)
-            rows.append([machine.name, field.name, tile, seconds * 1e3,
-                         cost.dominant_level()])
-    return headers, rows
-
-
-def _uniformity_table():
-    from repro.field import GOLDILOCKS
-    from repro.sim import uniformity_sweep
-
-    headers = ["level", "units", "n", "exchanges",
-               "exchanged elems/elem"]
-    rows = [[r.level, r.units, r.n, r.exchanges,
-             r.elements_exchanged_per_element]
-            for r in uniformity_sweep(GOLDILOCKS, n_per_unit=64)]
-    return headers, rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -629,8 +578,6 @@ def _cmd_analyze_optimize(machine_name: str, field_name: str,
     machine = _machine_or_cluster(machine_name)
     field = field_by_name(field_name)
     n = 1 << log_size
-    flat = machine.flattened() if hasattr(machine, "node_count") \
-        else machine
     total = machine.total_gpus if hasattr(machine, "node_count") \
         else machine.gpu_count
 
@@ -642,7 +589,7 @@ def _cmd_analyze_optimize(machine_name: str, field_name: str,
         findings.extend(verify_rewrite(
             cand.base, cand.schedule, machine=cand.machine, field=field,
             delta=cand.delta))
-        findings.extend(check_cost(flat, field, n,
+        findings.extend(check_cost(cand.machine, field, n,
                                    schedule=cand.schedule,
                                    delta=cand.delta))
     choices = select_schedule(machine, field, n)

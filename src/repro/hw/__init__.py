@@ -12,7 +12,7 @@ from repro.hw.multinode import (
     ALL_CLUSTERS, FOUR_NODE_DGX_A100, MultiNodeMachine, cluster_by_name,
 )
 from repro.hw.plancost import (
-    PlanCost, price_plan, price_schedule, schedule_seconds, schedule_steps,
+    PlanCost, price_schedule, schedule_seconds, schedule_steps,
 )
 from repro.hw.serialize import (
     cluster_from_dict, cluster_to_dict, gpu_from_dict, gpu_to_dict,
@@ -33,7 +33,7 @@ __all__ = [
     "DGX1_V100", "DGX_A100", "DGX_H100", "A100_PCIE_NODE",
     "ALL_MACHINES", "machine_by_name",
     "Phase", "PipelinedGroup", "CostModel", "CostBreakdown", "field_limbs",
-    "PlanCost", "price_plan", "price_schedule", "schedule_seconds",
+    "PlanCost", "price_schedule", "schedule_seconds",
     "schedule_steps",
     "gpu_to_dict", "gpu_from_dict", "interconnect_to_dict",
     "interconnect_from_dict", "machine_to_dict", "machine_from_dict",

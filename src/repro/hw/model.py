@@ -31,7 +31,8 @@ class LevelSpec:
     Attributes
     ----------
     name:
-        Level name; matches the ``level`` tags in decomposition plans.
+        Level name; matches the ``level`` of the schedule ops charged
+        to this level's fabric.
     fanout:
         Number of child units one parent unit contains (e.g. 32 lanes
         per warp).
@@ -66,11 +67,6 @@ class LevelSpec:
         if self.exchange_latency < 0:
             raise HardwareModelError(
                 f"level {self.name!r}: latency cannot be negative")
-
-    @property
-    def plan_fanout(self) -> int:
-        """Largest power-of-two fanout usable by a radix-2 plan split."""
-        return 1 << (self.fanout.bit_length() - 1)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,14 @@
-"""Pricing decomposition plans against the abstract hierarchy.
+"""Pricing a UniNTT program: the cost model's view of a schedule.
 
-The uniform cost formula behind the paper's methodology: a split node
-with cross-factor R that rides level ℓ exchanges ``(R-1)/R`` of its data
-through ℓ's fabric exactly once (UniNTT's one-exchange property), every
-butterfly costs one multiply, and leaf transforms stream through the
-innermost memory.  Because the formula mentions only the level's
-*parameters* — never its identity — one function prices a plan on any
-machine, which is what lets :func:`repro.multigpu.autotune.machine_plan`
-compare decomposition shapes.
-
-The per-level byte counts produced here are the closed forms the
-functional simulator reproduces (asserted in the test suite for the
-multi-GPU level via the engines, and structurally for inner levels via
-the uniformity harness).
+A transform is priced from its program, the same
+:class:`~repro.multigpu.schedule.CommSchedule` the engines execute:
+:func:`schedule_steps` turns its ops into cost-model steps (the
+engines' ``estimate``), :func:`schedule_seconds` prices them with
+overlap credit (what the autotuner ranks by) and
+:func:`price_schedule` prices them sequentially, level by level, as a
+:class:`PlanCost` the plan verifier validates.  Every byte charged
+here is a byte the program's ops move, so the functional simulator's
+trace reproduces it.
 """
 
 from __future__ import annotations
@@ -20,19 +16,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 
-from repro.errors import PlanError
 from repro.field.prime_field import PrimeField
-from repro.hw.cost import CostModel, field_limbs
+from repro.hw.cost import CostModel
 from repro.hw.model import MachineModel
-from repro.ntt.plan import Plan
 
-__all__ = ["PlanCost", "price_plan", "price_schedule", "schedule_steps",
+__all__ = ["PlanCost", "price_schedule", "schedule_steps",
            "schedule_seconds"]
 
 
 @dataclass
 class PlanCost:
-    """Per-level charges and the modeled total for one plan execution."""
+    """Per-level charges and the modeled total for one transform."""
 
     total_s: float
     compute_s: float
@@ -45,13 +39,6 @@ class PlanCost:
     @property
     def exchange_s(self) -> float:
         return sum(self.exchange_s_by_level.values())
-
-    def dominant_level(self) -> str:
-        """The hierarchy level the plan spends the most exchange time on."""
-        if not self.exchange_s_by_level:
-            return "none"
-        return max(self.exchange_s_by_level,
-                   key=self.exchange_s_by_level.get)  # type: ignore
 
     def validate(self) -> list[str]:
         """Check the cost-model invariants; return the violations.
@@ -94,75 +81,6 @@ class PlanCost:
                     f"{parts!r}")
         return problems
 
-
-def price_plan(machine: MachineModel, field: PrimeField,
-               plan: Plan) -> PlanCost:
-    """Price one execution of ``plan`` on ``machine``.
-
-    Every split node tagged with a hierarchy level charges one exchange
-    of ``(R-1)/R`` of the *whole transform's* data at that level (all
-    instances of the node run concurrently across the level's units, so
-    per-unit time uses per-unit bytes).  Untagged splits and leaves
-    charge compute only.
-    """
-    model = CostModel(machine, field)
-    element_bytes = field_limbs(field) * 8
-    n = plan.size
-    level_names = {spec.name for spec in machine.levels(element_bytes)}
-
-    exchange_bytes: dict[str, int] = {}
-    exchange_seconds: dict[str, float] = {}
-    messages: dict[str, int] = {}
-
-    def visit(node: Plan, units_above: int) -> None:
-        """Accumulate exchange charges; ``units_above`` is the product
-        of the cross factors of tagged ancestors on the path."""
-        if node.is_leaf:
-            return
-        child_units = units_above
-        if node.level:
-            if node.level not in level_names:
-                raise PlanError(
-                    f"plan references level {node.level!r} which "
-                    f"{machine.name} does not have")
-            r = node.radix[0]
-            # Each of this level's units holds n / (units_above * r)
-            # elements and exchanges the (r-1)/r remote fraction once.
-            per_unit = n // (units_above * r)
-            nbytes = per_unit * (r - 1) // r * element_bytes
-            exchange_bytes[node.level] = (
-                exchange_bytes.get(node.level, 0) + nbytes)
-            messages[node.level] = messages.get(node.level, 0) + (r - 1)
-            child_units = units_above * r
-        assert node.outer is not None and node.inner is not None
-        visit(node.outer, child_units)
-        visit(node.inner, child_units)
-
-    visit(plan, 1)
-
-    for name, nbytes in exchange_bytes.items():
-        exchange_seconds[name] = model.exchange_seconds(
-            nbytes, name, messages=messages[name])
-
-    # Compute: n/2 log2 n butterflies plus one twiddle scaling per split.
-    log_n = n.bit_length() - 1
-    split_count = sum(1 for node in plan.walk()
-                      if not node.is_leaf)
-    muls = (n // 2) * log_n + split_count * n
-    # Work spreads across every unit of the machine.
-    units = machine.gpu_count
-    compute = model.compute_seconds(muls // max(units, 1))
-
-    total = compute + sum(exchange_seconds.values())
-    return PlanCost(total_s=total, compute_s=compute,
-                    exchange_s_by_level=exchange_seconds,
-                    exchange_bytes_by_level=exchange_bytes,
-                    butterfly_muls=muls)
-
-
-# ---------------------------------------------------------------------------
-# Pricing symbolic schedules (the pass framework's cost oracle)
-# ---------------------------------------------------------------------------
 
 def _op_phase(op, num_gpus: int):
     """One schedule op as a per-GPU :class:`~repro.hw.cost.Phase`.
@@ -234,9 +152,8 @@ def price_schedule(machine: MachineModel, field: PrimeField,
 
     Sequential pricing — no overlap credit — so the result satisfies
     the :meth:`PlanCost.validate` identity ``total = compute +
-    exchange`` and is comparable level-by-level against
-    :func:`price_plan`.  Overlap-aware wall-clock lives in
-    :func:`schedule_seconds`.
+    exchange`` and compares candidates level by level.  Overlap-aware
+    wall-clock lives in :func:`schedule_seconds`.
     """
     from repro.multigpu.schedule import LocalOp
 

@@ -6,8 +6,8 @@ from repro.multigpu.accounting import (
     tile_passes, twiddle_muls,
 )
 from repro.multigpu.autotune import (
-    EngineChoice, ScheduleChoice, autotune_tile, machine_plan,
-    select_engine, select_schedule,
+    EngineChoice, ScheduleChoice, autotune_tile, select_engine,
+    select_schedule,
 )
 from repro.multigpu.abft import (
     AbftChecker, AbftVerdict, ProbeLedger, ProbeVector,
@@ -44,7 +44,7 @@ __all__ = [
     "SingleGpuEngine", "BaselineFourStepEngine", "UniNTTEngine",
     "PairwiseExchangeEngine", "BitrevSpectralLayout",
     "BatchedDistributedNTT",
-    "machine_plan", "autotune_tile", "select_engine", "EngineChoice",
+    "autotune_tile", "select_engine", "EngineChoice",
     "select_schedule", "ScheduleChoice",
     "DistributedPolynomial",
     "StreamingHostEngine", "StreamingEstimate",

@@ -2,10 +2,10 @@
 
 A production transform library does not ask users to pick tile sizes,
 decomposition shapes, or engines — it prices the candidates against the
-machine model and picks.  Three tuners:
+machine model and picks.  Every candidate is priced from the program it
+would run (an engine's ``estimate``, or a schedule's own steps).  Three
+tuners:
 
-* :func:`machine_plan` — build the UniNTT decomposition tree directly
-  from a machine's hierarchy description (fanouts and capacities);
 * :func:`autotune_tile` — choose the fast-memory tile for local
   transform passes: bigger tiles mean fewer global-memory round trips
   but must fit the shared-memory capacity;
@@ -33,27 +33,10 @@ from repro.multigpu.baseline import BaselineFourStepEngine
 from repro.multigpu.pairwise import PairwiseExchangeEngine
 from repro.multigpu.singlegpu import SingleGpuEngine
 from repro.multigpu.unintt import UniNTTEngine
-from repro.ntt.plan import Plan, hierarchical_plan
 from repro.sim.cluster import SimCluster
 
-__all__ = ["machine_plan", "autotune_tile", "select_engine",
-           "EngineChoice", "select_schedule", "ScheduleChoice"]
-
-
-def machine_plan(machine: MachineModel, field: PrimeField, n: int,
-                 leaf_size: int | None = None) -> Plan:
-    """The UniNTT decomposition tree for a machine's actual hierarchy.
-
-    Fanouts come straight from the machine description (GPU count, SM
-    count rounded to a power of two, warps per block, lanes per warp);
-    the leaf is the per-lane register capacity unless overridden.
-    """
-    element_bytes = field_limbs(field) * 8
-    levels = machine.levels(element_bytes)
-    fanouts = [(spec.name, spec.plan_fanout) for spec in levels]
-    if leaf_size is None:
-        leaf_size = max(2, levels[-1].unit_capacity)
-    return hierarchical_plan(n, fanouts, leaf_size=leaf_size)
+__all__ = ["autotune_tile", "select_engine", "EngineChoice",
+           "select_schedule", "ScheduleChoice"]
 
 
 def autotune_tile(machine: MachineModel, field: PrimeField, n: int,

@@ -282,6 +282,43 @@ def route_via(src: int, dst: int, node_size: int) -> int:
     return (src // node_size) * node_size + dst % node_size
 
 
+def split_exchange(op: ExchangeOp, num_gpus: int,
+                   node_size: int) -> tuple[ExchangeOp, ExchangeOp]:
+    """Decompose a flat exchange into its stage + rail op pair.
+
+    The stage op (``multi-gpu``) delivers same-node messages and
+    forwards every cross-node one to the :func:`route_via` GPU; the
+    rail op (``multi-node``) carries those to their destinations.
+    """
+    g = num_gpus
+    stage = [[0] * g for _ in range(g)]
+    rail = [[0] * g for _ in range(g)]
+    for t in op.transfers:
+        via = route_via(t.src, t.dst, node_size)
+        stage[t.src][via] += t.nbytes
+        if via != t.dst:
+            rail[via][t.dst] += t.nbytes
+
+    def exchange(name, consumes, produces, counts, level):
+        transfers = tuple(
+            ShardTransfer(src=src, dst=dst, nbytes=counts[src][dst])
+            for src in range(g) for dst in range(g)
+            if src != dst and counts[src][dst])
+        received = [0] * g
+        for t in transfers:
+            received[t.dst] += t.nbytes
+        return ExchangeOp(name=name, consumes=consumes, produces=produces,
+                          transfers=transfers,
+                          expected_in_bytes=tuple(received), level=level,
+                          source=op.source, target=op.target)
+
+    staged_tag = f"{op.produces}-staged"
+    return (exchange(f"{op.name}-stage", op.consumes, staged_tag, stage,
+                     "multi-gpu"),
+            exchange(f"{op.name}-rail", staged_tag, op.produces, rail,
+                     "multi-node"))
+
+
 def make_transfers(source: Layout, target: Layout,
                    element_bytes: int) -> tuple[ShardTransfer, ...]:
     """Enumerate the messages that relayout ``source`` -> ``target``.
@@ -326,7 +363,8 @@ class _Writer:
 
     def relayout(self, name: str, source: Layout, target: Layout,
                  produces: str, level: str = "multi-gpu",
-                 chained: bool = False) -> None:
+                 chained: bool = False, node_size: int = 0) -> None:
+        """One exchange op; with ``node_size``, its stage + rail pair."""
         transfers = make_transfers(source, target, self.element_bytes)
         received = [0] * self.gpu_count
         for t in transfers:
@@ -334,6 +372,9 @@ class _Writer:
         self.add(ExchangeOp, name, produces, transfers=transfers,
                  expected_in_bytes=tuple(received), level=level,
                  pipelined=chained, source=source, target=target)
+        if node_size:
+            self.ops[-1:] = split_exchange(self.ops[-1], self.gpu_count,
+                                           node_size)
 
     def schedule(self, name: str) -> CommSchedule:
         return CommSchedule(name=name, num_gpus=self.gpu_count,
@@ -363,7 +404,9 @@ def build_unintt_schedule(n: int, gpu_count: int, element_bytes: int,
     level on, read through the previous level's spectrum), its exchange
     (``multi-gpu`` for the innermost level, rail-aligned ``multi-node``
     for every outer one) and its cross transforms; last the
-    materializing relayout unless the output stays permuted.  Level
+    materializing relayout unless the output stays permuted (on more
+    than one level, a ``-stage``/``-rail`` pair through the nodes' rail
+    GPUs, :func:`split_exchange`).  Level
     ``i``'s ops carry ``i`` ``inter-`` prefixes.  Every stage layout is
     the :class:`~repro.multigpu.layout.UniNTTLayout` of the fanouts.
     ``inverse`` runs the same loop backwards, scaling by 1/fanout in
@@ -413,6 +456,10 @@ def build_unintt_schedule(n: int, gpu_count: int, element_bytes: int,
 
     w = _Writer(g, eb, fanouts[-1])
     local, relayout = w.local, w.relayout
+    # Across nodes, the natural-order relayout moves bytes inside and
+    # between nodes: it stages through each node's rail GPUs, so every
+    # op rides one fabric.
+    staged = fanouts[-1] if len(fanouts) > 1 else 0
 
     # The coset scaling and the later levels' twiddles: multiplications
     # only (they ride an adjacent kernel) when twiddles are fused, a
@@ -440,10 +487,12 @@ def build_unintt_schedule(n: int, gpu_count: int, element_bytes: int,
             local(f"{pre}cross-ntt", f"{pre}spectral",
                   *cross_charge(fanout), fanout)
         if not options.keep_permuted_output:
-            relayout("unintt-materialize", spectral, block, "natural")
+            relayout("unintt-materialize", spectral, block, "natural",
+                     node_size=staged)
     else:
         if not options.keep_permuted_output:
-            relayout("unintt-dematerialize", block, spectral, "spectral")
+            relayout("unintt-dematerialize", block, spectral, "spectral",
+                     node_size=staged)
         for i, (fanout, pre, level, source, exchanged) in \
                 reversed(list(enumerate(levels))):
             local(f"inv-{pre}cross-ntt", f"inv-{pre}cross",

@@ -9,10 +9,7 @@ from repro.ntt.coset import (
 from repro.ntt.fourstep import (
     four_step_intt, four_step_ntt, six_step_ntt, split_size, transpose_flat,
 )
-from repro.ntt.plan import (
-    Plan, balanced_plan, hierarchical_plan, leaf, plan_for_machine_shape,
-    split,
-)
+from repro.ntt.plan import Plan, balanced_plan, hierarchical_plan, leaf, split
 from repro.ntt.polymul import (
     cyclic_convolution, negacyclic_convolution, next_power_of_two,
     poly_multiply,
@@ -43,7 +40,6 @@ __all__ = [
     "four_step_ntt", "four_step_intt", "six_step_ntt", "split_size",
     "transpose_flat",
     "Plan", "leaf", "split", "balanced_plan", "hierarchical_plan",
-    "plan_for_machine_shape",
     "execute_plan", "execute_plan_inverse", "plan_ntt", "plan_intt",
     "coset_ntt", "coset_intt", "negacyclic_ntt", "negacyclic_intt",
     "negacyclic_shift",

@@ -10,15 +10,10 @@ of the hierarchy (warp, thread block, GPU, multi-GPU) therefore executes
 
 A :class:`Plan` is the static description of that recursion: a binary
 tree whose internal nodes record the (outer=R cross, inner=C local)
-split and which hierarchy level the cross transform is mapped onto.
-Plans are consumed by three clients:
-
-* :mod:`repro.ntt.recursive` — a single-address-space executor used as
-  the functional ground truth for any plan;
-* :mod:`repro.multigpu.unintt` — the distributed engine, which maps the
-  outermost split onto simulated GPUs;
-* :mod:`repro.hw.cost` — the analytic cost model, which walks the tree
-  charging each level's exchanges to that level's fabric.
+split.  :mod:`repro.ntt.recursive` executes any plan in one address
+space, the functional ground truth the distributed UniNTT program
+(:func:`repro.multigpu.schedule.build_unintt_schedule`, which also
+prices the transform) is checked against.
 
 The twiddle scaling between the two halves of a split is attached to the
 split itself (not a standalone pass): executors fuse it into the first
@@ -33,8 +28,7 @@ from typing import Iterator, Sequence
 
 from repro.errors import PlanError
 
-__all__ = ["Plan", "leaf", "split", "hierarchical_plan", "balanced_plan",
-           "plan_for_machine_shape"]
+__all__ = ["Plan", "leaf", "split", "hierarchical_plan", "balanced_plan"]
 
 
 @dataclass(frozen=True)
@@ -50,16 +44,11 @@ class Plan:
         leaf (executed directly with a radix-2/4 kernel).
     inner:
         Plan for the C-point local transform, or ``None`` for a leaf.
-    level:
-        Name of the hierarchy level whose fabric carries the cross
-        transform's butterflies (cost-model attribution); empty for
-        leaves.
     """
 
     size: int
     outer: "Plan | None" = None
     inner: "Plan | None" = None
-    level: str = ""
 
     def __post_init__(self) -> None:
         if self.size < 1 or self.size & (self.size - 1):
@@ -103,20 +92,15 @@ class Plan:
             yield from self.outer.walk()
             yield from self.inner.walk()
 
-    def levels_used(self) -> list[str]:
-        """Hierarchy levels referenced by splits, outermost first."""
-        return [node.level for node in self.walk() if not node.is_leaf]
-
     def describe(self, indent: int = 0) -> str:
         """Human-readable tree rendering for logs and examples."""
         pad = "  " * indent
         if self.is_leaf:
             return f"{pad}leaf[{self.size}]"
         assert self.outer is not None and self.inner is not None
-        label = f" @{self.level}" if self.level else ""
         return "\n".join([
             f"{pad}split[{self.size} = {self.outer.size} x "
-            f"{self.inner.size}]{label}",
+            f"{self.inner.size}]",
             self.outer.describe(indent + 1),
             self.inner.describe(indent + 1),
         ])
@@ -127,14 +111,12 @@ def leaf(size: int) -> Plan:
     return Plan(size=size)
 
 
-def split(outer: Plan, inner: Plan, level: str = "") -> Plan:
+def split(outer: Plan, inner: Plan) -> Plan:
     """Combine an R-plan (cross) and a C-plan (local) into an R*C plan."""
-    return Plan(size=outer.size * inner.size, outer=outer, inner=inner,
-                level=level)
+    return Plan(size=outer.size * inner.size, outer=outer, inner=inner)
 
 
-def balanced_plan(size: int, leaf_size: int = 1 << 10,
-                  level: str = "") -> Plan:
+def balanced_plan(size: int, leaf_size: int = 1 << 10) -> Plan:
     """Recursively halve (in log space) until pieces fit ``leaf_size``.
 
     The generic planner for a single memory space: mimics a blocked
@@ -149,37 +131,36 @@ def balanced_plan(size: int, leaf_size: int = 1 << 10,
         return leaf(size)
     log_n = size.bit_length() - 1
     outer_log = log_n // 2
-    outer = balanced_plan(1 << outer_log, leaf_size, level)
-    inner = balanced_plan(1 << (log_n - outer_log), leaf_size, level)
-    return split(outer, inner, level=level)
+    outer = balanced_plan(1 << outer_log, leaf_size)
+    inner = balanced_plan(1 << (log_n - outer_log), leaf_size)
+    return split(outer, inner)
 
 
-def hierarchical_plan(size: int, fanouts: Sequence[tuple[str, int]],
+def hierarchical_plan(size: int, fanouts: Sequence[int],
                       leaf_size: int = 1 << 10) -> Plan:
-    """Build the UniNTT plan for a machine hierarchy.
+    """Build the UniNTT recursion for a hierarchy's fanouts.
 
-    ``fanouts`` lists the hierarchy outermost-first as (level name,
-    unit count) pairs, e.g. ``[("multi-gpu", 8), ("gpu", 64),
-    ("block", 32), ("warp", 32)]``.  Each level contributes one split
-    whose cross transform has exactly that level's fanout, so the level's
-    fabric carries a fanout-point NTT — the "same computation at a
-    different scale" property.  Whatever remains after all levels is
-    handled by a balanced local plan with ``leaf_size`` leaves.
+    ``fanouts`` lists the unit counts outermost-first, e.g. ``[8, 64,
+    32, 32]`` for GPUs, SMs, warps and lanes.  Each level contributes
+    one split whose cross transform has exactly that level's fanout —
+    the "same computation at a different scale" property.  Whatever
+    remains after all levels is handled by a balanced local plan with
+    ``leaf_size`` leaves.
 
     Levels whose fanout exceeds the remaining size are skipped (a small
     transform may not need the outer levels at all).
     """
     if size < 1 or size & (size - 1):
         raise PlanError(f"plan size must be a power of two, got {size}")
-    for name, fanout in fanouts:
+    for fanout in fanouts:
         if fanout < 1 or fanout & (fanout - 1):
             raise PlanError(
-                f"level {name!r} fanout must be a power of two, got {fanout}")
+                f"level fanout must be a power of two, got {fanout}")
     remaining = size
-    splits: list[tuple[str, int]] = []
-    for name, fanout in fanouts:
+    splits: list[int] = []
+    for fanout in fanouts:
         if fanout >= 2 and remaining // fanout >= 2:
-            splits.append((name, fanout))
+            splits.append(fanout)
             remaining //= fanout
     plan = balanced_plan(remaining, leaf_size=leaf_size) \
         if remaining > 1 else leaf(1)
@@ -188,22 +169,7 @@ def hierarchical_plan(size: int, fanouts: Sequence[tuple[str, int]],
         # the innermost level back into the local plan.
         if not splits:
             return leaf(size)
-        name, fanout = splits.pop()
-        plan = leaf(fanout)
-    for name, fanout in reversed(splits):
-        plan = split(leaf(fanout), plan, level=name)
+        plan = leaf(splits.pop())
+    for fanout in reversed(splits):
+        plan = split(leaf(fanout), plan)
     return plan
-
-
-def plan_for_machine_shape(size: int, gpu_count: int,
-                           sm_per_gpu: int = 64,
-                           warps_per_block: int = 8,
-                           lanes_per_warp: int = 32,
-                           leaf_size: int = 1 << 10) -> Plan:
-    """Convenience wrapper: the standard 4-level GPU-node hierarchy."""
-    return hierarchical_plan(size, [
-        ("multi-gpu", gpu_count),
-        ("gpu", sm_per_gpu),
-        ("block", warps_per_block),
-        ("warp", lanes_per_warp),
-    ], leaf_size=leaf_size)

@@ -12,12 +12,7 @@ class TestLevelSpec:
     def test_valid(self):
         spec = LevelSpec(name="warp", fanout=32, unit_capacity=32,
                          exchange_bandwidth=1e12, exchange_latency=1e-9)
-        assert spec.plan_fanout == 32
-
-    def test_plan_fanout_rounds_down(self):
-        spec = LevelSpec(name="gpu", fanout=108, unit_capacity=1024,
-                         exchange_bandwidth=1e12, exchange_latency=1e-6)
-        assert spec.plan_fanout == 64
+        assert spec.fanout == 32
 
     @pytest.mark.parametrize("kwargs,match", [
         (dict(fanout=0), "fanout"),

@@ -1,83 +1,99 @@
-"""Tests for decomposition-plan pricing."""
+"""Tests for pricing UniNTT programs."""
 
 import pytest
 
-from repro.errors import PlanError
+from repro.errors import HardwareModelError
 from repro.field import BLS12_381_FR, GOLDILOCKS
-from repro.hw import DGX1_V100, DGX_A100, price_plan
-from repro.multigpu import alltoall_bytes_per_gpu, machine_plan
-from repro.ntt import balanced_plan, hierarchical_plan, leaf, split
+from repro.hw import DGX1_V100, DGX_A100, FOUR_NODE_DGX_A100, price_schedule
+from repro.multigpu import alltoall_bytes_per_gpu
+from repro.multigpu.schedule import CommSchedule, LocalOp
+
+
+def unintt(n, gpus, eb, fanouts=()):
+    from repro.multigpu.schedule import build_unintt_schedule
+
+    return build_unintt_schedule(n, gpus, eb, fanouts=fanouts)
 
 
 class TestPricing:
+    """The program is the one pricer: its ops set every charge."""
+
     def test_leaf_plan_has_no_exchanges(self):
-        cost = price_plan(DGX_A100, GOLDILOCKS, leaf(1 << 16))
+        local = LocalOp(name="local-ntt", consumes="input",
+                        produces="local", field_muls_per_gpu=1 << 16,
+                        mem_bytes_per_gpu=1 << 19)
+        cost = price_schedule(DGX_A100, GOLDILOCKS, CommSchedule(
+            name="local", num_gpus=1, element_bytes=8, ops=(local,)))
         assert cost.exchange_bytes_by_level == {}
         assert cost.exchange_s == 0
         assert cost.compute_s > 0
-        assert cost.dominant_level() == "none"
+        assert cost.butterfly_muls == 1 << 16
+
+    def test_untagged_splits_charge_compute_only(self):
+        """A program's local ops charge compute and memory, never an
+        exchange level."""
+        schedule = unintt(1 << 16, 8, 8)
+        local = schedule.with_ops(tuple(
+            op for op in schedule.ops if isinstance(op, LocalOp)))
+        cost = price_schedule(DGX_A100, GOLDILOCKS, local)
+        assert cost.exchange_bytes_by_level == {}
+        assert cost.butterfly_muls == schedule.total_field_muls() > 0
 
     def test_multi_gpu_bytes_match_engine_formula(self):
-        """The plan's multi-GPU charge equals the UniNTT closed form —
-        the uniform formula specialized to the outermost level."""
+        """The priced program's multi-GPU charge is the engine's
+        estimate and the UniNTT closed form."""
+        from repro.multigpu import UniNTTEngine
+        from repro.sim import SimCluster
+
         n = 1 << 24
-        plan = machine_plan(DGX_A100, BLS12_381_FR, n)
-        cost = price_plan(DGX_A100, BLS12_381_FR, plan)
-        expected = alltoall_bytes_per_gpu(n // 8, 8, 32)
-        assert cost.exchange_bytes_by_level["multi-gpu"] == expected
+        cost = price_schedule(DGX_A100, BLS12_381_FR, unintt(n, 8, 32))
+        engine = UniNTTEngine(SimCluster(BLS12_381_FR, 8))
+        assert cost.exchange_bytes_by_level \
+            == engine.estimate(DGX_A100, n).exchange_bytes_by_level \
+            == {"multi-gpu": alltoall_bytes_per_gpu(n // 8, 8, 32)}
 
     def test_total_includes_all_levels(self):
-        n = 1 << 24
-        plan = machine_plan(DGX_A100, BLS12_381_FR, n)
-        cost = price_plan(DGX_A100, BLS12_381_FR, plan)
-        assert set(cost.exchange_bytes_by_level) >= {"multi-gpu", "gpu"}
+        cost = price_schedule(FOUR_NODE_DGX_A100, BLS12_381_FR,
+                              unintt(1 << 20, 32, 32, fanouts=(4, 8)))
+        assert set(cost.exchange_bytes_by_level) \
+            == {"multi-gpu", "multi-node"}
         assert cost.total_s == pytest.approx(
             cost.compute_s + cost.exchange_s)
 
     def test_unknown_level_rejected(self):
-        plan = split(leaf(4), leaf(4), level="tpu-pod")
-        with pytest.raises(PlanError, match="tpu-pod"):
-            price_plan(DGX_A100, GOLDILOCKS, plan)
-
-    def test_untagged_splits_charge_compute_only(self):
-        plan = balanced_plan(1 << 16, leaf_size=64)  # no level tags
-        cost = price_plan(DGX_A100, GOLDILOCKS, plan)
-        assert cost.exchange_bytes_by_level == {}
-        assert cost.butterfly_muls > 0
-
-    def test_nested_units_reduce_inner_volume(self):
-        """Inner levels each see 1/R of the data per unit."""
-        n = 1 << 20
-        plan = hierarchical_plan(n, [("multi-gpu", 8), ("gpu", 64)],
-                                 leaf_size=1 << 10)
-        cost = price_plan(DGX_A100, BLS12_381_FR, plan)
-        outer = cost.exchange_bytes_by_level["multi-gpu"]
-        inner = cost.exchange_bytes_by_level["gpu"]
-        # outer: (n/8)*(7/8)*32; inner: (n/(8*64))*(63/64)*32.
-        assert outer == (n // 8) * 7 // 8 * 32
-        assert inner == (n // (8 * 64)) * 63 // 64 * 32
+        schedule = unintt(1 << 12, 32, 8, fanouts=(4, 8))
+        with pytest.raises(HardwareModelError, match="multi-node"):
+            price_schedule(FOUR_NODE_DGX_A100.flattened(), GOLDILOCKS,
+                           schedule)
 
     def test_machine_comparison(self):
-        """The same plan is cheaper on the faster machine."""
-        n = 1 << 24
-        plan = hierarchical_plan(n, [("multi-gpu", 8)], leaf_size=1 << 12)
-        slow = price_plan(DGX1_V100, BLS12_381_FR, plan).total_s
-        fast = price_plan(DGX_A100, BLS12_381_FR, plan).total_s
+        """The same program is cheaper on the faster machine."""
+        schedule = unintt(1 << 24, 8, 32)
+        slow = price_schedule(DGX1_V100, BLS12_381_FR, schedule).total_s
+        fast = price_schedule(DGX_A100, BLS12_381_FR, schedule).total_s
         assert fast < slow
 
+    def test_nested_units_reduce_inner_volume(self):
+        """Each level's exchange moves (f-1)/f of every GPU's shard,
+        with f that level's own fanout."""
+        n, m = 1 << 20, (1 << 20) // 32
+        cost = price_schedule(FOUR_NODE_DGX_A100, BLS12_381_FR,
+                              unintt(n, 32, 32, fanouts=(4, 8)))
+        assert cost.exchange_bytes_by_level == {
+            "multi-gpu": m * 7 // 8 * 32, "multi-node": m * 3 // 4 * 32}
+
     def test_deeper_decomposition_trades_levels(self):
-        """Adding intra-GPU splits moves bytes off the dominant level
-        only logically — totals stay consistent and positive."""
+        """A node level moves exchange bytes off the network: each GPU
+        sends (N-1)/N of its shard across nodes, not (G-1)/G."""
         n = 1 << 22
-        shallow = hierarchical_plan(n, [("multi-gpu", 8)],
-                                    leaf_size=1 << 16)
-        deep = machine_plan(DGX_A100, BLS12_381_FR, n)
-        c_shallow = price_plan(DGX_A100, BLS12_381_FR, shallow)
-        c_deep = price_plan(DGX_A100, BLS12_381_FR, deep)
-        assert c_shallow.exchange_bytes_by_level["multi-gpu"] == \
-            c_deep.exchange_bytes_by_level["multi-gpu"]
-        assert "gpu" in c_deep.exchange_bytes_by_level
-        assert "gpu" not in c_shallow.exchange_bytes_by_level
+        flat = price_schedule(FOUR_NODE_DGX_A100.flattened(), BLS12_381_FR,
+                              unintt(n, 32, 32))
+        deep = price_schedule(FOUR_NODE_DGX_A100, BLS12_381_FR,
+                              unintt(n, 32, 32, fanouts=(4, 8)))
+        assert flat.exchange_bytes_by_level == {
+            "multi-gpu": alltoall_bytes_per_gpu(n // 32, 32, 32)}
+        assert deep.exchange_bytes_by_level["multi-node"] \
+            < flat.exchange_bytes_by_level["multi-gpu"]
 
 
 class TestPriceSchedule:

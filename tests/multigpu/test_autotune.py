@@ -5,32 +5,7 @@ import pytest
 from repro.errors import HardwareModelError
 from repro.field import BLS12_381_FR, GOLDILOCKS
 from repro.hw import A100_PCIE_NODE, DGX_A100, DGX_H100
-from repro.multigpu import autotune_tile, machine_plan, select_engine
-from repro.ntt import ntt, plan_ntt
-
-
-class TestMachinePlan:
-    def test_outermost_is_gpu_count(self):
-        plan = machine_plan(DGX_A100, GOLDILOCKS, 1 << 20)
-        assert plan.level == "multi-gpu"
-        assert plan.radix[0] == 8
-
-    def test_executes_correctly(self, rng):
-        n = 1 << 10
-        plan = machine_plan(DGX_A100, GOLDILOCKS, n, leaf_size=4)
-        x = GOLDILOCKS.random_vector(n, rng)
-        assert plan_ntt(GOLDILOCKS, plan, x) == ntt(GOLDILOCKS, x)
-
-    def test_small_transform_skips_levels(self):
-        plan = machine_plan(DGX_A100, GOLDILOCKS, 64)
-        assert plan.size == 64
-        assert plan.depth() <= 2
-
-    def test_leaf_size_from_register_capacity(self):
-        plan = machine_plan(DGX_A100, GOLDILOCKS, 1 << 22)
-        leaves = [node.size for node in plan.walk() if node.is_leaf]
-        # default leaf = per-lane register capacity (32 elements)
-        assert max(leaves) <= 64
+from repro.multigpu import autotune_tile, select_engine
 
 
 class TestAutotuneTile:

@@ -25,10 +25,12 @@ from repro.analysis.passes import run_passes
 from repro.analysis.tracecheck import check_trace
 from repro.field import BN254_FR, GOLDILOCKS, use_backend
 from repro.field.backend import numpy_available
-from repro.multigpu import DistributedVector, HierarchicalUniNTTEngine
+from repro.multigpu import (
+    BlockLayout, CyclicLayout, DistributedVector, HierarchicalUniNTTEngine,
+)
 from repro.multigpu.resilience import ResilientNTTEngine
 from repro.multigpu.schedule import (
-    ExchangeOp, LocalOp, build_unintt_schedule,
+    ALL_ON, ExchangeOp, LocalOp, build_unintt_schedule,
 )
 from repro.ntt import radix2
 from repro.sim import SimCluster
@@ -151,6 +153,34 @@ def test_rewritten_two_level_program_still_runs(nodes, per_node):
     assert out.to_values() == radix2.ntt(GOLDILOCKS, values)
     assert engine.cluster.trace.bytes_by_level() \
         == rewritten.bytes_by_level()
+
+
+@pytest.mark.parametrize("nodes,per_node", SHAPES,
+                         ids=[f"{a}x{b}" for a, b in SHAPES])
+@pytest.mark.parametrize("inverse", [False, True], ids=["fwd", "inv"])
+def test_natural_order_program_charges_each_level(nodes, per_node,
+                                                  inverse):
+    """Without kept-permuted output the natural-order relayout crosses
+    nodes; its staged pair charges each level exactly what the cluster
+    books."""
+    from repro.analysis.interp import execute_schedule
+
+    n, g, fanouts = 1 << 8, nodes * per_node, (nodes, per_node)
+    program = build_unintt_schedule(
+        n, g, 8, ALL_ON.without("keep_permuted_output"), inverse=inverse,
+        fanouts=fanouts, pipelined=True)
+    natural = BlockLayout(n=n, gpu_count=g)
+    cyclic = CyclicLayout(n=n, gpu_count=g, fanouts=fanouts)
+    values = GOLDILOCKS.random_vector(n, random.Random(g))
+    spectrum = radix2.ntt(GOLDILOCKS, values)
+    cluster = SimCluster(GOLDILOCKS, g, node_size=per_node)
+    DistributedVector.from_values(cluster, spectrum if inverse else values,
+                                  natural if inverse else cyclic)
+    execute_schedule(program, cluster)
+    out = DistributedVector(cluster=cluster,
+                            layout=cyclic if inverse else natural)
+    assert out.to_values() == (values if inverse else spectrum)
+    assert_runs(cluster.trace, program)
 
 
 def local_steps(nodes, per_node, n):

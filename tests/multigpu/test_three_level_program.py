@@ -9,7 +9,7 @@ theirs, runs through :func:`repro.analysis.interp.execute_schedule`
 with no code specific to three levels; forward and inverse must be
 bit-exact against the radix-2 reference on both list backends, and the
 trace must charge exactly the program's ops, bytes per level and
-multiplications.
+multiplications on every ablation arm.
 """
 
 import random
@@ -99,18 +99,29 @@ def test_every_ablation_runs_on_three_levels(label, options):
     out, trace = run(GOLDILOCKS, values, forward, cyclic,
                      output_layout(n, options))
     assert out == radix2.ntt(GOLDILOCKS, values)
-    if options.keep_permuted_output:
-        assert_charges(trace, forward)
-    else:
-        # The materializing relayout moves bytes inside and across
-        # nodes, but the program books the whole op at "multi-gpu":
-        # only the totals agree.
-        assert sum(trace.bytes_by_level().values()) \
-            == sum(forward.bytes_by_level().values())
-        assert trace.total_field_muls() == forward.total_field_muls()
-    back, _ = run(GOLDILOCKS, out, program(n, 8, options, inverse=True),
-                  output_layout(n, options), cyclic)
+    assert_charges(trace, forward)
+    inverse = program(n, 8, options, inverse=True)
+    back, trace = run(GOLDILOCKS, out, inverse, output_layout(n, options),
+                      cyclic)
     assert back == values
+    assert_charges(trace, inverse)
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["fwd", "inv"])
+def test_natural_order_relayout_stages_through_the_rails(inverse):
+    """Materializing natural order crosses nodes: the program stages it
+    (intra-node ``-stage`` on multi-gpu, rail-aligned ``-rail`` on
+    multi-node), so each op rides one fabric."""
+    options = ALL_ON.without("keep_permuted_output")
+    schedule = program(1 << 8, 8, options, inverse=inverse)
+    base = "unintt-dematerialize" if inverse else "unintt-materialize"
+    stage, rail = [op for op in schedule.ops if op.name.startswith(base)]
+    assert (stage.name, stage.level) == (f"{base}-stage", "multi-gpu")
+    assert (rail.name, rail.level) == (f"{base}-rail", "multi-node")
+    assert all(t.src // NODE == t.dst // NODE for t in stage.transfers)
+    assert rail.transfers and all(
+        t.src // NODE != t.dst // NODE and t.src % NODE == t.dst % NODE
+        for t in rail.transfers)
 
 
 def test_each_level_rides_its_fabric():

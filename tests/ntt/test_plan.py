@@ -3,10 +3,7 @@
 import pytest
 
 from repro.errors import PlanError
-from repro.ntt import (
-    Plan, balanced_plan, hierarchical_plan, leaf, plan_for_machine_shape,
-    split,
-)
+from repro.ntt import Plan, balanced_plan, hierarchical_plan, leaf, split
 
 
 class TestNodeValidation:
@@ -18,11 +15,10 @@ class TestNodeValidation:
         assert node.depth() == 0
 
     def test_split(self):
-        node = split(leaf(4), leaf(8), level="gpu")
+        node = split(leaf(4), leaf(8))
         assert not node.is_leaf
         assert node.size == 32
         assert node.radix == (4, 8)
-        assert node.level == "gpu"
         assert node.depth() == 1
 
     def test_non_power_size_rejected(self):
@@ -44,19 +40,14 @@ class TestNodeValidation:
 
 class TestTraversal:
     def test_walk_preorder(self):
-        tree = split(split(leaf(2), leaf(2), level="a"), leaf(4), level="b")
+        tree = split(split(leaf(2), leaf(2)), leaf(4))
         sizes = [node.size for node in tree.walk()]
         assert sizes == [16, 4, 2, 2, 4]
 
-    def test_levels_used(self):
-        tree = split(leaf(4), split(leaf(2), leaf(2), level="inner"),
-                     level="outer")
-        assert tree.levels_used() == ["outer", "inner"]
-
     def test_describe_renders_tree(self):
-        tree = split(leaf(2), leaf(4), level="gpu")
+        tree = split(leaf(2), leaf(4))
         text = tree.describe()
-        assert "split[8 = 2 x 4] @gpu" in text
+        assert "split[8 = 2 x 4]" in text
         assert "leaf[2]" in text
         assert "leaf[4]" in text
 
@@ -86,43 +77,44 @@ class TestBalancedPlan:
 
 class TestHierarchicalPlan:
     def test_levels_in_order(self):
-        plan = hierarchical_plan(1 << 12, [("multi-gpu", 8), ("gpu", 16),
-                                           ("warp", 4)], leaf_size=4)
-        assert plan.levels_used()[:3] == ["multi-gpu", "gpu", "warp"]
+        plan = hierarchical_plan(1 << 12, [8, 16, 4], leaf_size=4)
+        radixes = []
+        while not plan.is_leaf:
+            radixes.append(plan.radix[0])
+            plan = plan.inner
+        assert radixes[:3] == [8, 16, 4]
 
     def test_outer_split_sizes_match_fanouts(self):
-        plan = hierarchical_plan(1 << 12, [("multi-gpu", 8), ("gpu", 16)],
-                                 leaf_size=16)
+        plan = hierarchical_plan(1 << 12, [8, 16], leaf_size=16)
         assert plan.radix[0] == 8
         assert plan.inner is not None
         assert plan.inner.radix[0] == 16
 
     def test_small_transform_skips_outer_levels(self):
         # 2^4 transform cannot use an 8-way multi-GPU and a 16-way GPU split.
-        plan = hierarchical_plan(16, [("multi-gpu", 8), ("gpu", 16)],
-                                 leaf_size=4)
+        plan = hierarchical_plan(16, [8, 16], leaf_size=4)
         assert plan.size == 16
-        used = plan.levels_used()
-        assert used and used[0] == "multi-gpu"
+        assert plan.radix == (8, 2)
 
     def test_exact_consumption(self):
         """Fanouts that exactly consume the size still produce a plan."""
-        plan = hierarchical_plan(64, [("a", 8), ("b", 8)], leaf_size=2)
+        plan = hierarchical_plan(64, [8, 8], leaf_size=2)
         assert plan.size == 64
 
     def test_non_power_fanout_rejected(self):
         with pytest.raises(PlanError, match="fanout"):
-            hierarchical_plan(64, [("x", 3)])
+            hierarchical_plan(64, [3])
 
     def test_trivial_size(self):
-        assert hierarchical_plan(1, [("a", 8)]).is_leaf
-        assert hierarchical_plan(2, [("a", 8)]).size == 2
+        assert hierarchical_plan(1, [8]).is_leaf
+        assert hierarchical_plan(2, [8]).size == 2
 
 
 class TestMachineShape:
+    """The standard GPU-node hierarchy: GPUs, SMs, warps, lanes."""
+
     def test_standard_shape(self):
-        plan = plan_for_machine_shape(1 << 20, gpu_count=8)
-        assert plan.level == "multi-gpu"
+        plan = hierarchical_plan(1 << 20, [8, 64, 8, 32])
         assert plan.radix[0] == 8
         assert plan.size == 1 << 20
 
@@ -130,8 +122,6 @@ class TestMachineShape:
         from repro.field import TEST_FIELD_7681 as F
         from repro.ntt import ntt, plan_ntt
 
-        plan = plan_for_machine_shape(512, gpu_count=4, sm_per_gpu=4,
-                                      warps_per_block=2, lanes_per_warp=2,
-                                      leaf_size=4)
+        plan = hierarchical_plan(512, [4, 4, 2, 2], leaf_size=4)
         x = F.random_vector(512, rng)
         assert plan_ntt(F, plan, x) == ntt(F, x)

@@ -67,6 +67,20 @@ class TestCommands:
                          "f12", "f14"):
             assert required in EXPERIMENTS
 
+    @pytest.mark.parametrize("exp_id,runner", [
+        ("f16", "uniformity_table"), ("f17", "autotune_table"),
+        ("f18", "streaming_table")])
+    def test_experiment_prints_the_benchmark_runner_table(
+            self, exp_id, runner, capsys):
+        """The CLI and the benchmark file print one runner's table."""
+        from repro.bench import format_table, runners
+
+        headers, rows = getattr(runners, runner)()
+        title = EXPERIMENTS[exp_id][1]
+        assert main(["experiment", exp_id]) == 0
+        assert capsys.readouterr().out \
+            == format_table(headers, rows, title=title) + "\n\n"
+
 
 class TestTraceAndTune:
     def test_trace(self, capsys):
