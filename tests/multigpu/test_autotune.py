@@ -5,7 +5,37 @@ import pytest
 from repro.errors import HardwareModelError
 from repro.field import BLS12_381_FR, GOLDILOCKS
 from repro.hw import A100_PCIE_NODE, DGX_A100, DGX_H100
+from repro.hw.cost import field_limbs
 from repro.multigpu import autotune_tile, select_engine
+from repro.ntt import hierarchical_plan, ntt, plan_ntt
+
+
+def _machine_fanouts(machine, field):
+    """The machine's level fanouts, each rounded down to a power of two."""
+    levels = machine.levels(field_limbs(field) * 8)
+    return [1 << (spec.fanout.bit_length() - 1) for spec in levels]
+
+
+class TestMachinePlan:
+    """A decomposition tree shaped by a machine's hierarchy description."""
+
+    def test_outermost_is_gpu_count(self):
+        fanouts = _machine_fanouts(DGX_A100, GOLDILOCKS)
+        plan = hierarchical_plan(1 << 20, fanouts)
+        assert plan.radix[0] == 8
+
+    def test_executes_correctly(self, rng):
+        n = 1 << 10
+        fanouts = _machine_fanouts(DGX_A100, GOLDILOCKS)
+        plan = hierarchical_plan(n, fanouts, leaf_size=4)
+        x = GOLDILOCKS.random_vector(n, rng)
+        assert plan_ntt(GOLDILOCKS, plan, x) == ntt(GOLDILOCKS, x)
+
+    def test_small_transform_skips_levels(self):
+        fanouts = _machine_fanouts(DGX_A100, GOLDILOCKS)
+        plan = hierarchical_plan(64, fanouts)
+        assert plan.size == 64
+        assert plan.depth() <= 2
 
 
 class TestAutotuneTile:
