@@ -362,7 +362,10 @@ class NumPyBackend(FieldBackend):
         return arr
 
     def unpack(self, field, data):
-        return self._kernel(field).unpack(data)
+        kernel = self._kernel(field)
+        if not isinstance(data, kernel.np.ndarray):
+            return list(data)  # a plain result of the big-int path
+        return kernel.unpack(data)
 
     def _one(self, field, a):
         """The field's kernel and ``a`` packed (if it was not already)."""
@@ -392,25 +395,51 @@ class NumPyBackend(FieldBackend):
                 f"vector length mismatch: {cls._length(a)} vs "
                 f"{cls._length(b)}")
 
+    def _plain_wide(self, field, *operands) -> bool:
+        """Plain (unpacked) operands of a limb-plane field.
+
+        Their element-wise ops, sums and dots run on the big-int path:
+        packing a wide list into limb planes and unpacking the result
+        costs far more than the arithmetic (at 4096 BN254-Fr values a
+        ``vec_sub`` takes ~14x as long through the planes).  Packed
+        arrays keep the lane route.
+        """
+        kernel = self._kernel(field)
+        return isinstance(kernel, _MultiLimbKernel) and not any(
+            isinstance(x, kernel.np.ndarray) for x in operands)
+
     # -- element-wise ---------------------------------------------------------
 
     def add(self, field, a, b):
+        if self._plain_wide(field, a, b):
+            self._check_lengths(a, b)
+            return self._python.add(field, a, b)
         kernel, a, b = self._pair(field, a, b)
         return kernel.add(a, b)
 
     def sub(self, field, a, b):
+        if self._plain_wide(field, a, b):
+            self._check_lengths(a, b)
+            return self._python.sub(field, a, b)
         kernel, a, b = self._pair(field, a, b)
         return kernel.sub(a, b)
 
     def mul(self, field, a, b):
+        if self._plain_wide(field, a, b):
+            self._check_lengths(a, b)
+            return self._python.mul(field, a, b)
         kernel, a, b = self._pair(field, a, b)
         return kernel.mul(a, b)
 
     def neg(self, field, a):
+        if self._plain_wide(field, a):
+            return self._python.neg(field, a)
         kernel, a = self._one(field, a)
         return kernel.neg(a)
 
     def scale(self, field, a, s):
+        if self._plain_wide(field, a):
+            return self._python.scale(field, a, s % field.modulus)
         kernel, a = self._one(field, a)
         return kernel.mul_scalar(a, s % field.modulus)
 
@@ -425,18 +454,15 @@ class NumPyBackend(FieldBackend):
         return kernel.lane_int(arr, 0) if kernel.lanes(arr) else 0
 
     def dot(self, field, a, b):
-        kernel = self._kernel(field)
-        if isinstance(kernel, _MultiLimbKernel) and not (
-                isinstance(a, kernel.np.ndarray)
-                or isinstance(b, kernel.np.ndarray)):
-            # Two plain lists of a wide field: one big-int sum of
-            # products beats packing both operands for a limb tree-sum.
+        if self._plain_wide(field, a, b):
             self._check_lengths(a, b)
             return self._python.dot(field, a, b)
         kernel, a, b = self._pair(field, a, b)
         return self._tree_sum(kernel, kernel.mul(a, b))
 
     def sum(self, field, a):
+        if self._plain_wide(field, a):
+            return self._python.sum(field, a)
         kernel, a = self._one(field, a)
         return self._tree_sum(kernel, a)
 
@@ -450,8 +476,9 @@ class NumPyBackend(FieldBackend):
         if isinstance(kernel, _MultiLimbKernel):
             hooks = dict(
                 unpack=kernel.unpack, pack_table=kernel.pack_table,
-                ntt_core=kernel.ntt_core, fmt=kernel.schedule.fmt,
-                mul_mont=kernel.mul_mont,
+                ntt_core=kernel.ntt_core, ntt_lazy=kernel.ntt_lazy,
+                fmt=kernel.schedule.fmt, mul_mont=kernel.mul_mont,
+                to_table=kernel.to_table, from_table=kernel.from_table,
                 fused_quotient=kernel.fused_quotient,
                 gather_dot=kernel.gather_dot, words=kernel.words)
         return LaneOps(field=field, add=kernel.add, sub=kernel.sub,

@@ -38,6 +38,16 @@ from repro.field.limbgen import LimbSchedule, compile_montmul, generate_schedule
 
 __all__: list[str] = []
 
+#: Stages whose butterfly groups span at least this many lanes reduce
+#: their unit-twiddle group 0 with a Barrett step instead of a montmul
+#: (:meth:`_MultiLimbKernel._twiddle_groups`): the first three montmul
+#: stages of a 2^13-lane transform.  A montmul of a few thousand lanes
+#: costs mostly its ~90 numpy calls, so the lanes group 0 saves pay for
+#: the Barrett step and the row copy only in these wide stages
+#: (1-2% of a 2^12-2^13-lane transform on a 2-vCPU Xeon; at group
+#: spans of 64 lanes a 2^12-point transform ran 11% slower).
+GROUP0_MIN_STRIDE = 512
+
 
 class _MultiLimbKernel:
     """Limb-plane arithmetic for one odd modulus p >= 2^32.
@@ -72,6 +82,7 @@ class _MultiLimbKernel:
             dtype=np.uint64)
         self.twop_i64 = tuple(np.int64(int(v[0])) for v in self.twop_col)
         self.r2_col = self._column(s.r2)
+        self.one_col = self._column(1)
         # Barrett exit: the top two limbs of x against the top chunk of
         # p.  With s = k(L-2) and p_top = p >> s, the estimate
         # q = (x >> s) // (p_top + 1) satisfies q*p <= x (q never
@@ -478,10 +489,23 @@ class _MultiLimbKernel:
         raw = self.pack(values)
         if raw is None:
             raw = self.pack([v % self.p for v in values])
-        sc = self.scratch(raw.shape[-1])
-        out = self.montmul_lazy(raw, self.r2_col, sc)
-        self.norm_seq(out)
-        return self._cond_sub(out)
+        return self.to_table(raw)
+
+    def to_table(self, arr):
+        """A canonical packed array in :meth:`pack_table` form (x*R mod p).
+
+        One montmul against R^2.  :meth:`mul_mont` by the result is a
+        product by ``arr`` at half the montmuls of :meth:`mul`, so an
+        operand multiplied more than once pays this conversion once.
+        """
+        return self.mul_mont(arr, self.r2_col)
+
+    def from_table(self, arr):
+        """The canonical values of a :meth:`to_table` array (x*R -> x).
+
+        One montmul against the plain 1: ``montmul(x*R, 1) = x``.
+        """
+        return self.mul_mont(arr, self.one_col)
 
     def _stage_tables_for(self, table, n: int) -> list:
         """Per-stage ``(L, m)`` twiddle slices for an n-point DIT run.
@@ -553,6 +577,36 @@ class _MultiLimbKernel:
         subtraction finish canonical).
         This is how an inverse transform's ``1/n`` (and a coset's
         ``g^-i``) cost no pass of their own.
+
+        Each stage montmuls its odd halves by their twiddles, except in
+        the wide stages (:data:`GROUP0_MIN_STRIDE`), whose group 0 has
+        the unit twiddle and is Barrett-reduced instead.
+        """
+        if values.shape[-1] == batch:
+            return values.copy() if exit is None \
+                else self.mul_mont(values, exit)
+        x, work = self._stages(values, table, batch)
+        if exit is None:
+            return self.reduce_canonical(x, work=work)
+        return self.mul_mont(x, exit, work=work)
+
+    def ntt_lazy(self, values, table, batch: int = 1):
+        """:meth:`ntt_core` without its exit: the lazy last-stage values.
+
+        A fresh ``(L, batch * n)`` array with canonical limbs and values
+        below R (not below p) that still owes its exit; one
+        :meth:`mul_mont` by a Montgomery-form column or table finishes
+        it, bit-identical to passing that operand as ``ntt_core``'s
+        ``exit``.  Lets a caller defer the exit until it knows what
+        else the same montmul can carry (a following coset scaling).
+        """
+        return self._stages(values, table, batch)[0]
+
+    def _stages(self, values, table, batch: int):
+        """Every butterfly stage of :meth:`ntt_core`: ``(x, work)``.
+
+        ``x`` holds the last stage's lazy values in an array the caller
+        owns (never ``values``); ``work`` is an equally shaped spare.
         """
         np, L = self.np, self.L
         lanes = values.shape[-1]
@@ -564,8 +618,7 @@ class _MultiLimbKernel:
                 f"(2^{self.schedule.max_lazy_stages} points) for this "
                 f"limb schedule")
         if n == 1:
-            return values.copy() if exit is None \
-                else self.mul_mont(values, exit)
+            return values.copy(), np.empty_like(values)
         half_lanes = lanes // 2
         tabs = self._stage_tables_for(table, n)
         sc = self.scratch(half_lanes)
@@ -582,17 +635,19 @@ class _MultiLimbKernel:
                 self.butterfly_stage(x[:, :half_lanes], x[:, half_lanes:],
                                      y0, y1, c0, c1)
             else:
-                # Gather the even half as a strided *view* (it only
-                # feeds the two butterfly passes); copy the odd half
-                # into persistent scratch — the CIOS loop reads it L
-                # times and wants it contiguous.
                 xr = x.reshape(L, m, 2, stride)
-                a = xr[:, :, 0, :]
-                b = sc["b"]
-                np.copyto(b.reshape(L, m, stride), xr[:, :, 1, :])
-                u = self.montmul_lazy(
-                    b, self._widen(tabs[si], sc["tw"], stride), sc)
-                self.butterfly_stage(a, u.reshape(L, m, stride),
+                if stride >= GROUP0_MIN_STRIDE:
+                    u = self._twiddle_groups(xr, tabs[si], sc)
+                else:
+                    # Copy the odd half into persistent scratch — the
+                    # CIOS loop reads it L times and wants it contiguous.
+                    b = sc["b"]
+                    np.copyto(b.reshape(L, m, stride), xr[:, :, 1, :])
+                    u = self.montmul_lazy(
+                        b, self._widen(tabs[si], sc["tw"], stride), sc)
+                # The even half feeds the butterfly as a strided view.
+                self.butterfly_stage(xr[:, :, 0, :],
+                                     u.reshape(L, m, stride),
                                      y0.reshape(L, m, stride),
                                      y1.reshape(L, m, stride),
                                      c0.reshape(m, stride),
@@ -606,6 +661,44 @@ class _MultiLimbKernel:
             m *= 2
             stride //= 2
             si += 1
-        if exit is None:
-            return self.reduce_canonical(x, work=y)
-        return self.mul_mont(x, exit, work=y)
+        return x, y
+
+    def _twiddle_groups(self, xr, stage, sc):
+        """One stage's twiddled odd halves, group 0 without a montmul.
+
+        ``xr`` is the stage input viewed ``(L, m, 2, stride)``,
+        ``stage`` the stage's ``(L, m)`` twiddles and ``sc`` the
+        stage's scratch; returns the odd halves as ``sc["b"]``, shaped
+        ``(L, m * stride)``, every value below 2p.  Group 0's twiddle is
+        1, so its lanes are only *reduced*: the two-limb Barrett step
+        (:meth:`_barrett_lazy`) takes any value below R under 2p, as
+        the montmul by ``1·R`` would, for a fraction of its cost.
+        Groups 1..m-1 run the montmul on contiguous scratch of their
+        own lane count (on row views of the stage's buffers it runs up
+        to 1.8x slower), and one row copy places its result.  The
+        smaller count's scratch aliases ``sc``: it is used up before
+        ``sc["b"]`` is written.
+        """
+        np, L = self.np, self.L
+        _, m, _, stride = xr.shape
+        rest = self.scratch((m - 1) * stride)
+        np.copyto(rest["b"].reshape(L, m - 1, stride), xr[:, 1:, 1, :])
+        np.copyto(rest["tw"].reshape(L, m - 1, stride), stage[:, 1:, None])
+        product = self.montmul_lazy(rest["b"], rest["tw"], rest)
+        u = sc["b"]
+        np.copyto(u[:, stride:], product)
+        self._barrett_lazy(xr[:, 0, 1, :], u[:, :stride])
+        return u
+
+    def _barrett_lazy(self, x, out) -> None:
+        """``out = x - q*p`` below 2p, for canonical limbs ``x`` < R.
+
+        The Barrett estimate of :meth:`reduce_canonical` (see
+        ``p_top1``) without its conditional subtraction; ``out`` gets
+        canonical limbs and must not overlap ``x``.
+        """
+        np = self.np
+        q = ((x[self.L - 1] << self.sh) | x[self.L - 2]) // self.p_top1
+        np.multiply(self.p_col, q, out=out)
+        np.subtract(x, out, out=out)
+        self.norm_seq_signed(out)

@@ -37,6 +37,7 @@ and the coset scaling multiplies the exact same canonical table values.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
@@ -47,6 +48,7 @@ from repro.ntt.twiddle import TwiddleCache, default_cache
 
 __all__ = [
     "PackStats", "pack_stats", "packed_ops", "packed_disabled",
+    "PendingExit",
     "pack_values", "unpack_values", "host_list", "packed_ntt",
     "packed_intt",
     "packed_coset_ntt", "packed_coset_intt", "packed_pad",
@@ -156,6 +158,47 @@ def host_list(field: PrimeField, arr) -> list[int]:
     return host_values(field, arr)
 
 
+@dataclass(frozen=True, eq=False)
+class PendingExit:
+    """An inverse transform's result, short of its exit montmul.
+
+    ``lazy`` holds the transform's last-stage values (below R,
+    canonical limbs: :func:`repro.field.simd.lazy_intt`) and owes one
+    multiplication by ``scale * base^i`` at lane ``i``: ``1/n`` for an
+    INTT, ``n^-1 g^-i`` for an INTT from the coset ``g``.  The exit is
+    the one montmul :func:`~repro.field.simd.vectorized_intt` would
+    have run, so :meth:`resolve` is bit-identical to it; a following
+    coset NTT folds its ``shift^i`` pre-scale into the same montmul
+    (:meth:`resolve` with ``shift``) instead of paying a pass of its
+    own.  Read-only: the lazy array is never written.
+    """
+
+    ops: object
+    lazy: object
+    scale: int
+    base: int = 1
+
+    def resolve(self, cache: TwiddleCache | None = None, shift: int = 1):
+        """The canonical values times ``shift^i``: one exit montmul.
+
+        The operand is the cached ``pack_table`` column of ``scale``
+        where the exit has no per-lane factor, else the cached
+        ``scale * (base * shift)^i`` table.
+        """
+        from repro.field.simd import scale_column
+
+        ops, cache = self.ops, cache or default_cache
+        field = ops.field
+        base = self.base * shift % field.modulus
+        if base == 1:
+            operand = scale_column(ops, self.scale, cache)
+        else:
+            operand = cache.packed_powers(
+                field, base, self.lazy.shape[-1], ops.pack_table,
+                fmt=ops.fmt, scale=self.scale)
+        return ops.mul_mont(self.lazy, operand)
+
+
 def packed_ntt(ops, arr, cache: TwiddleCache | None = None,
                root: int | None = None):
     """Forward NTT on an already-packed array (stays packed)."""
@@ -165,10 +208,20 @@ def packed_ntt(ops, arr, cache: TwiddleCache | None = None,
 
 
 def packed_intt(ops, arr, cache: TwiddleCache | None = None,
-                root: int | None = None):
-    """Inverse NTT on an already-packed array (stays packed)."""
-    from repro.field.simd import vectorized_intt
+                root: int | None = None, *, defer: bool = False):
+    """Inverse NTT on an already-packed array (stays packed).
 
+    With ``defer``, where the transform core folds its exit
+    (:func:`~repro.field.simd.folds_exit`), the result is a
+    :class:`PendingExit` that still owes the ``1/n``.
+    """
+    from repro.field.simd import folds_exit, lazy_intt, vectorized_intt
+
+    field = ops.field
+    if defer and root is None and folds_exit(ops):
+        n = arr.shape[-1]
+        return PendingExit(ops, lazy_intt(ops, arr, cache),
+                           field.inv(n % field.modulus))
     return vectorized_intt(ops, arr, cache or default_cache, root)
 
 
@@ -198,26 +251,34 @@ def packed_coset_ntt(ops, arr, shift: int,
     """:func:`repro.ntt.coset.coset_ntt` on a packed array, resident.
 
     Pre-scales by powers of ``shift`` (one fused pointwise pass), then
-    runs the packed forward transform.  Bit-exact against the list
+    runs the packed forward transform.  A :class:`PendingExit` input
+    takes the pre-scale into its exit montmul instead (one cached
+    ``scale * (base * shift)^i`` table).  Bit-exact against the list
     reference.
     """
     field = ops.field
     if shift % field.modulus == 0:
         raise NTTError("coset shift must be non-zero")
     cache = cache or default_cache
-    return packed_ntt(ops, _scale_by_powers(ops, arr, shift, cache), cache)
+    if isinstance(arr, PendingExit):
+        scaled = arr.resolve(cache, shift % field.modulus)
+    else:
+        scaled = _scale_by_powers(ops, arr, shift, cache)
+    return packed_ntt(ops, scaled, cache)
 
 
 def packed_coset_intt(ops, arr, shift: int,
-                      cache: TwiddleCache | None = None):
+                      cache: TwiddleCache | None = None, *,
+                      defer: bool = False):
     """:func:`repro.ntt.coset.coset_intt` on a packed array, resident.
 
     Where the transform core folds an exit (the limb kernel), one
     cached ``n^-1 g^-i`` table rides it, so the ``1/n`` and the coset
     unscaling cost no pass of their own; elsewhere the packed INTT is
-    followed by one table pass.
+    followed by one table pass.  With ``defer`` (folding cores only)
+    the result is a :class:`PendingExit` that still owes that table.
     """
-    from repro.field.simd import folds_exit, vectorized_intt
+    from repro.field.simd import folds_exit, lazy_intt, vectorized_intt
 
     field = ops.field
     if shift % field.modulus == 0:
@@ -225,9 +286,11 @@ def packed_coset_intt(ops, arr, shift: int,
     cache = cache or default_cache
     if folds_exit(ops):
         n = arr.shape[-1]
-        table = cache.packed_powers(
-            field, field.inv(shift), n, ops.pack_table, fmt=ops.fmt,
-            scale=field.inv(n % field.modulus))
+        scale, base = field.inv(n % field.modulus), field.inv(shift)
+        if defer:
+            return PendingExit(ops, lazy_intt(ops, arr, cache), scale, base)
+        table = cache.packed_powers(field, base, n, ops.pack_table,
+                                    fmt=ops.fmt, scale=scale)
         return vectorized_intt(ops, arr, cache, exit=table)
     coeffs = packed_intt(ops, arr, cache)
     return _scale_by_powers(ops, coeffs, field.inv(shift), cache)

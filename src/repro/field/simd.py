@@ -31,8 +31,8 @@ from repro.errors import NTTError
 from repro.field.prime_field import PrimeField
 from repro.ntt.twiddle import TwiddleCache, default_cache
 
-__all__ = ["LaneOps", "vectorized_ntt", "vectorized_intt", "folds_exit",
-           "scale_column"]
+__all__ = ["LaneOps", "vectorized_ntt", "vectorized_intt", "lazy_intt",
+           "folds_exit", "scale_column"]
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,14 @@ class LaneOps:
     #: words (:func:`repro.field.packed.lane_words`); ``None`` where
     #: each lane already is one ``uint64`` word.
     words: Callable[[np.ndarray], np.ndarray] | None = None
+    #: ``ntt_core`` without its exit (``ntt_lazy(values, table,
+    #: batch)``): the last stage's lazy values, below R with canonical
+    #: limbs, which one ``mul_mont`` by an exit operand finishes.
+    ntt_lazy: Callable[..., np.ndarray] | None = None
+    #: A canonical packed array in ``pack_table`` (Montgomery) form.
+    to_table: Callable[[np.ndarray], np.ndarray] | None = None
+    #: The inverse of ``to_table``: canonical values again.
+    from_table: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def _check_size(n: int) -> None:
@@ -108,10 +116,7 @@ def vectorized_ntt(ops: LaneOps, values: np.ndarray,
     cache = cache or default_cache
     if n == 1:
         return values.copy() if exit is None else ops.mul_mont(values, exit)
-    field = ops.field
-    w = field.root_of_unity(n) if root is None else root
-    table = cache.packed_powers(
-        field, w, n // 2, ops.pack_table or ops.pack, fmt=ops.fmt)
+    table = _twiddles(ops, n, root, cache)
     if ops.ntt_core is not None:
         return ops.ntt_core(values, table, batch, exit)
 
@@ -137,15 +142,25 @@ def vectorized_ntt(ops: LaneOps, values: np.ndarray,
     return x
 
 
+def _twiddles(ops: LaneOps, n: int, root: int | None,
+              cache: TwiddleCache):
+    """The cached packed half-table of an n-point transform's root."""
+    field = ops.field
+    w = field.root_of_unity(n) if root is None else root
+    return cache.packed_powers(
+        field, w, n // 2, ops.pack_table or ops.pack, fmt=ops.fmt)
+
+
 def folds_exit(ops: LaneOps) -> bool:
     """Whether ``ops``' transform core takes an exit multiplier.
 
     The limb kernel's ``ntt_core`` does, with ``pack_table``
-    (Montgomery-form) operands; the generic u64 Stockham loop scales
-    in a pass of its own.
+    (Montgomery-form) operands, and also runs without its exit
+    (``ntt_lazy``, see :func:`lazy_intt`); the generic u64 Stockham
+    loop scales in a pass of its own.
     """
-    return (ops.ntt_core is not None and ops.pack_table is not None
-            and ops.mul_mont is not None)
+    return (ops.ntt_core is not None and ops.ntt_lazy is not None
+            and ops.pack_table is not None and ops.mul_mont is not None)
 
 
 def scale_column(ops: LaneOps, value: int, cache: TwiddleCache):
@@ -177,3 +192,24 @@ def vectorized_intt(ops: LaneOps, values: np.ndarray,
         exit = scale_column(ops, field.inv(n), cache)
     out = vectorized_ntt(ops, values, cache, root=field.inv(w), exit=exit)
     return out if folds_exit(ops) else ops.scale(out, field.inv(n))
+
+
+def lazy_intt(ops: LaneOps, values: np.ndarray,
+              cache: TwiddleCache | None = None) -> np.ndarray:
+    """:func:`vectorized_intt` up to its exit (``folds_exit`` ops only).
+
+    Returns the inverse transform's lazy last-stage values (below R,
+    canonical limbs) in a fresh array; they still owe the ``1/n``.  One
+    ``mul_mont`` by :func:`scale_column` of ``1/n`` finishes them
+    bit-identically to :func:`vectorized_intt`, and one by an ``n^-1
+    g^i`` table lands the same montmul on a coset's scaled values.
+    """
+    n = values.shape[-1]
+    _check_size(n)
+    if not folds_exit(ops):
+        raise NTTError("this backend has no kernel exit to defer")
+    cache = cache or default_cache
+    if n == 1:
+        return values.copy()
+    table = _twiddles(ops, n, ops.field.inv_root_of_unity(n), cache)
+    return ops.ntt_lazy(values, table, 1)

@@ -20,6 +20,7 @@ and exposes the closed-form profiles so the batched-throughput table
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from repro.errors import PartitionError, SimulationError
@@ -41,6 +42,9 @@ __all__ = ["BatchedDistributedNTT", "BatchLanes", "REPLICATE_MAX_LANES"]
 #: Lanes (vectors x points) one host kernel of the replicate route
 #: covers; a larger batch runs as several calls of this size.
 REPLICATE_MAX_LANES = 1 << 13
+
+#: The value type the replicate route packs as it is.
+_INT = frozenset((int,))
 
 
 @dataclass(frozen=True)
@@ -141,8 +145,11 @@ class BatchedDistributedNTT:
         out: list[list[int]] = []
         words: list = []
         for start in range(0, len(batch), per_call):
-            flat = [int(v) for vec in batch[start:start + per_call]
-                    for v in vec]
+            flat = list(chain.from_iterable(batch[start:start + per_call]))
+            if not _INT.issuperset(map(type, flat)):
+                # bools and numpy scalars become ints first: a uint64
+                # pack would cast a negative int64 without reducing it.
+                flat = [int(v) for v in flat]
             ops = sized_lane_ops(field, len(flat))
             if ops is None:
                 result = ntt_groups(field, flat, n, root, scale,

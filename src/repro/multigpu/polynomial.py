@@ -37,8 +37,8 @@ from functools import lru_cache
 
 from repro.errors import PartitionError, ResilienceError
 from repro.field.packed import (
-    host_list, pack_stats, pack_values, packed_coset_intt, packed_coset_ntt,
-    packed_intt, packed_ntt, packed_ops,
+    PendingExit, host_list, pack_stats, pack_values, packed_coset_intt,
+    packed_coset_ntt, packed_intt, packed_ntt, packed_ops,
 )
 from repro.field.prime_field import PrimeField
 from repro.field.vector import vec_add, vec_mul, vec_sub
@@ -107,7 +107,9 @@ class DistributedPolynomial:
                  resident=None):
         """``shards``: one ``list[int]`` per GPU (the list currency);
         or ``None`` with ``resident``, the packed currency's one
-        natural-order backend array, which the polynomial then owns."""
+        natural-order backend array, which the polynomial then owns
+        (or a :class:`~repro.field.packed.PendingExit` that resolves to
+        it: see :meth:`_array`)."""
         if form not in (_COEFF, _EVAL):
             raise PartitionError(f"unknown form {form!r}")
         self.engine = engine
@@ -115,11 +117,49 @@ class DistributedPolynomial:
         self.coset_shift = coset_shift
         self._shards = shards
         self._resident = resident
+        #: ``(key, ops, mirror)`` once the resident array has its
+        #: Montgomery-form mirror (:meth:`_mirror`), else ``None``.
+        self._mont = None
         self.packed = resident is not None
         if self.packed:
-            self.n = resident.shape[-1]
+            lanes = resident.lazy if isinstance(resident, PendingExit) \
+                else resident
+            self.n = lanes.shape[-1]
         else:
             self.n = sum(len(s) for s in shards)
+
+    def _array(self):
+        """The packed currency's resident array, canonical.
+
+        An inverse transform may leave its exit montmul pending
+        (:meth:`_packed_transform`), and a right operand of ``*`` may
+        hold only its Montgomery mirror (:meth:`_mirror`); the first
+        read of the values runs the one montmul that makes them
+        canonical, and keeps the result.
+        """
+        if isinstance(self._resident, PendingExit):
+            self._resident = self._resident.resolve(default_cache)
+        elif self._resident is None:
+            _, ops, mirror = self._mont
+            self._resident = ops.from_table(mirror)
+        return self._resident
+
+    def _mirror(self, ops):
+        """The resident array in Montgomery (``pack_table``) form.
+
+        Made by the first product with this polynomial as its right
+        operand, for that product's (modulus, lane format), and kept,
+        so each later product is one ``mul_mont``.  It replaces the
+        canonical array until something reads the values
+        (:meth:`_array`), so a polynomial that is only multiplied holds
+        one array.  Read-only: every such product shares it.
+        """
+        key = (ops.field.modulus, ops.fmt)
+        if self._mont is None or self._mont[0] != key:
+            mirror = ops.to_table(self._array())
+            mirror.flags.writeable = False
+            self._mont, self._resident = (key, ops, mirror), None
+        return self._mont[2]
 
     @property
     def shards(self) -> list:
@@ -131,7 +171,8 @@ class DistributedPolynomial:
         the polynomial).
         """
         if self.packed:
-            return [self._resident[..., idx]
+            resident = self._array()
+            return [resident[..., idx]
                     for idx in _layout_indices(self._layout())]
         return self._shards
 
@@ -191,7 +232,7 @@ class DistributedPolynomial:
         if not self.packed:
             return self
         return DistributedPolynomial(
-            self.engine, distribute(host_list(self.field, self._resident),
+            self.engine, distribute(host_list(self.field, self._array()),
                                     self._layout()),
             form=self.form, coset_shift=self.coset_shift)
 
@@ -253,11 +294,17 @@ class DistributedPolynomial:
                     else fallback.to_coefficients())
         out_layout = (engine.output_layout(self.n) if forward
                       else engine.input_layout(self.n))
-        full = self._resident
         coset = (coset_shift if forward else self.coset_shift) is not None
         shift = coset_shift if forward else self.coset_shift
         injector = engine.cluster.injector
         checker = getattr(engine, "abft_checker", None)
+        # Unwatched, an inverse leaves its exit pending and a coset
+        # forward folds a pending input's exit into its pre-scale; a
+        # fault replay or an ABFT check reads real values at once.
+        defer = injector is None and checker is None
+        full = self._resident
+        if full is None or not (defer and coset_shift is not None):
+            full = self._array()
         attempt = 0
         while True:
             attempt += 1
@@ -270,9 +317,9 @@ class DistributedPolynomial:
                         out = packed_ntt(ops, full, default_cache)
                 elif self.coset_shift is not None:
                     out = packed_coset_intt(ops, full, self.coset_shift,
-                                            default_cache)
+                                            default_cache, defer=defer)
                 else:
-                    out = packed_intt(ops, full, default_cache)
+                    out = packed_intt(ops, full, default_cache, defer=defer)
             start = injector.local_index if injector is not None else 0
             self._charge_packed_transform(forward, coset)
             if injector is not None \
@@ -371,13 +418,16 @@ class DistributedPolynomial:
                 # Mixed currencies (or a lapsed backend): unify on lists.
                 return self._as_lists()._pointwise(other._as_lists(),
                                                    op_name)
-            if op_name == "multiply":
-                lane = ops.mul
+            mine = self._array()
+            if op_name == "multiply" and ops.to_table is not None:
+                resident = ops.mul_mont(mine, other._mirror(ops))
+            elif op_name == "multiply":
+                resident = ops.mul(mine, other._array())
             elif op_name == "add":
-                lane = ops.add
+                resident = ops.add(mine, other._array())
             else:
-                lane = ops.sub
-            shards, resident = None, lane(self._resident, other._resident)
+                resident = ops.sub(mine, other._array())
+            shards = None
         else:
             if op_name == "multiply":
                 combine = vec_mul
@@ -464,7 +514,7 @@ class DistributedPolynomial:
     def values(self) -> list[int]:
         """Gather the logical vector (diagnostic; charges nothing)."""
         if self.packed:
-            return host_list(self.field, self._resident)
+            return host_list(self.field, self._array())
         return collect(self._shards, self._layout())
 
     def __repr__(self) -> str:

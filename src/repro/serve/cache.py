@@ -167,7 +167,7 @@ def _memo_plan(machine: MachineModel, field: PrimeField, field_name: str,
     # ``field_name`` keys what field equality (by modulus) leaves out.
     n = 1 << log_size
     g = machine.gpu_count
-    tile, _ = autotune_tile(machine, field, n)
+    tile = _memo_tile(machine, field, field_name, n)
     if strategy == "split" and n < g * g:  # UniNTT needs n >= G^2
         return PlanEntry(machine.name, field_name, log_size, direction,
                          strategy, tile, g, float("inf"),
@@ -178,6 +178,17 @@ def _memo_plan(machine: MachineModel, field: PrimeField, field_name: str,
                            inverse=direction == "inverse").total_s
     return PlanEntry(machine.name, field_name, log_size, direction,
                      strategy, tile, g, unit)
+
+
+@functools.lru_cache(maxsize=32)
+def _memo_tile(machine: MachineModel, field: PrimeField, field_name: str,
+               n: int) -> int:
+    """The autotuned tile of one (machine, field, size), once per process.
+
+    It depends on neither the direction nor the strategy, so the four
+    plans of a shape share one tuner run.
+    """
+    return autotune_tile(machine, field, n)[0]
 
 
 class TwiddleLedger:

@@ -184,3 +184,33 @@ def test_hooked_bitflip_corrupts_the_returned_lane_and_abft_catches_it(
                                        inverse=inverse)
                     for x, y in zip(batch, got)]
     assert [i for i, v in enumerate(verdicts) if not v.ok] == wrong
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy scalars need numpy")
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_numpy_scalar_and_bool_lanes_pack_like_ints(backend, field):
+    """The replicate route packs a chunk from its vectors' values as they
+    are when every one is an int; bools and numpy scalars (a negative
+    int64 among them, which a uint64 cast would wrap) give the very
+    results their int values give."""
+    import numpy as np
+
+    n = 64
+    rng = random.Random(17)
+    ints = [field.random_vector(n, rng) for _ in range(3)]
+    ints[0][:4] = [1, 0, 1, 1]
+    ints[1][:3] = [5, 7, field.modulus - 3]
+    odd = [list(vec) for vec in ints]
+    odd[0][:4] = [True, False, np.bool_(True), np.uint64(1)]
+    odd[1][:3] = [np.int64(5), np.uint32(7), np.int64(-3)]
+    with use_backend(backend):
+        for inverse in (False, True):
+            want = BatchedDistributedNTT(SimCluster(field, GPUS))
+            got = BatchedDistributedNTT(SimCluster(field, GPUS))
+            run = "inverse" if inverse else "forward"
+            expected = getattr(want, run)(ints)
+            assert getattr(got, run)(odd) == expected
+            p = field.modulus
+            assert [[v % p for v in row] for row in got.lanes.inputs] == \
+                [[v % p for v in row] for row in want.lanes.inputs]

@@ -33,6 +33,7 @@ def clear_memos():
     twiddle._memo_powers.cache_clear()
     twiddle._memo_bitrev.cache_clear()
     serve_cache._memo_plan.cache_clear()
+    serve_cache._memo_tile.cache_clear()
 
 
 def ledger_run(max_tables=None):
@@ -84,6 +85,33 @@ def test_fresh_plan_caches_report_what_each_would_alone(monkeypatch):
     monkeypatch.setattr(serve_cache, "autotune_tile", _never)
     assert plan_run() == alone
     assert plan_run() == alone
+
+
+def test_a_cold_plan_build_tunes_each_shape_once(monkeypatch):
+    """The tile depends on (machine, field, size) alone: the four plans
+    of a shape (two directions, two strategies) share one tuner run."""
+    clear_memos()
+    alone = plan_run()
+    tuned = []
+    clear_memos()
+    monkeypatch.setattr(serve_cache, "autotune_tile", _Counted(tuned))
+    assert plan_run() == alone
+    shapes = {(DGX_A100.name, f.name, n) for f, n, _ in SHAPES}
+    assert sorted(tuned) == sorted(shapes)
+
+
+class _Counted:
+    """``autotune_tile`` that records each (machine, field, n) it tunes."""
+
+    def __init__(self, log: list):
+        from repro.multigpu.autotune import autotune_tile
+
+        self.log = log
+        self.tune = autotune_tile
+
+    def __call__(self, machine, field, n):
+        self.log.append((machine.name, field.name, n))
+        return self.tune(machine, field, n)
 
 
 def test_fleets_in_one_process_report_identical_cache_counts():
